@@ -1,6 +1,9 @@
-/// Delay / energy / area trade-off explorer: how much switching energy and
-/// repeater area can be saved by backing off from the delay-optimal buffer
-/// size — the practical question downstream of the paper's optimizer.
+/// Delay / power trade-off explorer: how much repeater-chain power can be
+/// saved by backing off from the delay-optimal (h, k) — the practical
+/// question downstream of the paper's optimizer.  The rows are the
+/// non-dominated delay-power front that core::pareto_front finds over a
+/// log-spaced (h, k) box around the delay optimum, with the power objective
+/// of rlc/core/power.hpp (dynamic + short-circuit + leakage).
 ///
 /// The request is expressed as a rlc::scenario::ScenarioSpec, the same typed
 /// spec the rlc_run experiments use, so any technology id the scenario layer
@@ -14,7 +17,7 @@
 #include <exception>
 #include <string>
 
-#include "rlc/core/tradeoff.hpp"
+#include "rlc/core/optimize_api.hpp"
 #include "rlc/scenario/spec.hpp"
 
 int main(int argc, char** argv) {
@@ -38,29 +41,46 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  std::printf("Delay/energy/area trade-off, %s, l = %.2f nH/mm "
+  std::printf("Delay/power trade-off, %s, l = %.2f nH/mm "
               "(inductance-aware sizing)\n\n",
               tech.name.c_str(), scn::to_nH_per_mm(l));
 
-  const auto pts = delay_energy_tradeoff(tech, spec.sweep.values().front(),
-                                         12, 0.15);
-  if (pts.empty()) {
-    std::fprintf(stderr, "trade-off sweep failed\n");
+  OptimizeRequest req;
+  req.objective = Objective::kPower;
+  req.l = spec.sweep.values().front();
+  const auto front = pareto_front(tech, req);
+  if (!front.is_ok() || front->empty()) {
+    std::fprintf(stderr, "tradeoff_explorer: %s\n",
+                 front.is_ok() ? "empty front"
+                               : front.status().to_string().c_str());
     return 1;
   }
-  const auto& best = pts.back();  // delay-optimal point
+  const ParetoPoint& fastest = front->front();
+  const auto slower = [&](const ParetoPoint& p) {
+    return 100.0 * (p.delay_per_length / fastest.delay_per_length - 1.0);
+  };
+  const auto saved = [&](const ParetoPoint& p) {
+    return 100.0 * (1.0 - p.power_per_length / fastest.power_per_length);
+  };
 
-  std::printf("%10s %10s %14s %14s %12s %12s\n", "k", "h (mm)",
-              "delay (ps/mm)", "energy (pJ/m)", "vs fastest", "energy save");
-  for (const auto& p : pts) {
-    std::printf("%10.0f %10.2f %14.2f %14.2f %+11.1f%% %11.1f%%\n", p.k,
-                p.h * 1e3, p.delay_per_length * 1e9,
-                p.energy_per_length * 1e12,
-                100.0 * (p.delay_per_length / best.delay_per_length - 1.0),
-                100.0 * (1.0 - p.energy_per_length / best.energy_per_length));
+  std::printf("%8s %8s %14s %13s %11s %11s\n", "h (mm)", "k",
+              "delay (ps/mm)", "power (mW/m)", "vs fastest", "power save");
+  const ParetoPoint* knee = &fastest;  // cheapest point within 10% slack
+  for (const ParetoPoint& p : *front) {
+    std::printf("%8.2f %8.1f %14.2f %13.3f %+10.1f%% %10.1f%%\n", p.h * 1e3,
+                p.k, p.delay_per_length * 1e9, p.power_per_length * 1e3,
+                slower(p), saved(p));
+    if (slower(p) <= 10.0) knee = &p;
   }
-  std::printf("\nReading: each row re-optimizes the segment length for its buffer\n"
-              "size, so every point is on the Pareto front.  Accepting ~20%% more\n"
-              "delay typically saves a third or more of the repeater energy.\n");
+  // Chain power per length is a constant plus a term in the repeater area
+  // per length k/h (power.hpp), so a cheaper row always has a smaller k/h.
+  std::printf(
+      "\nReading: the %zu rows are the non-dominated (delay, power) points\n"
+      "of the (h, k) grid: each is faster or cheaper than every other.\n"
+      "Accepting %+.1f%% delay over the fastest row saves %.1f%% of the chain\n"
+      "power, by cutting the repeater area per length k/h from %.1f to\n"
+      "%.1f per mm.\n",
+      front->size(), slower(*knee), saved(*knee), fastest.k / fastest.h * 1e-3,
+      knee->k / knee->h * 1e-3);
   return 0;
 }

@@ -13,8 +13,7 @@
 /// The stable surface is, from the bottom of the stack up:
 ///   * rlc::Status / rlc::StatusOr<T>, rlc::version()  (rlc/base)
 ///   * cancellation tokens + deadlines                 (rlc/base/cancel.hpp)
-///   * the typed optimize() entry point + Pareto sweep (rlc/core/optimize_api.hpp)
-///   * its thin legacy wrappers                        (rlc/core/optimizer.hpp)
+///   * the one optimize() entry point + Pareto sweep   (rlc/core/optimize_api.hpp)
 ///   * the repeater-chain power models                 (rlc/core/power.hpp)
 ///   * ScenarioSpec/ScenarioResult + the registry      (rlc/scenario)
 ///   * Session / Server — the query service            (rlc/svc)
@@ -30,7 +29,6 @@
 #include "rlc/base/status.hpp"
 #include "rlc/base/version.hpp"
 #include "rlc/core/optimize_api.hpp"
-#include "rlc/core/optimizer.hpp"
 #include "rlc/core/power.hpp"
 #include "rlc/core/technology.hpp"
 #include "rlc/scenario/registry.hpp"

@@ -1,25 +1,24 @@
 #pragma once
 
 /// \file optimize_api.hpp
-/// The unified optimizer entry point.  The optimizer surface grew four
-/// parallel entry points (optimize_rlc, optimize_rlc_sweep,
-/// optimize_rlc_noise_constrained, try_optimize_*) before a second
-/// objective arrived; this header collapses them into ONE typed
-/// request/response pair so objectives and constraints compose instead of
-/// multiplying entry points:
+/// The one optimizer entry point: every (h, k) question — scalar or coupled
+/// bus, delay or power objective, with or without a noise budget or a
+/// delay slack — is one typed request/response pair, so objectives and
+/// constraints compose instead of multiplying entry points:
 ///
 ///   OptimizeRequest{objective, l, constraints, domain, optim}
 ///     -> StatusOr<OptimizeResponse>
 ///
-/// * objective kDelay reproduces the classic solves bit-for-bit (scalar,
-///   coupled quiet-neighbour, noise-constrained — selected by conductors
-///   and constraints.noise_vmax exactly as before).
+/// * objective kDelay with conductors == 1 is the paper's (h, k) solve
+///   (optimize_rlc in optimizer.hpp, bit-for-bit).  conductors >= 2 sizes
+///   a symmetric bus on its quiet-neighbour effective line and reports the
+///   exact victim noise at the answer; constraints.noise_vmax > 0 adds a
+///   peak-noise budget, met by an active-set walk in the repeater size.
 /// * objective kPower minimizes total chain power (power.hpp) subject to a
 ///   delay-slack constraint delay <= (1 + eps) * T_opt, where T_opt is the
-///   delay-optimal delay per unit length.  The solve mirrors the
-///   noise-constrained shape: an inner per-k largest-feasible-h boundary
-///   solve (Brent root on the upper branch of the U-shaped delay curve)
-///   under an outer Brent minimization of the boundary power over k.
+///   delay-optimal delay per unit length: an inner per-k largest-feasible-h
+///   boundary solve (Brent root on the upper branch of the U-shaped delay
+///   curve) under an outer Brent minimization of the boundary power over k.
 /// * pareto_front sweeps the same bounded (h, k) domain and returns the
 ///   non-dominated delay-power set, sorted by delay with strictly
 ///   decreasing power.
@@ -30,8 +29,9 @@
 /// minimum-power corner using the same grid arithmetic, so it is bitwise
 /// the minimum-power grid point (pinned by tests).
 ///
-/// The legacy entry points in optimizer.hpp remain as thin documented
-/// wrappers/kernels over this one (see DESIGN.md "Objective API").
+/// optimizer.hpp keeps the unchecked kernels this entry point runs on
+/// (optimize_rlc) and the warm-start l-sweep of the paper's figures
+/// (optimize_rlc_sweep); see DESIGN.md "Objective API".
 
 #include <vector>
 
@@ -54,8 +54,8 @@ struct OptimizeConstraints {
   /// unconstrained minimum-power corner of the domain.
   double delay_slack_eps = std::numeric_limits<double>::infinity();
 
-  /// Delay objective with conductors >= 2: peak-noise budget [V]
-  /// (optimize_rlc_noise_constrained semantics).  0 means unconstrained.
+  /// Delay objective with conductors >= 2: exact quiet-victim peak-noise
+  /// budget [V] for a unit swing.  0 means unconstrained.
   double noise_vmax = 0.0;
 
   bool operator==(const OptimizeConstraints&) const = default;
@@ -85,7 +85,7 @@ std::vector<double> log_grid(double ref, double scale_min, double scale_max,
                              int points);
 
 /// One typed optimizer request.  The delay-objective defaults reproduce
-/// try_optimize_rlc(tech, l, optim) exactly.
+/// optimize_rlc(tech, l, optim) exactly.
 struct OptimizeRequest {
   Objective objective = Objective::kDelay;
   double l = 0.0;                   ///< per-unit-length inductance [H/m]

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -63,8 +64,17 @@ std::vector<double> log_grid(double ref, double scale_min, double scale_max,
 }
 
 rlc::Status validate_optimize_request(const OptimizeRequest& req) {
-  if (rlc::Status st = validate_optim_request(req.l, req.optim); !st.is_ok()) {
-    return st;
+  if (!std::isfinite(req.l) || req.l < 0.0) {
+    return bad("inductance l must be finite and >= 0");
+  }
+  if (!(req.optim.f > 0.0 && req.optim.f < 1.0)) {
+    return bad("threshold f must be in (0, 1)");
+  }
+  if (req.optim.max_iterations < 1) {
+    return bad("max_iterations must be >= 1");
+  }
+  if (!(req.optim.residual_tolerance > 0.0)) {
+    return bad("residual_tolerance must be > 0");
   }
   if (req.conductors < 1 || req.conductors > 8) {
     return bad("conductors must be in 1..8");
@@ -138,52 +148,101 @@ rlc::StatusOr<OptimizeResponse> solve_delay(const Technology& tech,
     return resp;
   }
 
-  // Coupled bus: size on the quiet-neighbour effective line (optionally
-  // under a noise budget) and report the exact victim noise at the answer —
-  // the same composition svc::Session has always served, now owned here.
+  // Coupled bus: the wires are sized as one, on the quiet-neighbour
+  // effective line (every conductor sees the full Miller-1 coupling
+  // capacitance, d_max * cc in the homogenized bus, on top of its self c).
   const tline::LineParams line = tech.line(req.l);
-  const double d_max = req.conductors >= 3 ? 2.0 : 1.0;
-  if (req.constraints.noise_vmax > 0.0) {
-    NoiseConstraintOptions nc;
-    nc.cc = req.coupling_cc;
-    nc.km = req.coupling_km;
-    nc.conductors = req.conductors;
-    nc.vmax = req.constraints.noise_vmax;
-    nc.optim = req.optim;
-    const NoiseOptimResult nr =
-        optimize_rlc_noise_constrained(tech, req.l, nc);
-    if (!nr.converged) {
-      return rlc::Status::no_convergence(
-          "noise-constrained optimizer could not meet peak_noise <= " +
-          fmt(req.constraints.noise_vmax) + " V (best " +
-          fmt(nr.peak_noise) + " V)");
-    }
-    resp.sizing = nr.sizing;
-    resp.noise_constraint_active = nr.constraint_active;
-  } else {
-    tline::LineParams eff = line;
-    eff.c += d_max * req.coupling_cc;
-    const OptimResult r = optimize_rlc(tech.rep, eff, req.optim);
-    if (!r.converged) {
-      return rlc::Status::no_convergence(
-          "coupled optimizer did not converge (Newton budget " +
-          std::to_string(req.optim.max_iterations) + ")");
-    }
-    resp.sizing = r;
+  tline::LineParams eff = line;
+  eff.c += (req.conductors >= 3 ? 2.0 : 1.0) * req.coupling_cc;
+  const OptimResult un = optimize_rlc(tech.rep, eff, req.optim);
+  if (!un.converged) {
+    return rlc::Status::no_convergence(
+        "coupled optimizer did not converge (Newton budget " +
+        std::to_string(req.optim.max_iterations) + ")");
   }
+  resp.sizing = un;
 
-  // Exact victim noise at the answer: center aggressor, edge victim — the
-  // pattern the noise-constrained solve budgets against, so the reported
-  // peak is bit-identical to what that solve saw for the same sizing.
+  // Exact quiet-victim noise of an edge conductor when the center conductor
+  // switches rail to rail, on the time scale of the segment's f-delay.
   const tline::CoupledLine bus = tline::symmetric_bus(
       line, req.coupling_cc, req.coupling_km, req.conductors);
-  const std::size_t aggressor = req.conductors / 2;
   CoupledExcitation exc{std::vector<double>(req.conductors, 0.0),
                         std::vector<double>(req.conductors, 0.0)};
-  exc.target[aggressor] = 1.0;
-  const CoupledNoiseResult noise = exact_coupled_victim_noise(
-      bus, resp.sizing.h, tech.rep.scaled(resp.sizing.k), exc, /*victim=*/0,
-      resp.sizing.tau);
+  exc.target[req.conductors / 2] = 1.0;
+  const auto noise_at = [&](double h, double k, double tau) {
+    return exact_coupled_victim_noise(bus, h, tech.rep.scaled(k), exc,
+                                      /*victim=*/0, tau);
+  };
+  CoupledNoiseResult noise = noise_at(un.h, un.k, un.tau);
+
+  const double vmax = req.constraints.noise_vmax;
+  if (vmax > 0.0 && noise.peak > vmax) {
+    // The budget binds: walk the constraint boundary in the repeater size.
+    // Upsized repeaters hold the quiet victim at lower driver impedance, so
+    // along the per-k delay-optimal segmentation h_opt(k) the victim peak
+    // noise falls strictly with k while delay/length rises for k above the
+    // unconstrained optimum.  The constrained optimum is the smallest
+    // feasible size: the Brent root of peak_noise(h_opt(k), k) = vmax,
+    // bracketed by doubling k upward from the unconstrained optimum.
+    RLC_TRACE_SPAN("optimize_noise_constrained");
+    DelayOptions dopts;
+    dopts.f = req.optim.f;
+    struct BoundaryPoint {
+      double h, k, tau;
+      CoupledNoiseResult noise;
+    };
+    const auto on_boundary = [&](double k) -> BoundaryPoint {
+      const auto hopt = rlc::math::brent_minimize(
+          [&](double h) {
+            return delay_per_length(tech.rep, eff, h, k, req.optim.f);
+          },
+          0.1 * un.h, 10.0 * un.h, 1e-4 * un.h);
+      const double h = hopt.converged ? hopt.x : un.h;
+      const DelayResult d = segment_delay(tech.rep, eff, h, k, dopts);
+      if (!d.converged) {
+        throw std::runtime_error(
+            "noise-constrained optimizer: delay solve failed");
+      }
+      return {h, k, d.tau, noise_at(h, k, d.tau)};
+    };
+    const auto unmet = [&](double best) {
+      return rlc::Status::no_convergence(
+          "noise-constrained optimizer could not meet peak_noise <= " +
+          fmt(vmax) + " V (best " + fmt(best) + " V)");
+    };
+
+    // Bracket by doubling until the budget is met or the upsizing range is
+    // exhausted (then the budget is unreachable by sizing alone).
+    const double k_cap = 64.0 * un.k;
+    BoundaryPoint top = on_boundary(2.0 * un.k);
+    while (top.noise.peak > vmax && top.k < k_cap) {
+      top = on_boundary(2.0 * top.k);
+    }
+    if (top.noise.peak > vmax) return unmet(top.noise.peak);
+    const auto kr = rlc::math::brent_root(
+        [&](double k) { return on_boundary(k).noise.peak - vmax; },
+        0.5 * top.k, top.k, 1e-4 * un.k);
+    if (!kr.converged) return unmet(noise.peak);
+
+    BoundaryPoint best = on_boundary(kr.x);
+    // The Brent root can land a hair on the infeasible side; nudge up to
+    // the feasible side of the bracket if so.
+    if (best.noise.peak > vmax) {
+      const BoundaryPoint up =
+          on_boundary(std::min(kr.x * (1.0 + 1e-3) + 1e-4 * un.k, top.k));
+      if (up.noise.peak <= vmax) best = up;
+    }
+    if (!(best.noise.peak <= vmax * (1.0 + 1e-6))) {
+      return unmet(best.noise.peak);
+    }
+    resp.sizing.h = best.h;
+    resp.sizing.k = best.k;
+    resp.sizing.tau = best.tau;
+    resp.sizing.delay_per_length = best.tau / best.h;
+    resp.noise_constraint_active = true;
+    noise = best.noise;
+  }
+
   resp.peak_noise = noise.peak;
   resp.noise_width = noise.width;
   resp.has_noise = true;

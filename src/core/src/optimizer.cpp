@@ -8,17 +8,11 @@
 #include <cstddef>
 #include <limits>
 #include <stdexcept>
-#include <string>
 
-#include "rlc/core/exact_delay.hpp"
-#include "rlc/core/optimize_api.hpp"
-#include "rlc/math/brent.hpp"
 #include "rlc/math/nelder_mead.hpp"
 #include "rlc/math/newton.hpp"
-#include "rlc/tline/coupled_line.hpp"
 #include "rlc/obs/metrics.hpp"
 #include "rlc/obs/trace.hpp"
-#include "status_boundary.hpp"
 
 namespace rlc::core {
 
@@ -267,150 +261,13 @@ OptimResult optimize_rlc(const Technology& tech, double l,
   return optimize_rlc(tech.rep, tech.line(l), opts);
 }
 
-NoiseOptimResult optimize_rlc_noise_constrained(
-    const Technology& tech, double l, const NoiseConstraintOptions& c) {
-  if (c.conductors < 2 || c.conductors > 8) {
-    throw std::invalid_argument(
-        "optimize_rlc_noise_constrained: conductors must be in 2..8");
-  }
-  if (!(c.cc >= 0.0)) {
-    throw std::invalid_argument(
-        "optimize_rlc_noise_constrained: cc must be >= 0");
-  }
-  if (!(std::abs(c.km) < 1.0)) {
-    throw std::invalid_argument(
-        "optimize_rlc_noise_constrained: |km| must be < 1");
-  }
-  if (!(c.vmax > 0.0)) {
-    throw std::invalid_argument(
-        "optimize_rlc_noise_constrained: vmax must be > 0");
-  }
-  RLC_TRACE_SPAN("optimize_noise_constrained");
-
-  const tline::LineParams line = tech.line(l);
-  // Quiet neighbours: every conductor sees the full Miller-1 coupling
-  // capacitance (d_max * cc in the homogenized bus) on top of its self c.
-  const double d_max = c.conductors >= 3 ? 2.0 : 1.0;
-  tline::LineParams eff = line;
-  eff.c += d_max * c.cc;
-
-  NoiseOptimResult out;
-  const OptimResult un = optimize_rlc(tech.rep, eff, c.optim);
-  out.sizing = un;
-  if (!un.converged) return out;
-
-  const tline::CoupledLine bus =
-      tline::symmetric_bus(line, c.cc, c.km, c.conductors);
-  const std::size_t aggressor = c.conductors / 2;  // center conductor
-  const std::size_t victim = 0;                    // edge conductor
-  CoupledExcitation exc{std::vector<double>(c.conductors, 0.0),
-                        std::vector<double>(c.conductors, 0.0)};
-  exc.target[aggressor] = 1.0;
-
-  const auto noise_at = [&](double h, double k) {
-    const DelayResult d = segment_delay(tech.rep, eff, h, k);
-    if (!d.converged) {
-      throw std::runtime_error(
-          "optimize_rlc_noise_constrained: delay solve failed");
-    }
-    return exact_coupled_victim_noise(bus, h, tech.rep.scaled(k), exc,
-                                      victim, d.tau)
-        .peak;
-  };
-
-  out.peak_noise = noise_at(un.h, un.k);
-  if (out.peak_noise <= c.vmax) {
-    out.converged = true;
-    return out;
-  }
-  out.constraint_active = true;
-
-  // Active-set outer loop on the constraint boundary.  Upsized repeaters
-  // hold the quiet victim at lower driver impedance, so along the per-k
-  // delay-optimal segmentation h_opt(k) the victim peak noise falls
-  // strictly with k while delay/length rises for k above the unconstrained
-  // optimum.  The constrained optimum is therefore the smallest feasible
-  // repeater size: the boundary root of peak_noise(h_opt(k), k) = vmax.
-  const auto h_opt = [&](double k) -> double {
-    const auto hopt = rlc::math::brent_minimize(
-        [&](double h) {
-          return delay_per_length(tech.rep, eff, h, k, c.optim.f);
-        },
-        0.1 * un.h, 10.0 * un.h, 1e-4 * un.h);
-    return hopt.converged ? hopt.x : un.h;
-  };
-  const auto boundary_noise = [&](double k) {
-    return noise_at(h_opt(k), k) - c.vmax;
-  };
-
-  // Bracket by doubling: the unconstrained k is infeasible (checked above);
-  // walk up until the budget is met or the upsizing range is exhausted.
-  const double k_cap = 64.0 * un.k;
-  double k_hi = 2.0 * un.k;
-  while (k_hi < k_cap && boundary_noise(k_hi) > 0.0) k_hi *= 2.0;
-  if (boundary_noise(k_hi) > 0.0) {
-    // Budget unreachable by sizing alone: report the closest point.
-    out.sizing.k = k_hi;
-    const double h = h_opt(k_hi);
-    out.sizing.h = h;
-    const DelayResult dr = segment_delay(tech.rep, eff, h, k_hi);
-    if (dr.converged) {
-      out.sizing.tau = dr.tau;
-      out.sizing.delay_per_length = dr.tau / h;
-    }
-    out.peak_noise = noise_at(h, k_hi);
-    return out;  // converged stays false
-  }
-  const auto kr = rlc::math::brent_root(boundary_noise, 0.5 * k_hi, k_hi,
-                                        1e-4 * un.k);
-  if (!kr.converged) return out;
-
-  const double ks = kr.x;
-  const double hs = h_opt(ks);
-  out.sizing.h = hs;
-  out.sizing.k = ks;
-  const DelayResult dr = segment_delay(tech.rep, eff, hs, ks);
-  if (!dr.converged) return out;
-  out.sizing.tau = dr.tau;
-  out.sizing.delay_per_length = dr.tau / hs;
-  out.peak_noise = noise_at(hs, ks);
-  // The Brent root can land a hair on the infeasible side; nudge up to the
-  // feasible side of the bracket if so.
-  if (out.peak_noise > c.vmax) {
-    const double k_up = std::min(ks * (1.0 + 1e-3) + 1e-4 * un.k, k_hi);
-    const double h_up = h_opt(k_up);
-    const double noise_up = noise_at(h_up, k_up);
-    if (noise_up <= c.vmax) {
-      out.sizing.k = k_up;
-      out.sizing.h = h_up;
-      const DelayResult du = segment_delay(tech.rep, eff, h_up, k_up);
-      if (du.converged) {
-        out.sizing.tau = du.tau;
-        out.sizing.delay_per_length = du.tau / h_up;
-      }
-      out.peak_noise = noise_up;
-    }
-  }
-  out.converged = out.peak_noise <= c.vmax * (1.0 + 1e-6);
-  return out;
-}
-
 std::vector<OptimResult> optimize_rlc_sweep(const Technology& tech,
                                             const std::vector<double>& l_values,
                                             const OptimOptions& opts) {
-  std::vector<OptimResult> out;
-  out.reserve(l_values.size());
-  OptimOptions cur = opts;
-  for (double l : l_values) {
-    const OptimResult r = optimize_rlc(tech, l, cur);
-    out.push_back(r);
-    if (r.converged) {
-      // Warm-start the next solve (continuation in l).
-      cur.h0 = r.h;
-      cur.k0 = r.k;
-    }
-  }
-  return out;
+  SweepOptions serial;
+  serial.optim = opts;
+  serial.parallel = false;
+  return optimize_rlc_sweep(tech, l_values, serial);
 }
 
 namespace {
@@ -453,7 +310,6 @@ std::vector<OptimResult> optimize_rlc_sweep(const Technology& tech,
   const std::size_t n = l_values.size();
   std::vector<OptimResult> out(n);
   if (n == 0) return out;
-  exec::ThreadPool& pool = sweep.pool ? *sweep.pool : exec::default_pool();
   const std::size_t chunk = sweep.chunk > 0 ? sweep.chunk : 1;
   // No pool-size shortcut here: a 1-thread pool must take the same
   // chunk-seeded path as any other size, or results would depend on the
@@ -483,6 +339,7 @@ std::vector<OptimResult> optimize_rlc_sweep(const Technology& tech,
 
   // Phase 2 (parallel): chunks are independent given their seeds; each
   // writes a disjoint slice of `out`, so ordering is by construction.
+  exec::ThreadPool& pool = sweep.pool ? *sweep.pool : exec::default_pool();
   pool.parallel_for(
       n_chunks,
       [&](std::size_t j) {
@@ -499,50 +356,6 @@ std::vector<OptimResult> optimize_rlc_sweep(const Technology& tech,
       },
       /*grain=*/1);
   return out;
-}
-
-rlc::Status validate_optim_request(double l, const OptimOptions& opts) {
-  if (!std::isfinite(l) || l < 0.0) {
-    return rlc::Status::invalid_argument(
-        "inductance l must be finite and >= 0");
-  }
-  if (!(opts.f > 0.0 && opts.f < 1.0)) {
-    return rlc::Status::invalid_argument("threshold f must be in (0, 1)");
-  }
-  if (opts.max_iterations < 1) {
-    return rlc::Status::invalid_argument("max_iterations must be >= 1");
-  }
-  if (!(opts.residual_tolerance > 0.0)) {
-    return rlc::Status::invalid_argument("residual_tolerance must be > 0");
-  }
-  return rlc::Status::ok();
-}
-
-rlc::StatusOr<OptimResult> try_optimize_rlc(const Technology& tech, double l,
-                                            const OptimOptions& opts) {
-  // Thin wrapper over the unified entry point (optimize_api.hpp): a
-  // delay-objective scalar request dispatches to optimize_rlc above, so the
-  // sizing is bit-identical to what this function always returned.
-  OptimizeRequest req;
-  req.l = l;
-  req.optim = opts;
-  rlc::StatusOr<OptimizeResponse> resp = optimize(tech, req);
-  if (!resp.is_ok()) return resp.status();
-  return resp->sizing;
-}
-
-rlc::StatusOr<std::vector<OptimResult>> try_optimize_rlc_sweep(
-    const Technology& tech, const std::vector<double>& l_values,
-    const SweepOptions& sweep) {
-  for (double l : l_values) {
-    if (rlc::Status s = validate_optim_request(l, sweep.optim); !s.is_ok()) {
-      return s;
-    }
-  }
-  using Out = std::vector<OptimResult>;
-  return internal::at_boundary<Out>([&]() -> rlc::StatusOr<Out> {
-    return optimize_rlc_sweep(tech, l_values, sweep);
-  });
 }
 
 }  // namespace rlc::core

@@ -14,10 +14,11 @@
 #include <string>
 #include <vector>
 
+#include "rlc/base/cancel.hpp"
 #include "rlc/core/delay.hpp"
 #include "rlc/core/elmore.hpp"
 #include "rlc/core/exact_delay.hpp"
-#include "rlc/core/optimizer.hpp"
+#include "rlc/core/optimize_api.hpp"
 #include "rlc/ringosc/coupled_bus.hpp"
 #include "rlc/scenario/registry.hpp"
 #include "rlc/tline/coupled_line.hpp"
@@ -323,22 +324,31 @@ ScenarioResult xtalk_noise_opt(const ScenarioSpec& spec,
   }
 
   struct Row {
-    NoiseOptimResult r;
+    OptimizeResponse r;
     bool ok = false;
   };
   const auto rows =
       rlc::exec::parallel_map(ctx.pool_ref(), cases, [&](const OptCase& oc) {
         const rlc::exec::StopWatch sw;
-        Row row;
         const auto tech = technology_by_name(oc.tech_name);
-        NoiseConstraintOptions c;
-        c.cc = 0.3 * tech.line(kXtalkL).c;
-        c.km = 0.3;
-        c.conductors = 2;
-        c.vmax = oc.vmax;
-        c.optim = spec.optim_options();
-        row.r = optimize_rlc_noise_constrained(tech, kXtalkL, c);
-        row.ok = row.r.converged;
+        OptimizeRequest req;
+        req.l = kXtalkL;
+        req.conductors = 2;
+        req.coupling_cc = 0.3 * tech.line(kXtalkL).c;
+        req.coupling_km = 0.3;
+        req.constraints.noise_vmax = oc.vmax;
+        req.optim = spec.optim_options();
+        rlc::StatusOr<OptimizeResponse> resp = optimize(tech, req);
+        // A cancelled solve unwinds the scenario; an unmet budget only
+        // drops its row.
+        rlc::checkpoint();
+        Row row;
+        if (resp.is_ok()) {
+          row = {*resp, true};
+        } else if (resp.status().code() != StatusCode::kNoConvergence) {
+          throw std::runtime_error("noise-constrained solve: " +
+                                   resp.status().to_string());
+        }
         if (ctx.counters) ctx.counters->record_wall(sw.seconds());
         return row;
       });
@@ -353,7 +363,7 @@ ScenarioResult xtalk_noise_opt(const ScenarioSpec& spec,
     if (!row.ok) continue;
     t.row({cases[i].tech_name, cases[i].vmax, row.r.sizing.h * 1e3,
            row.r.sizing.k, row.r.sizing.delay_per_length * 1e9,
-           row.r.peak_noise, row.r.constraint_active ? 1 : 0});
+           row.r.peak_noise, row.r.noise_constraint_active ? 1 : 0});
     worst_peak = std::max(worst_peak, row.r.peak_noise);
   }
   res.tables.push_back(std::move(t));

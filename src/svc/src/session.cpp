@@ -8,7 +8,6 @@
 
 #include "rlc/core/exact_delay.hpp"
 #include "rlc/core/optimize_api.hpp"
-#include "rlc/core/optimizer.hpp"
 #include "rlc/obs/metrics.hpp"
 #include "rlc/obs/trace.hpp"
 #include "rlc/scenario/registry.hpp"
@@ -223,7 +222,8 @@ struct Session::Impl {
   }
 
   /// The solve itself (inside the ExecScope; CancelledError may unwind
-  /// through here to the boundary in answer()).
+  /// through here to the boundary in answer()): one core::optimize() call,
+  /// mapped onto the wire result, then the exact engine on request.
   rlc::StatusOr<QueryResult> compute(const QueryRequest& req) {
     core::Technology tech;
     try {
@@ -233,24 +233,21 @@ struct Session::Impl {
       // errors, whatever exception type the resolver used internally.
       return rlc::Status::invalid_argument(e.what());
     }
-    core::OptimOptions opts;
-    opts.f = req.threshold;
-    opts.max_iterations = req.max_iterations;
-    opts.residual_tolerance = req.residual_tolerance;
-    if (req.n_conductors > 1) return compute_coupled(req, tech, opts);
-
-    // Scalar path: the unified typed entry point.  objective "delay" is the
-    // pure delay kernel (bit-identical to the pre-objective optimize_rlc
-    // answer, pinned by tests/svc); objective "power" is the
-    // delay-slack-constrained power minimization.
+    const std::size_t n = static_cast<std::size_t>(req.n_conductors);
     core::OptimizeRequest oreq;
     oreq.objective = req.objective == "power" ? core::Objective::kPower
                                               : core::Objective::kDelay;
     oreq.l = req.l;
-    oreq.optim = opts;
+    oreq.conductors = n;
+    oreq.coupling_cc = req.coupling_cc;
+    oreq.coupling_km = req.coupling_km;
+    oreq.constraints.noise_vmax = req.noise_vmax;
     if (oreq.objective == core::Objective::kPower) {
       oreq.constraints.delay_slack_eps = req.delay_slack_eps;
     }
+    oreq.optim.f = req.threshold;
+    oreq.optim.max_iterations = req.max_iterations;
+    oreq.optim.residual_tolerance = req.residual_tolerance;
     rlc::StatusOr<core::OptimizeResponse> oresp = core::optimize(tech, oreq);
     if (!oresp.is_ok()) {
       if (oresp.status().code() == StatusCode::kNoConvergence) {
@@ -279,120 +276,44 @@ struct Session::Impl {
       r.power_constraint_active = oresp->delay_constraint_active;
       r.has_power = true;
     }
+    if (oresp->has_noise) {
+      r.peak_noise = oresp->peak_noise;
+      r.noise_width = oresp->noise_width;
+      r.constraint_active = oresp->noise_constraint_active;
+      r.has_noise = true;
+    }
     if (req.line_length > 0.0) {
       r.total_delay = r.delay_per_length * req.line_length;
     }
-    if (req.with_exact_delay) {
-      core::ExactOptions eo;
-      eo.talbot_points = req.talbot_points;
-      eo.window_points = req.talbot_points;
-      if (std::optional<double> exact = core::exact_threshold_delay(
-              tech, req.l, opt.h, opt.k, opt.tau, req.threshold, eo,
-              nullptr)) {
-        r.exact_delay = *exact;
-        r.has_exact = true;
-      } else {
-        return rlc::Status::no_convergence(
-            "exact-waveform engine did not bracket the threshold crossing");
-      }
-    }
-    return r;
-  }
+    if (!req.with_exact_delay) return r;
 
-  /// Coupled-bus solve (n_conductors >= 2).  The (h, k) answer is sized on
-  /// the quiet-neighbour effective line (Miller-1: eff.c += d_max * cc),
-  /// exactly like the noise-constrained optimizer's unconstrained leg, and
-  /// every answer carries the exact victim noise at the optimum — the peak
-  /// is bit-identical to what optimize_rlc_noise_constrained reports for
-  /// the same sizing because both call exact_coupled_victim_noise with the
-  /// same bus, excitation and tau scale.
-  rlc::StatusOr<QueryResult> compute_coupled(const QueryRequest& req,
-                                             const core::Technology& tech,
-                                             const core::OptimOptions& opts) {
-    const std::size_t n = static_cast<std::size_t>(req.n_conductors);
-    const tline::LineParams line = tech.line(req.l);
-    const double d_max = n >= 3 ? 2.0 : 1.0;
-    tline::LineParams eff = line;
-    eff.c += d_max * req.coupling_cc;
-
-    QueryResult r;
-    if (req.noise_vmax > 0.0) {
-      core::NoiseConstraintOptions nc;
-      nc.cc = req.coupling_cc;
-      nc.km = req.coupling_km;
-      nc.conductors = n;
-      nc.vmax = req.noise_vmax;
-      nc.optim = opts;
-      const core::NoiseOptimResult nr =
-          core::optimize_rlc_noise_constrained(tech, req.l, nc);
-      if (!nr.converged) {
-        return rlc::Status::no_convergence(
-            "noise-constrained optimizer could not meet peak_noise <= " +
-            io::render_number(req.noise_vmax) + " V (technology " +
-            req.technology + ", best " + io::render_number(nr.peak_noise) +
-            " V)");
-      }
-      r.h = nr.sizing.h;
-      r.k = nr.sizing.k;
-      r.tau = nr.sizing.tau;
-      r.delay_per_length = nr.sizing.delay_per_length;
-      r.newton_iterations = nr.sizing.newton_iterations;
-      r.method = nr.sizing.method == core::OptimMethod::kNewton
-                     ? "newton"
-                     : "nelder_mead";
-      r.constraint_active = nr.constraint_active;
+    core::ExactOptions eo;
+    eo.talbot_points = req.talbot_points;
+    eo.window_points = req.talbot_points;
+    std::optional<double> exact;
+    if (n == 1) {
+      exact = core::exact_threshold_delay(tech, req.l, r.h, r.k, r.tau,
+                                          req.threshold, eo, nullptr);
     } else {
-      const core::OptimResult opt = core::optimize_rlc(tech.rep, eff, opts);
-      if (!opt.converged) {
-        return rlc::Status::no_convergence(
-            "optimizer did not converge within " +
-            std::to_string(req.max_iterations) +
-            " iterations (technology " + req.technology +
-            ", coupled, l=" + io::render_number(req.l) + " H/m)");
-      }
-      r.h = opt.h;
-      r.k = opt.k;
-      r.tau = opt.tau;
-      r.delay_per_length = opt.delay_per_length;
-      r.newton_iterations = opt.newton_iterations;
-      r.method = opt.method == core::OptimMethod::kNewton ? "newton"
-                                                          : "nelder_mead";
+      // Aggressor (center conductor) threshold crossing with quiet
+      // neighbours; the coupled engine takes f as an absolute level and
+      // the swing here is 1 V.
+      const tline::CoupledLine bus = tline::symmetric_bus(
+          tech.line(req.l), req.coupling_cc, req.coupling_km, n);
+      core::CoupledExcitation exc{std::vector<double>(n, 0.0),
+                                  std::vector<double>(n, 0.0)};
+      exc.target[n / 2] = 1.0;
+      exact = core::exact_coupled_threshold_delay(
+          bus, r.h, tech.rep.scaled(r.k), exc, n / 2, r.tau, req.threshold,
+          eo);
     }
-    if (req.line_length > 0.0) {
-      r.total_delay = r.delay_per_length * req.line_length;
+    if (!exact) {
+      return rlc::Status::no_convergence(
+          std::string(n == 1 ? "" : "coupled ") +
+          "exact-waveform engine did not bracket the threshold crossing");
     }
-
-    // Exact victim noise at the answer: center aggressor, edge victim —
-    // the same pattern the noise-constrained solve budgets against.
-    const tline::CoupledLine bus =
-        tline::symmetric_bus(line, req.coupling_cc, req.coupling_km, n);
-    const std::size_t aggressor = n / 2;
-    core::CoupledExcitation exc{std::vector<double>(n, 0.0),
-                                std::vector<double>(n, 0.0)};
-    exc.target[aggressor] = 1.0;
-    const tline::DriverLoad dl = tech.rep.scaled(r.k);
-    const core::CoupledNoiseResult noise =
-        core::exact_coupled_victim_noise(bus, r.h, dl, exc, 0, r.tau);
-    r.peak_noise = noise.peak;
-    r.noise_width = noise.width;
-    r.has_noise = true;
-
-    if (req.with_exact_delay) {
-      core::ExactOptions eo;
-      eo.talbot_points = req.talbot_points;
-      eo.window_points = req.talbot_points;
-      // Aggressor threshold crossing with quiet neighbours (the coupled
-      // engine takes f as an absolute level; the swing here is 1 V).
-      if (std::optional<double> exact = core::exact_coupled_threshold_delay(
-              bus, r.h, dl, exc, aggressor, r.tau, req.threshold, eo)) {
-        r.exact_delay = *exact;
-        r.has_exact = true;
-      } else {
-        return rlc::Status::no_convergence(
-            "coupled exact-waveform engine did not bracket the threshold "
-            "crossing");
-      }
-    }
+    r.exact_delay = *exact;
+    r.has_exact = true;
     return r;
   }
 };

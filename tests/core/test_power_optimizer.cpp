@@ -60,10 +60,6 @@ TEST(OptimizeApi, DelayObjectiveMatchesLegacyWrapperBitwise) {
     EXPECT_EQ(resp->sizing.delay_per_length, direct.delay_per_length);
     EXPECT_FALSE(resp->has_power);
     EXPECT_FALSE(resp->has_noise);
-    const auto wrapped = try_optimize_rlc(tech, kL);
-    ASSERT_TRUE(wrapped.is_ok());
-    EXPECT_EQ(wrapped->h, direct.h);
-    EXPECT_EQ(wrapped->k, direct.k);
   }
 }
 

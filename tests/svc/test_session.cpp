@@ -5,14 +5,18 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "rlc/core/exact_delay.hpp"
 #include "rlc/core/optimize_api.hpp"
 #include "rlc/io/json_reader.hpp"
 #include "rlc/obs/metrics.hpp"
 #include "rlc/scenario/registry.hpp"
 #include "rlc/scenario/spec.hpp"
+#include "rlc/tline/coupled_line.hpp"
 
 namespace rlc::svc {
 namespace {
@@ -107,17 +111,138 @@ TEST(Session, PowerObjectiveCarriesThePowerBlock) {
   EXPECT_LE(r->delay_per_length, 1.05 * r->delay_ref * (1.0 + 1e-9));
   EXPECT_LT(r->power_total, r->power_ref);
   EXPECT_TRUE(r->power_constraint_active);
-  // Session is a thin wrapper: the answer is bitwise core::optimize's.
+}
+
+/// The answer to `q` computed straight from core::optimize plus the exact
+/// engine, without the service.
+QueryResult core_answer(const QueryRequest& q) {
+  const core::Technology tech = scenario::technology_by_name(q.technology);
+  const std::size_t n = static_cast<std::size_t>(q.n_conductors);
   core::OptimizeRequest oreq;
-  oreq.objective = core::Objective::kPower;
+  if (q.objective == "power") {
+    oreq.objective = core::Objective::kPower;
+    oreq.constraints.delay_slack_eps = q.delay_slack_eps;
+  }
   oreq.l = q.l;
-  oreq.constraints.delay_slack_eps = q.delay_slack_eps;
-  const auto direct = core::optimize(
-      scenario::technology_by_name(q.technology), oreq);
-  ASSERT_TRUE(direct.is_ok());
-  EXPECT_EQ(r->h, direct->sizing.h);
-  EXPECT_EQ(r->k, direct->sizing.k);
-  EXPECT_EQ(r->power_total, direct->power.total());
+  oreq.conductors = n;
+  oreq.coupling_cc = q.coupling_cc;
+  oreq.coupling_km = q.coupling_km;
+  oreq.constraints.noise_vmax = q.noise_vmax;
+  oreq.optim.f = q.threshold;
+  const auto resp = core::optimize(tech, oreq);
+  EXPECT_TRUE(resp.is_ok()) << resp.status().to_string();
+  if (!resp.is_ok()) return {};
+  QueryResult r;
+  r.h = resp->sizing.h;
+  r.k = resp->sizing.k;
+  r.tau = resp->sizing.tau;
+  r.delay_per_length = resp->sizing.delay_per_length;
+  r.newton_iterations = resp->sizing.newton_iterations;
+  r.method = resp->sizing.method == core::OptimMethod::kNewton ? "newton"
+                                                               : "nelder_mead";
+  if (resp->has_power) {
+    r.power_total = resp->power.total();
+    r.power_dynamic = resp->power.dynamic;
+    r.power_short_circuit = resp->power.short_circuit;
+    r.power_leakage = resp->power.leakage;
+    r.delay_ref = resp->delay_ref;
+    r.power_ref = resp->power_ref;
+    r.power_constraint_active = resp->delay_constraint_active;
+    r.has_power = true;
+  }
+  if (resp->has_noise) {
+    r.peak_noise = resp->peak_noise;
+    r.noise_width = resp->noise_width;
+    r.constraint_active = resp->noise_constraint_active;
+    r.has_noise = true;
+  }
+  if (q.with_exact_delay) {
+    core::ExactOptions eo;
+    eo.talbot_points = eo.window_points = q.talbot_points;
+    std::optional<double> exact;
+    if (n == 1) {
+      exact = core::exact_threshold_delay(tech, q.l, r.h, r.k, r.tau,
+                                          q.threshold, eo, nullptr);
+    } else {
+      const auto bus = tline::symmetric_bus(tech.line(q.l), q.coupling_cc,
+                                            q.coupling_km, n);
+      core::CoupledExcitation exc{std::vector<double>(n, 0.0),
+                                  std::vector<double>(n, 0.0)};
+      exc.target[n / 2] = 1.0;
+      exact = core::exact_coupled_threshold_delay(
+          bus, r.h, tech.rep.scaled(r.k), exc, n / 2, r.tau, q.threshold, eo);
+    }
+    EXPECT_TRUE(exact.has_value());
+    r.exact_delay = exact.value_or(0.0);
+    r.has_exact = true;
+  }
+  return r;
+}
+
+// Session is a cache and a request path around core::optimize: for every
+// query kind its answer is bitwise core::optimize's plus the exact engine.
+TEST(Session, EveryQueryKindIsCoreOptimizePlusTheExactEngine) {
+  struct Kind {
+    const char* name;
+    QueryRequest q;
+    bool budget_active = false;
+  };
+  std::vector<Kind> kinds;
+  QueryRequest scalar;
+  scalar.l = 2.0e-6;
+  kinds.push_back({"scalar", scalar});
+  QueryRequest exact = scalar;
+  exact.with_exact_delay = true;
+  kinds.push_back({"exact", exact});
+  QueryRequest power;
+  power.objective = "power";
+  power.l = 1.0e-6;
+  power.delay_slack_eps = 0.05;
+  kinds.push_back({"power", power});
+  kinds.push_back({"2-conductor", coupled_request("100nm", 2)});
+  kinds.push_back({"3-conductor", coupled_request("250nm", 3)});
+  QueryRequest coupled_exact = coupled_request("100nm", 2);
+  coupled_exact.with_exact_delay = true;
+  kinds.push_back({"2-conductor exact", coupled_exact});
+  QueryRequest loose = coupled_request("100nm", 2);
+  loose.noise_vmax = 0.9;
+  kinds.push_back({"budget inactive", loose});
+  QueryRequest tight = coupled_request("100nm", 2);
+  tight.noise_vmax = 0.1;
+  kinds.push_back({"budget active", tight, true});
+
+  Session session(SessionOptions{1, 0});
+  for (const Kind& kind : kinds) {
+    auto served = session.submit(kind.q);
+    ASSERT_TRUE(served.is_ok()) << kind.name << ": "
+                                << served.status().to_string();
+    QueryResult direct = core_answer(kind.q);
+    EXPECT_TRUE(served->same_answer(direct)) << kind.name;
+    EXPECT_EQ(served->constraint_active, kind.budget_active) << kind.name;
+    served->wall_seconds = direct.wall_seconds = 0.0;
+    EXPECT_EQ(served->to_json().str(), direct.to_json().str()) << kind.name;
+  }
+}
+
+// A coupled solve that fails reports the core message plus the query's
+// technology and l, like a scalar one.
+TEST(Session, UnreachableNoiseBudgetNamesTheQuery) {
+  Session session(SessionOptions{1, 0});
+  QueryRequest q = coupled_request("100nm", 2);
+  q.noise_vmax = 0.001;
+  const auto r = session.submit(q);
+  ASSERT_FALSE(r.is_ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kNoConvergence);
+  const std::string& msg = r.status().message();
+  EXPECT_EQ(msg.rfind("noise-constrained optimizer could not meet "
+                      "peak_noise <= 0.001 V (best ",
+                      0),
+            0u)
+      << msg;
+  const std::string suffix =
+      " V) (technology 100nm, l=" + io::render_number(q.l) + " H/m)";
+  ASSERT_GE(msg.size(), suffix.size()) << msg;
+  EXPECT_EQ(msg.substr(msg.size() - suffix.size()), suffix) << msg;
 }
 
 // The wire pin of the objective extension: a scalar query with the
