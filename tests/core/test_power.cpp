@@ -88,5 +88,22 @@ TEST(PowerModel, RejectsBadEnvironmentAndGeometry) {
   EXPECT_THROW(m.per_length(1e-3, -1.0), std::domain_error);
 }
 
+TEST(Energy, FormulaAndMonotonicity) {
+  // Switching energy per unit length per transition, (c + (c0 + cp) k/h)
+  // Vdd^2: the dynamic term with the switching rate a f divided out.
+  const auto tech = Technology::nm100();
+  const PowerEnv env;
+  const PowerModel m = PowerModel::from_technology(tech, env);
+  const auto energy = [&](double h, double k) {
+    return m.per_length(h, k).dynamic / (env.activity * env.f_clock);
+  };
+  const double h = 0.01, k = 300.0;
+  const double expect =
+      (tech.c + (tech.rep.c0 + tech.rep.cp) * k / h) * tech.vdd * tech.vdd;
+  EXPECT_NEAR(energy(h, k), expect, 1e-12 * expect);
+  EXPECT_GT(energy(h, 2.0 * k), energy(h, k));
+  EXPECT_THROW(m.per_length(0.0, k), std::domain_error);
+}
+
 }  // namespace
 }  // namespace rlc::core

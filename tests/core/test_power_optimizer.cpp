@@ -227,5 +227,50 @@ TEST(OptimizeApi, RejectsInvalidRequestsWithTypedStatus) {
   }
 }
 
+TEST(Tradeoff, ParetoFrontIsMonotone) {
+  // Along the delay-power front from the fast end to the frugal end: delay
+  // rises while chain power and repeater area per length k/h fall.
+  const auto tech = Technology::nm100();
+  OptimizeRequest req = power_request(kInf);
+  req.l = 1.5e-6;
+  const auto front = pareto_front(tech, req);
+  ASSERT_TRUE(front.is_ok());
+  ASSERT_GE(front->size(), 6u);
+  for (std::size_t i = 1; i < front->size(); ++i) {
+    const ParetoPoint& fast = (*front)[i - 1];
+    const ParetoPoint& slow = (*front)[i];
+    EXPECT_GT(slow.delay_per_length, fast.delay_per_length) << i;
+    EXPECT_LT(slow.power_per_length, fast.power_per_length) << i;
+    EXPECT_LT(slow.k / slow.h, fast.k / fast.h) << i;
+  }
+}
+
+TEST(Tradeoff, SmallBuffersBuyLargeEnergySavings) {
+  // The classic result: backing off ~20% in delay saves a large fraction
+  // of the chain power.
+  const auto tech = Technology::nm100();
+  OptimizeRequest req = power_request(0.2);
+  req.l = 1.5e-6;
+  const auto resp = optimize(tech, req);
+  ASSERT_TRUE(resp.is_ok());
+  const double delay_cost = resp->sizing.delay_per_length / resp->delay_ref;
+  const double power_save = 1.0 - resp->power.total() / resp->power_ref;
+  EXPECT_LE(delay_cost, 1.2 * (1.0 + 1e-9));
+  EXPECT_GT(power_save, 0.25);
+}
+
+TEST(Tradeoff, InputValidation) {
+  // A one-point sweep and an inverted k range are rejected, not swept.
+  const auto tech = Technology::nm100();
+  OptimizeRequest req = power_request(kInf);
+  req.domain.k_points = 1;
+  EXPECT_EQ(pareto_front(tech, req).status().code(),
+            StatusCode::kInvalidArgument);
+  req = power_request(kInf);
+  req.domain.k_min_scale = 1.5 * req.domain.k_max_scale;
+  EXPECT_EQ(pareto_front(tech, req).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
 }  // namespace
 }  // namespace rlc::core
