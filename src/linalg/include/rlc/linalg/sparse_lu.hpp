@@ -3,10 +3,12 @@
 /// \file sparse_lu.hpp
 /// Left-looking (Gilbert–Peierls) sparse LU with threshold partial pivoting,
 /// in the style of CSparse's cs_lu.  This is the workhorse behind the MNA
-/// circuit solver: transient analysis refactorizes at every Newton iteration,
-/// and the factorization cost is proportional to the number of floating-point
-/// operations actually performed (important for the ladder-structured RLC
-/// circuits in this repo, which factor with almost no fill-in).
+/// circuit solver: transient analysis refactorizes a nonlinear circuit at
+/// every Newton iteration and a linear one only when (integrator, dt)
+/// changes, solving with the kept factors in between.  The factorization
+/// cost is proportional to the number of floating-point operations actually
+/// performed (important for the ladder-structured RLC circuits in this
+/// repo, which factor with almost no fill-in).
 
 #include <vector>
 
@@ -27,7 +29,9 @@ class SparseLU {
   /// Numeric-only refactorization: reuse the pivot order and the symbolic
   /// pattern of the original factorization for a matrix with the SAME
   /// sparsity pattern but new values (each Newton iteration of a transient
-  /// run).  Skips the DFS, the pivot search and all allocation.  Returns
+  /// run).  Skips the DFS, the pivot search and all allocation.  It repeats
+  /// the original factorization's arithmetic, so the values that factorization
+  /// saw give bitwise the same factors (pinned by tests/linalg).  Returns
   /// false — leaving the factors unusable — if a pivot shrinks below
   /// `pivot_floor` times its column's magnitude, in which case the caller
   /// should factor from scratch to re-pivot.

@@ -65,7 +65,8 @@ class Circuit {
 
   /// Total unknowns: (node_count - 1) node voltages + branch currents.
   int unknown_count() const;
-  /// True if any device requires Newton iteration.
+  /// True if any device requires Newton iteration (cached by finalize();
+  /// throws std::logic_error before it, like unknown_count()).
   bool has_nonlinear() const;
 
  private:
@@ -76,6 +77,7 @@ class Circuit {
   std::vector<std::string> node_names_;
   std::unordered_map<std::string, NodeId> node_ids_;
   bool finalized_ = false;
+  bool nonlinear_ = false;
   int branch_total_ = 0;
 };
 

@@ -42,12 +42,15 @@ struct StampContext {
 /// cases for grounded terminals.
 class Stamper {
  public:
-  Stamper(std::vector<rlc::linalg::Triplet>& triplets, std::vector<double>& rhs)
-      : triplets_(triplets), rhs_(rhs) {}
+  /// `matrix` false stamps the right-hand side only and drops matrix
+  /// entries (a step that reuses the factors of an unchanged linear matrix).
+  Stamper(std::vector<rlc::linalg::Triplet>& triplets, std::vector<double>& rhs,
+          bool matrix = true)
+      : triplets_(triplets), rhs_(rhs), matrix_(matrix) {}
 
   /// Matrix entry A(row, col) += value.
   void add(int row, int col, double value) {
-    if (row < 0 || col < 0) return;
+    if (row < 0 || col < 0 || !matrix_) return;
     triplets_.push_back({row, col, value});
   }
   /// Right-hand side z(row) += value.
@@ -62,6 +65,7 @@ class Stamper {
  private:
   std::vector<rlc::linalg::Triplet>& triplets_;
   std::vector<double>& rhs_;
+  bool matrix_;
 };
 
 /// Context for small-signal AC stamping: angular frequency and the DC
@@ -111,6 +115,12 @@ class Device {
   int branch_base() const { return branch_base_; }
 
   /// True if the stamp depends on the current iterate (requires Newton).
+  /// `false` is also a promise the transient engine relies on: the matrix
+  /// entries stamp() adds depend only on (analysis, integrator, dt) — never
+  /// on the time, the iterate, the source scale or the device's history,
+  /// all of which may reach the right-hand side only.  A circuit of such
+  /// devices is factored once per (analysis, integrator, dt, gmin) and then
+  /// stepped on the right-hand side alone.
   virtual bool nonlinear() const { return false; }
 
   /// Contribute to the MNA system for the given context.

@@ -73,6 +73,12 @@ struct TransientResult {
   long steps_accepted = 0;
   long steps_rejected = 0;
   long newton_iterations = 0;
+  /// LU factorizations of the step matrices, full plus numeric-only (the
+  /// initial DC solve's are not counted).  A linear circuit factors only
+  /// when (integrator, dt) changes from one step to the next, so a fixed-dt
+  /// run with backward-Euler start-up steps factors twice; a nonlinear one
+  /// factors once per Newton iteration.
+  long factorizations = 0;
 
   /// Signal by label; throws std::out_of_range if unknown.
   const std::vector<double>& signal(const std::string& label) const;

@@ -96,12 +96,14 @@ void Circuit::finalize() {
   if (finalized_) return;
   int base = node_count() - 1;
   branch_total_ = 0;
+  nonlinear_ = false;
   for (const auto& d : devices_) {
     if (d->branch_count() > 0) {
       d->set_branch_base(base);
       base += d->branch_count();
       branch_total_ += d->branch_count();
     }
+    nonlinear_ = nonlinear_ || d->nonlinear();
   }
   finalized_ = true;
 }
@@ -114,10 +116,10 @@ int Circuit::unknown_count() const {
 }
 
 bool Circuit::has_nonlinear() const {
-  for (const auto& d : devices_) {
-    if (d->nonlinear()) return true;
+  if (!finalized_) {
+    throw std::logic_error("Circuit::has_nonlinear: call finalize() first");
   }
-  return false;
+  return nonlinear_;
 }
 
 }  // namespace rlc::spice

@@ -8,14 +8,20 @@ namespace rlc::spice::detail {
 std::vector<double> assemble_and_solve(const Circuit& ckt,
                                        const StampContext& ctx, double gshunt,
                                        SolveWorkspace& ws) {
-  const int n = const_cast<Circuit&>(ckt).unknown_count();
-  ws.triplets.clear();
-  ws.rhs.assign(n, 0.0);
-  Stamper st(ws.triplets, ws.rhs);
-  for (const auto& dev : ckt.devices()) dev->stamp(ctx, st);
+  const int n = ckt.unknown_count();
   // Robustness shunt on every node voltage unknown (not branch rows), plus
   // the DC gmin convergence aid.
   const double gdiag = gshunt + ctx.gmin;
+  const FactorKey key{ctx.analysis, ctx.method, ctx.dt, gdiag};
+  // A linear circuit under the kept factors' key has their matrix, bit for
+  // bit: only the sources and the companion history in the RHS move.
+  const bool reuse = !ckt.has_nonlinear() && ws.key == key;
+  ws.triplets.clear();
+  ws.rhs.assign(n, 0.0);
+  Stamper st(ws.triplets, ws.rhs, !reuse);
+  for (const auto& dev : ckt.devices()) dev->stamp(ctx, st);
+  if (reuse) return ws.lu->solve(ws.rhs);
+  ws.key.reset();
   if (gdiag > 0.0) {
     const int n_nodes = ckt.node_count() - 1;
     for (int i = 0; i < n_nodes; ++i) ws.triplets.push_back({i, i, gdiag});
@@ -31,6 +37,7 @@ std::vector<double> assemble_and_solve(const Circuit& ckt,
     ws.lu = std::make_unique<rlc::linalg::SparseLU>(A);
     ++ws.full_factorizations;
   }
+  ws.key = key;
   return ws.lu->solve(ws.rhs);
 }
 

@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "newton_detail.hpp"
+#include "rlc/obs/metrics.hpp"
 #include "rlc/spice/dcop.hpp"
 
 namespace rlc::spice {
@@ -34,6 +35,26 @@ double eval_probe(const Probe& p, const std::vector<double>& x) {
   }
   throw std::logic_error("eval_probe: unknown probe kind '" + p.label + "'");
 }
+
+/// Records one transient's counts when it returns, whatever its outcome:
+/// once per run, never per step.  Observation only.
+struct TransientScope {
+  const long* steps;
+  const long* newton_iterations;
+  const detail::SolveWorkspace* ws;
+  ~TransientScope() {
+    auto& reg = obs::Registry::global();
+    static const int kRuns = reg.counter("spice.transient.runs");
+    static const int kSteps = reg.counter("spice.transient.steps");
+    static const int kNewton = reg.counter("spice.transient.newton_iterations");
+    static const int kFactorizations =
+        reg.counter("spice.transient.factorizations");
+    reg.add(kRuns);
+    reg.add(kSteps, *steps);
+    reg.add(kNewton, *newton_iterations);
+    reg.add(kFactorizations, ws->full_factorizations + ws->refactorizations);
+  }
+};
 
 }  // namespace
 
@@ -107,12 +128,16 @@ TransientResult run_transient(Circuit& ckt, const TransientOptions& opts) {
   const double dt_min = opts.dt / std::pow(2.0, opts.max_step_halvings);
   int successes_at_reduced_dt = 0;
   long accepted = 0;
+  const TransientScope scope{&accepted, &res.newton_iterations, &ws};
   std::vector<double> x_try;
   // History for the LTE predictor: the two previous accepted solutions.
   std::vector<double> x_prev1, x_prev2;
   double dt_prev = opts.dt;
 
-  while (t < opts.tstop - 1e-18 * opts.tstop) {
+  // Stop within a sliver of the step from tstop: the summed t often lands
+  // a few ulps short, and one more step of ~1e-11 dt would follow.
+  const double t_end = opts.tstop - 1e-9 * opts.dt;
+  while (t < t_end) {
     dt_cur = std::min(dt_cur, opts.tstop - t);
     const Integrator method_eff = (accepted < opts.be_startup_steps)
                                       ? Integrator::kBackwardEuler
@@ -130,6 +155,7 @@ TransientResult run_transient(Circuit& ckt, const TransientOptions& opts) {
       successes_at_reduced_dt = 0;
       if (dt_cur < dt_min) {
         res.completed = false;
+        res.factorizations = ws.full_factorizations + ws.refactorizations;
         return res;
       }
       continue;
@@ -182,6 +208,7 @@ TransientResult run_transient(Circuit& ckt, const TransientOptions& opts) {
   }
   res.steps_accepted = accepted;
   res.completed = true;
+  res.factorizations = ws.full_factorizations + ws.refactorizations;
   return res;
 }
 

@@ -153,6 +153,39 @@ TEST(SparseLU, RefactorMatchesFreshFactorization) {
   for (int i = 0; i < n; ++i) EXPECT_NEAR(x[i], xref[i], 1e-8) << i;
 }
 
+TEST(SparseLU, RefactorOnUnchangedValuesSolvesBitwiseLikeAFreshFactorization) {
+  // The MNA transient keeps the factors of a linear circuit's matrix
+  // instead of refactoring the same values at every step; that is exact
+  // only because refactor() repeats the fresh factorization's arithmetic.
+  std::mt19937 rng(23);
+  std::uniform_real_distribution<double> val(-2.0, 2.0);
+  std::uniform_int_distribution<int> idx(0, 29);
+  const int n = 30;
+  MatrixD a(n, n);
+  for (int i = 0; i < n; ++i) a(i, i) = 0.5 + val(rng);  // forces pivoting
+  for (int e = 0; e < 4 * n; ++e) a(idx(rng), idx(rng)) = val(rng);
+  MatrixD drifted = a;
+  for (int i = 0; i < n; ++i) {
+    for (int j = 0; j < n; ++j) {
+      if (drifted(i, j) != 0.0) drifted(i, j) *= 1.0 + 0.01 * val(rng);
+    }
+  }
+  const auto m = dense_to_csc(a);
+  const SparseLU fresh(m);
+  SparseLU same(m);
+  ASSERT_TRUE(same.refactor(m));
+  SparseLU round_trip(m);
+  ASSERT_TRUE(round_trip.refactor(dense_to_csc(drifted)));
+  ASSERT_TRUE(round_trip.refactor(m));
+  for (int trial = 0; trial < 3; ++trial) {
+    std::vector<double> b(n);
+    for (auto& v : b) v = val(rng);
+    const auto x = fresh.solve(b);
+    EXPECT_EQ(same.solve(b), x) << trial;  // bitwise
+    EXPECT_EQ(round_trip.solve(b), x) << trial;
+  }
+}
+
 TEST(SparseLU, RefactorRepeatedlyStaysAccurate) {
   // MNA usage pattern: many refactorizations of a drifting matrix.
   const int n = 60;

@@ -274,6 +274,27 @@ TEST(Transient, AdaptiveLteRefinesFastEdges) {
   EXPECT_GT(vmax, 0.99);
 }
 
+TEST(Transient, FixedStepRunEndsOnTstopWithoutASliverStep) {
+  // Regression: 100 steps of tstop/100 sum to a few ulps short of tstop,
+  // and the step loop used to close the gap with a 101st step of ~1e-24 s.
+  Circuit c;
+  const auto in = c.node("in"), out = c.node("out");
+  c.add_vsource("V1", in, c.ground(), PulseSpec{0, 1, 0, 1e-12, 1e-12, 1, 0});
+  c.add_resistor("R1", in, out, 1e3);
+  c.add_capacitor("C1", out, c.ground(), 1e-13);
+  TransientOptions o;
+  o.tstop = 1e-9;
+  o.dt = o.tstop / 100;
+  const auto r = run_transient(c, o);
+  ASSERT_TRUE(r.completed);
+  EXPECT_EQ(r.steps_accepted, 100);
+  ASSERT_EQ(r.time.size(), 101u);
+  EXPECT_LE(std::abs(r.time.back() - o.tstop), 1e-9 * o.dt);
+  for (std::size_t i = 1; i < r.time.size(); ++i) {
+    EXPECT_GT(r.time[i] - r.time[i - 1], 0.5 * o.dt) << i;
+  }
+}
+
 TEST(Transient, OptionValidation) {
   Circuit c;
   const auto n = c.node("n");
