@@ -65,6 +65,8 @@ class TwoPole {
  private:
   double b1_, b2_;
   std::complex<double> s1_, s2_;
+  bool confluent_ = false;  ///< poles too close for the generic formula
+  bool conjugate_ = false;  ///< s2 == conj(s1) exactly, Im s1 != 0
 };
 
 }  // namespace rlc::core

@@ -191,7 +191,15 @@ rlc::StatusOr<OptimizeResponse> solve_delay(const Technology& tech,
       double h, k, tau;
       CoupledNoiseResult noise;
     };
+    // on_boundary is a pure function of k, and the search repeats k: Brent
+    // re-probes its bracket ends, which the doubling already probed, and
+    // the answer re-reads Brent's root.  Each probe is kept, and a repeat
+    // of exactly the same k returns the kept point.
+    std::vector<BoundaryPoint> probed;
     const auto on_boundary = [&](double k) -> BoundaryPoint {
+      for (const BoundaryPoint& p : probed) {
+        if (p.k == k) return p;
+      }
       const auto hopt = rlc::math::brent_minimize(
           [&](double h) {
             return delay_per_length(tech.rep, eff, h, k, req.optim.f);
@@ -203,7 +211,8 @@ rlc::StatusOr<OptimizeResponse> solve_delay(const Technology& tech,
         throw std::runtime_error(
             "noise-constrained optimizer: delay solve failed");
       }
-      return {h, k, d.tau, noise_at(h, k, d.tau)};
+      probed.push_back({h, k, d.tau, noise_at(h, k, d.tau)});
+      return probed.back();
     };
     const auto unmet = [&](double best) {
       return rlc::Status::no_convergence(

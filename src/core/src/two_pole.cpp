@@ -8,6 +8,12 @@
 
 namespace rlc::core {
 
+namespace {
+/// Relative pole separation below which the confluent (critically damped)
+/// series is used for the step response.
+constexpr double kConfluentTol = 1e-7;
+}  // namespace
+
 TwoPole::TwoPole(const PadeCoeffs& pc) : b1_(pc.b1), b2_(pc.b2) {
   if (!(b1_ > 0.0) || !(b2_ > 0.0)) {
     throw std::domain_error("TwoPole: require b1 > 0 and b2 > 0");
@@ -22,6 +28,14 @@ TwoPole::TwoPole(const PadeCoeffs& pc) : b1_(pc.b1), b2_(pc.b2) {
   }
   s1_ = r1;
   s2_ = r2;
+  // Which form step_response uses depends only on the poles: decide once.
+  const double sep = std::abs(s2_ - s1_);
+  const double mag = 0.5 * (std::abs(s1_) + std::abs(s2_));
+  confluent_ = sep <= kConfluentTol * mag;
+  // quadratic_roots returns complex roots as re +/- i im, so the pair is an
+  // exact conjugate and exp(s2 t) == conj(exp(s1 t)) whenever the libm's
+  // cexp is conjugate-symmetric (pinned by tests/core/test_two_pole.cpp).
+  conjugate_ = s1_.imag() != 0.0 && s2_ == std::conj(s1_);
 }
 
 Damping TwoPole::damping(double rel_tol) const {
@@ -35,39 +49,31 @@ double TwoPole::natural_frequency() const { return 1.0 / std::sqrt(b2_); }
 
 double TwoPole::damping_ratio() const { return b1_ / (2.0 * std::sqrt(b2_)); }
 
-namespace {
-/// Relative pole separation below which the confluent (critically damped)
-/// series is used for the step response.
-constexpr double kConfluentTol = 1e-7;
-}  // namespace
-
 double TwoPole::step_response(double t) const {
   if (t <= 0.0) return 0.0;
-  const std::complex<double> diff = s2_ - s1_;
-  const double sep = std::abs(diff);
-  const double mag = 0.5 * (std::abs(s1_) + std::abs(s2_));
-  if (sep <= kConfluentTol * mag) {
+  if (confluent_) {
     // Confluent double pole at s = (s1 + s2)/2: v = 1 - (1 - s t) e^{s t}.
     const double s = 0.5 * (s1_ + s2_).real();
     return 1.0 - (1.0 - s * t) * std::exp(s * t);
   }
-  const std::complex<double> v =
-      1.0 - (s2_ * std::exp(s1_ * t) - s1_ * std::exp(s2_ * t)) / diff;
+  const std::complex<double> e1 = std::exp(s1_ * t);
+  const std::complex<double> e2 =
+      conjugate_ ? std::conj(e1) : std::exp(s2_ * t);
+  const std::complex<double> v = 1.0 - (s2_ * e1 - s1_ * e2) / (s2_ - s1_);
   return v.real();
 }
 
 double TwoPole::step_response_derivative(double t) const {
   if (t < 0.0) return 0.0;
-  const std::complex<double> diff = s2_ - s1_;
-  const double sep = std::abs(diff);
-  const double mag = 0.5 * (std::abs(s1_) + std::abs(s2_));
-  if (sep <= kConfluentTol * mag) {
+  if (confluent_) {
     const double s = 0.5 * (s1_ + s2_).real();
     return s * s * t * std::exp(s * t);
   }
   // v'(t) = s1 s2 (exp(s2 t) - exp(s1 t)) / (s2 - s1)
-  const std::complex<double> d =
-      s1_ * s2_ * (std::exp(s2_ * t) - std::exp(s1_ * t)) / diff;
+  const std::complex<double> e1 = std::exp(s1_ * t);
+  const std::complex<double> e2 =
+      conjugate_ ? std::conj(e1) : std::exp(s2_ * t);
+  const std::complex<double> d = s1_ * s2_ * (e2 - e1) / (s2_ - s1_);
   return d.real();
 }
 

@@ -5,9 +5,10 @@
 /// bracket scanner.  Used as robust fallbacks and as cross-checks for the
 /// Newton-based solvers of the core library.
 
-#include <functional>
 #include <optional>
 #include <utility>
+
+#include "rlc/base/function_ref.hpp"
 
 namespace rlc::math {
 
@@ -20,13 +21,13 @@ struct BrentResult {
 };
 
 /// Find a root of f in [a, b] with f(a)*f(b) <= 0 using Brent's method.
-BrentResult brent_root(const std::function<double(double)>& f, double a,
+BrentResult brent_root(rlc::FunctionRef<double(double)> f, double a,
                        double b, double tol = 1e-14, int max_iter = 200);
 
 /// Scan [a, b] in `n` uniform steps and return the first subinterval
 /// [x_i, x_{i+1}] over which f changes sign (or touches zero).
 std::optional<std::pair<double, double>> scan_bracket(
-    const std::function<double(double)>& f, double a, double b, int n);
+    rlc::FunctionRef<double(double)> f, double a, double b, int n);
 
 /// Result of a 1-D minimization.
 struct MinResult {
@@ -38,7 +39,7 @@ struct MinResult {
 
 /// Minimize f over [a, b] using Brent's parabolic-interpolation method
 /// (golden-section fallback).
-MinResult brent_minimize(const std::function<double(double)>& f, double a,
+MinResult brent_minimize(rlc::FunctionRef<double(double)> f, double a,
                          double b, double tol = 1e-10, int max_iter = 200);
 
 }  // namespace rlc::math

@@ -16,6 +16,8 @@
 #include <functional>
 #include <optional>
 
+#include "rlc/base/function_ref.hpp"
+
 namespace rlc::math {
 
 /// Outcome of an iterative solve.
@@ -37,8 +39,8 @@ struct NewtonOptions {
 
 /// Solve f(x) = 0 from initial guess x0 given f and its derivative fprime.
 /// Returns a SolveResult whose `converged` flag must be checked by callers.
-SolveResult newton_scalar(const std::function<double(double)>& f,
-                          const std::function<double(double)>& fprime,
+SolveResult newton_scalar(rlc::FunctionRef<double(double)> f,
+                          rlc::FunctionRef<double(double)> fprime,
                           double x0, const NewtonOptions& opts = {});
 
 /// Scalar Newton with a guard bracket [lo, hi]: whenever the Newton step
@@ -46,8 +48,8 @@ SolveResult newton_scalar(const std::function<double(double)>& f,
 /// instead, and the bracket is maintained from the signs of f.  The bracket
 /// must satisfy f(lo)*f(hi) <= 0.  This is the robust driver used by the
 /// delay solver where the two-pole response can be oscillatory.
-SolveResult newton_bisect_scalar(const std::function<double(double)>& f,
-                                 const std::function<double(double)>& fprime,
+SolveResult newton_bisect_scalar(rlc::FunctionRef<double(double)> f,
+                                 rlc::FunctionRef<double(double)> fprime,
                                  double lo, double hi,
                                  const NewtonOptions& opts = {});
 

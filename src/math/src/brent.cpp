@@ -30,7 +30,7 @@ struct BrentScope {
 
 }  // namespace
 
-BrentResult brent_root(const std::function<double(double)>& f, double a,
+BrentResult brent_root(rlc::FunctionRef<double(double)> f, double a,
                        double b, double tol, int max_iter) {
   RLC_TRACE_SPAN("brent_root");
   auto& reg = obs::Registry::global();
@@ -119,7 +119,7 @@ BrentResult brent_root(const std::function<double(double)>& f, double a,
 }
 
 std::optional<std::pair<double, double>> scan_bracket(
-    const std::function<double(double)>& f, double a, double b, int n) {
+    rlc::FunctionRef<double(double)> f, double a, double b, int n) {
   if (n < 1) return std::nullopt;
   auto& reg = obs::Registry::global();
   static const int kScans = reg.counter("brent.bracket.scans");
@@ -141,7 +141,7 @@ std::optional<std::pair<double, double>> scan_bracket(
   return std::nullopt;
 }
 
-MinResult brent_minimize(const std::function<double(double)>& f, double a,
+MinResult brent_minimize(rlc::FunctionRef<double(double)> f, double a,
                          double b, double tol, int max_iter) {
   static constexpr double kGolden = 0.3819660112501051;
   auto& reg = obs::Registry::global();

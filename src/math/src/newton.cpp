@@ -32,8 +32,8 @@ struct SolveScope {
 
 }  // namespace
 
-SolveResult newton_scalar(const std::function<double(double)>& f,
-                          const std::function<double(double)>& fprime,
+SolveResult newton_scalar(rlc::FunctionRef<double(double)> f,
+                          rlc::FunctionRef<double(double)> fprime,
                           double x0, const NewtonOptions& opts) {
   auto& reg = obs::Registry::global();
   static const int kIters =
@@ -89,8 +89,8 @@ SolveResult newton_scalar(const std::function<double(double)>& f,
   return r;
 }
 
-SolveResult newton_bisect_scalar(const std::function<double(double)>& f,
-                                 const std::function<double(double)>& fprime,
+SolveResult newton_bisect_scalar(rlc::FunctionRef<double(double)> f,
+                                 rlc::FunctionRef<double(double)> fprime,
                                  double lo, double hi,
                                  const NewtonOptions& opts) {
   auto& reg = obs::Registry::global();

@@ -286,8 +286,8 @@ struct Shard {
   }
 };
 
-struct HistogramDef {
-  std::string name;
+/// A histogram's shape: all record() needs to place a value.
+struct HistogramShape {
   double lo = 1.0;
   double hi = 2.0;
   int bins = 1;
@@ -300,7 +300,13 @@ struct Registry::Impl {
   mutable std::mutex mu;  // registration, shard list, snapshot/reset
   std::vector<std::string> counter_names;
   std::vector<std::string> gauge_names;
-  std::vector<HistogramDef> hist_defs;
+  std::vector<std::string> hist_names;
+  /// hist_shapes[i] is readable without the lock once i < hist_published:
+  /// registration writes the slot, then publishes it with a release store
+  /// of the count; record() acquires the count, and a slot never changes
+  /// after it is published.
+  std::array<HistogramShape, kMaxHistograms> hist_shapes{};
+  std::atomic<int> hist_published{0};
   int bins_used = 0;
   std::array<std::atomic<std::int64_t>, kMaxGauges> gauges{};
   std::vector<Shard*> live;  ///< one per recording thread, owner-deleted
@@ -368,8 +374,8 @@ int Registry::counter(const std::string& name) {
                                   "\" is already a gauge");
     }
   }
-  for (const auto& h : impl_->hist_defs) {
-    if (h.name == name) {
+  for (const auto& h : impl_->hist_names) {
+    if (h == name) {
       throw std::invalid_argument("rlc::obs: \"" + name +
                                   "\" is already a histogram");
     }
@@ -395,8 +401,8 @@ int Registry::gauge(const std::string& name) {
                                   "\" is already a counter");
     }
   }
-  for (const auto& h : impl_->hist_defs) {
-    if (h.name == name) {
+  for (const auto& h : impl_->hist_names) {
+    if (h == name) {
       throw std::invalid_argument("rlc::obs: \"" + name +
                                   "\" is already a histogram");
     }
@@ -421,9 +427,9 @@ int Registry::histogram(const std::string& name, double lo, double hi,
     throw std::invalid_argument("rlc::obs: histogram bins must be in [1, 512]");
   }
   std::lock_guard<std::mutex> lk(impl_->mu);
-  for (std::size_t i = 0; i < impl_->hist_defs.size(); ++i) {
-    const auto& d = impl_->hist_defs[i];
-    if (d.name != name) continue;
+  for (std::size_t i = 0; i < impl_->hist_names.size(); ++i) {
+    if (impl_->hist_names[i] != name) continue;
+    const HistogramShape& d = impl_->hist_shapes[i];
     if (d.lo != lo || d.hi != hi || d.bins != bins) {
       throw std::invalid_argument("rlc::obs: histogram \"" + name +
                                   "\" re-registered with a different shape");
@@ -442,14 +448,17 @@ int Registry::histogram(const std::string& name, double lo, double hi,
                                   "\" is already a gauge");
     }
   }
-  if (impl_->hist_defs.size() >= kMaxHistograms ||
+  if (impl_->hist_names.size() >= kMaxHistograms ||
       impl_->bins_used + bins + 2 > kMaxHistogramBins) {
     throw std::invalid_argument("rlc::obs: histogram capacity exhausted");
   }
-  HistogramDef d{name, lo, hi, bins, impl_->bins_used};
+  const int id = static_cast<int>(impl_->hist_names.size());
+  impl_->hist_names.push_back(name);
+  impl_->hist_shapes[static_cast<std::size_t>(id)] = {lo, hi, bins,
+                                                       impl_->bins_used};
   impl_->bins_used += bins + 2;
-  impl_->hist_defs.push_back(std::move(d));
-  return static_cast<int>(impl_->hist_defs.size()) - 1;
+  impl_->hist_published.store(id + 1, std::memory_order_release);
+  return id;
 }
 
 void Registry::add(int counter_id, std::int64_t delta) noexcept {
@@ -470,27 +479,18 @@ void Registry::gauge_max(int gauge_id, std::int64_t value) noexcept {
 }
 
 void Registry::record(int histogram_id, double value) noexcept {
-  // The shape is re-read under the registration lock only at interning
-  // time; here we trust the id and cached def.  Defs are append-only, so a
-  // valid id always indexes a stable def.
-  if (histogram_id < 0) return;
-  HistogramDef def;
-  {
-    // hist_defs only grows and entries are immutable; still, take the lock
-    // out of caution only when the id might be fresh — cheap enough since
-    // record() is per-solve, not per-iteration.
-    std::lock_guard<std::mutex> lk(impl_->mu);
-    if (static_cast<std::size_t>(histogram_id) >= impl_->hist_defs.size()) {
-      return;
-    }
-    def = impl_->hist_defs[static_cast<std::size_t>(histogram_id)];
+  // Ids not yet published (or never issued) are ignored.
+  if (histogram_id < 0 ||
+      histogram_id >= impl_->hist_published.load(std::memory_order_acquire)) {
+    return;
   }
+  const auto h = static_cast<std::size_t>(histogram_id);
+  const HistogramShape& shape = impl_->hist_shapes[h];
   Shard& s = impl_->local_shard();
   const std::size_t b =
-      HistogramSnapshot::bin_index(def.lo, def.hi, def.bins, value);
-  s.bins[static_cast<std::size_t>(def.bin_offset) + b].fetch_add(
+      HistogramSnapshot::bin_index(shape.lo, shape.hi, shape.bins, value);
+  s.bins[static_cast<std::size_t>(shape.bin_offset) + b].fetch_add(
       1, std::memory_order_relaxed);
-  const auto h = static_cast<std::size_t>(histogram_id);
   s.h_count[h].fetch_add(1, std::memory_order_relaxed);
   if (std::isfinite(value)) {
     atomic_add_double(s.h_sum[h], value);
@@ -523,11 +523,11 @@ MetricsSnapshot Registry::snapshot() const {
                             impl_->gauges[i].load(std::memory_order_relaxed));
   }
 
-  out.histograms.reserve(impl_->hist_defs.size());
-  for (std::size_t i = 0; i < impl_->hist_defs.size(); ++i) {
-    const HistogramDef& d = impl_->hist_defs[i];
+  out.histograms.reserve(impl_->hist_names.size());
+  for (std::size_t i = 0; i < impl_->hist_names.size(); ++i) {
+    const HistogramShape& d = impl_->hist_shapes[i];
     HistogramSnapshot h;
-    h.name = d.name;
+    h.name = impl_->hist_names[i];
     h.lo = d.lo;
     h.hi = d.hi;
     h.bins.assign(static_cast<std::size_t>(d.bins) + 2, 0);

@@ -2,9 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <vector>
 
 #include "rlc/core/technology.hpp"
+#include "rlc/math/newton.hpp"
+#include "rlc/obs/metrics.hpp"
 
 namespace rlc::core {
 namespace {
@@ -116,6 +123,156 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(
         ::testing::Values(0.05, 0.5, 0.999, 1.0, 1.001, 2.0, 20.0),
         ::testing::Values(0.1, 0.5, 0.9)));
+
+/// The forward grid walk that bracketed the crossing before the bracket was
+/// found by bisection: the first i with v(i dt) >= f, walking from i = 1,
+/// then the same Newton polish.  `grid_evals` counts the walk's steps.
+DelayResult walk_threshold_delay(const TwoPole& sys, const DelayOptions& opts,
+                                 long* grid_evals = nullptr) {
+  DelayResult res;
+  const double t_char = std::max(sys.b1(), std::sqrt(sys.b2()));
+  const auto v = [&sys, &opts](double t) { return sys.step_response(t) - opts.f; };
+  const int kStepsPerChar = 64;
+  const double dt = t_char / kStepsPerChar;
+  double lo = 0.0, hi = 0.0;
+  bool bracketed = false;
+  const long max_steps = 200L * kStepsPerChar;
+  double prev_t = 0.0;
+  long i = 1;
+  for (; i <= max_steps; ++i) {
+    const double t = dt * static_cast<double>(i);
+    if (v(t) >= 0.0) {
+      lo = prev_t;
+      hi = t;
+      bracketed = true;
+      break;
+    }
+    prev_t = t;
+  }
+  if (grid_evals != nullptr) *grid_evals = std::min(i, max_steps);
+  if (!bracketed) return res;
+  rlc::math::NewtonOptions nopts;
+  nopts.max_iterations = opts.max_iterations;
+  nopts.f_tolerance = 1e-14;
+  nopts.x_tolerance = opts.rel_tolerance;
+  const auto sol = rlc::math::newton_bisect_scalar(
+      v, [&sys](double t) { return sys.step_response_derivative(t); }, lo, hi,
+      nopts);
+  res.tau = sol.x;
+  res.newton_iterations = sol.iterations;
+  res.converged = sol.converged;
+  return res;
+}
+
+/// Same branch test as TwoPole's constructor (relative pole separation 1e-7).
+bool uses_confluent_series(const TwoPole& sys) {
+  const double sep = std::abs(sys.s2() - sys.s1());
+  const double mag = 0.5 * (std::abs(sys.s1()) + std::abs(sys.s2()));
+  return sep <= 1e-7 * mag;
+}
+
+TEST(DelayBracket, BisectionMatchesTheForwardWalkBitwise) {
+  // zeta = b1 / (2 sqrt(b2)): log-spaced over 1e-4..1e4, plus points within
+  // 1e-16..1e-1 of critical damping on both sides, reaching both sides of
+  // the confluent-series switch (|zeta - 1| of about 1e-15).
+  std::vector<double> zetas;
+  for (int e = -16; e <= 16; ++e) zetas.push_back(std::pow(10.0, e / 4.0));
+  zetas.push_back(1.0);
+  for (int e = -16; e <= -1; ++e) {
+    for (const double m : {1.0, 3.0}) {
+      const double d = m * std::pow(10.0, e);
+      if (d >= 0.2) continue;
+      zetas.push_back(1.0 - d);
+      zetas.push_back(1.0 + d);
+    }
+  }
+  const double fs[] = {1e-12, 1e-6, 0.1, 0.4, 0.5, 0.7, 0.9, 1.0 - 1e-6,
+                       1.0 - 1e-12};
+  int cases = 0, mismatches = 0, confluent = 0, near_critical = 0;
+  for (int eb = -15; eb <= -6; ++eb) {
+    for (const double mb : {1.0, 3.0}) {
+      const double b1 = mb * std::pow(10.0, eb);
+      if (b1 > 1e-6) continue;
+      for (const double zeta : zetas) {
+        const double sb2 = b1 / (2.0 * zeta);
+        const TwoPole sys(PadeCoeffs{b1, sb2 * sb2});
+        if (uses_confluent_series(sys)) {
+          ++confluent;
+        } else if (std::abs(zeta - 1.0) < 1e-12) {
+          ++near_critical;
+        }
+        for (const double f : fs) {
+          DelayOptions opts;
+          opts.f = f;
+          const DelayResult want = walk_threshold_delay(sys, opts);
+          const DelayResult got = threshold_delay(sys, opts);
+          ++cases;
+          if (std::bit_cast<std::uint64_t>(got.tau) ==
+                  std::bit_cast<std::uint64_t>(want.tau) &&
+              got.newton_iterations == want.newton_iterations &&
+              got.converged == want.converged) {
+            continue;
+          }
+          if (++mismatches <= 5) {
+            ADD_FAILURE() << "b1 " << b1 << " zeta " << zeta << " f " << f
+                          << ": tau " << got.tau << " vs walk " << want.tau
+                          << ", iterations " << got.newton_iterations
+                          << " vs " << want.newton_iterations
+                          << ", converged " << got.converged << " vs "
+                          << want.converged;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0) << "of " << cases << " cases";
+  // Both branches of the step response near critical damping were swept.
+  EXPECT_GT(confluent, 0);
+  EXPECT_GT(near_critical, 0);
+}
+
+/// delay.step_evals added by one threshold_delay call.
+std::int64_t step_evals_of(const TwoPole& sys, const DelayOptions& opts) {
+  auto& reg = rlc::obs::Registry::global();
+  const auto count = [&reg] {
+    for (const auto& [name, value] : reg.snapshot().counters) {
+      if (name == "delay.step_evals") return value;
+    }
+    return std::int64_t{0};
+  };
+  const std::int64_t before = count();
+  EXPECT_TRUE(threshold_delay(sys, opts).converged);
+  return count() - before;
+}
+
+TEST(DelayBracket, StepEvaluationsPerSolveArePinned) {
+  // One probe at the top of the bisection range, the bisection steps
+  // (13-14 over the 12800-step grid; 8 for the underdamped case, whose
+  // range ends at its first peak, grid index 232), then the polish: v at
+  // both bracket ends and the midpoint, and v' + v per further Newton
+  // iteration (4 iterations each here).  The walk instead evaluates v once
+  // per grid step up to the crossing.
+  struct Case {
+    const char* name;
+    PadeCoeffs pc;
+    std::int64_t evals;
+  };
+  const double b1 = 2e-10;
+  const Case cases[] = {
+      {"overdamped", PadeCoeffs{b1, 0.1 * b1 * b1 / 4.0}, 24},
+      {"underdamped", PadeCoeffs{b1, b1 * b1}, 18},
+      {"confluent", PadeCoeffs{b1, b1 * b1 / 4.0}, 23},
+  };
+  for (const Case& c : cases) {
+    const TwoPole sys(c.pc);
+    ASSERT_EQ(uses_confluent_series(sys), std::string(c.name) == "confluent");
+    DelayOptions opts;
+    EXPECT_EQ(step_evals_of(sys, opts), c.evals) << c.name;
+    long walk = 0;
+    (void)walk_threshold_delay(sys, opts, &walk);
+    EXPECT_LT(c.evals, walk) << c.name;
+  }
+}
 
 }  // namespace
 }  // namespace rlc::core

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <complex>
+#include <cstdint>
 
 #include "rlc/math/constants.hpp"
 
@@ -125,6 +129,43 @@ TEST(TwoPole, FrequenciesAndRatios) {
   EXPECT_DOUBLE_EQ(od.damped_frequency(), 0.0);
   EXPECT_DOUBLE_EQ(od.overshoot(), 0.0);
   EXPECT_DOUBLE_EQ(od.undershoot(), 0.0);
+}
+
+TEST(TwoPole, StepResponseIsTheTwoExponentialFormulaBitwise) {
+  // step_response and its derivative take exp(s2 t) as conj(exp(s1 t)) for
+  // complex poles and decide the confluent branch once per system; both
+  // must return exactly what the two-exponential formula returns.  A libm
+  // whose cexp is not conjugate-symmetric fails here.
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  const double b1 = 2e-10;
+  const double b2c = b1 * b1 / 4.0;  // critical damping
+  int complex_systems = 0;
+  for (const double ratio : {1e-6, 0.01, 0.3, 0.9, 1.0 + 1e-12, 4.0, 1e4,
+                             1.0 - 1e-10, 1.0 - 1e-4, 1.0 + 1e-10, 0.999,
+                             1.001, 20.0, 1e6}) {
+    const TwoPole sys(PadeCoeffs{b1, ratio * b2c});
+    const std::complex<double> s1 = sys.s1(), s2 = sys.s2();
+    if (std::abs(s2 - s1) <= 1e-7 * 0.5 * (std::abs(s1) + std::abs(s2))) {
+      continue;  // confluent series, not the two-exponential formula
+    }
+    if (s1.imag() != 0.0) ++complex_systems;
+    const double t_char = std::max(sys.b1(), std::sqrt(sys.b2()));
+    for (int i = 1; i <= 2000; ++i) {
+      const double t = t_char * 1e-3 * std::pow(2e5, i / 2000.0);
+      const std::complex<double> e1 = std::exp(s1 * t);
+      const std::complex<double> e2 = std::exp(s2 * t);
+      if (s1.imag() != 0.0) {
+        ASSERT_EQ(e2, std::conj(e1)) << "ratio " << ratio << " t " << t;
+      }
+      const double v = (1.0 - (s2 * e1 - s1 * e2) / (s2 - s1)).real();
+      const double dv = (s1 * s2 * (e2 - e1) / (s2 - s1)).real();
+      ASSERT_EQ(bits(sys.step_response(t)), bits(v))
+          << "ratio " << ratio << " t " << t;
+      ASSERT_EQ(bits(sys.step_response_derivative(t)), bits(dv))
+          << "ratio " << ratio << " t " << t;
+    }
+  }
+  EXPECT_GE(complex_systems, 4);
 }
 
 }  // namespace

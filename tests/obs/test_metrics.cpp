@@ -6,6 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -359,6 +362,77 @@ TEST(MetricsRegistry, ConcurrentRecordingLosesNothing) {
   EXPECT_EQ(hs->count, static_cast<std::uint64_t>(kThreads) * kIters);
   EXPECT_EQ(gauge_value(reg.snapshot(), "t.metrics.conc.gauge"),
             gauge_value(before, "t.metrics.conc.gauge"));
+}
+
+/// Histograms registered while other threads record into the ones already
+/// registered: record() reads a histogram's shape without the registry lock,
+/// so publication must order the shape before the id (TSan checks that).
+/// Every record on a published id counts; a record on an id not yet
+/// published is dropped rather than landing in the slot it will own.
+TEST(MetricsRegistry, HistogramsRegisteredWhileOthersRecordLoseNothing) {
+  Registry& reg = Registry::global();
+  constexpr int kThreads = 4;
+  constexpr int kNew = 8;
+  std::array<std::atomic<int>, kNew> ids{};
+  ids[0].store(reg.histogram("t.metrics.live.0", 1.0, 1e3, 4),
+               std::memory_order_relaxed);
+  // No other histogram is registered in between, so the next one takes the
+  // next id.  Recording on it now must be ignored.
+  const int unpublished = ids[0].load(std::memory_order_relaxed) + 1;
+  reg.record(unpublished, 2.0);
+  const MetricsSnapshot before = reg.snapshot();
+
+  std::atomic<int> published{1};  // ids[0, published) are registered
+  std::atomic<bool> stop{false};
+  std::vector<std::array<std::uint64_t, kNew>> counts(kThreads);
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      auto& mine = counts[static_cast<std::size_t>(t)];
+      mine.fill(0);
+      while (!stop.load(std::memory_order_relaxed)) {
+        const int n = published.load(std::memory_order_acquire);
+        for (int j = 0; j < n; ++j) {
+          reg.record(ids[j].load(std::memory_order_relaxed), 1.0 + j);
+          ++mine[static_cast<std::size_t>(j)];
+        }
+        // The id after the last one seen may or may not be published yet;
+        // an underflow value keeps any record that lands out of the
+        // interior counts checked below.
+        if (n < kNew) {
+          reg.record(ids[n - 1].load(std::memory_order_relaxed) + 1, 0.5);
+        }
+      }
+    });
+  }
+  for (int j = 1; j < kNew; ++j) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    const int id = reg.histogram("t.metrics.live." + std::to_string(j), 1.0,
+                                 1e3, 4 + j);
+    if (j == 1) {
+      EXPECT_EQ(id, unpublished);
+    }
+    ids[j].store(id, std::memory_order_relaxed);
+    published.store(j + 1, std::memory_order_release);
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  stop.store(true, std::memory_order_relaxed);
+  for (auto& w : workers) w.join();
+
+  // Histograms 1.. are absent from `before`, so the delta carries their
+  // whole counts, which would include the record made before registration
+  // had it landed.
+  const MetricsSnapshot delta = reg.snapshot().delta_since(before);
+  for (int j = 0; j < kNew; ++j) {
+    std::uint64_t want = 0;
+    for (const auto& mine : counts) want += mine[static_cast<std::size_t>(j)];
+    const HistogramSnapshot* hs =
+        find_hist(delta, "t.metrics.live." + std::to_string(j));
+    ASSERT_NE(hs, nullptr) << j;
+    const std::uint64_t interior = hs->count - hs->bins.front();
+    EXPECT_EQ(interior, want) << "histogram " << j;
+    EXPECT_GT(want, 0u) << "histogram " << j;
+  }
 }
 
 TEST(MetricsRegistry, SnapshotRendersAsTableAndJson) {
