@@ -6,17 +6,21 @@
 /// Pade truncation.  Used to quantify the accuracy of the two-pole model
 /// (ablation 1) and as the gold standard in integration tests.
 ///
-/// Two execution paths:
+/// Every path evaluates Eq. (1) through one tline::BatchTransferEvaluator
+/// per (line, h, driver/load), which fills a whole Talbot contour in one
+/// vectorized span call.  Two execution paths:
 ///   * the fast exact-waveform ENGINE (default): shared-contour Talbot
-///     windows evaluated through a cached tline::TransferEvaluator — an
-///     N-point waveform costs one set of M transfer evaluations per window
-///     instead of N*M, and a threshold delay descends lazily through
-///     windows and polishes the crossing with Brent on the window
-///     interpolant.  ~10-15x fewer transfer evaluations than the legacy
+///     windows — an N-point waveform costs one set of M transfer
+///     evaluations per window instead of N*M, and a threshold delay
+///     descends lazily through windows and polishes the crossing with
+///     Brent on the window interpolant, then converges it onto the per-t
+///     inversion.  ~10-15x fewer transfer evaluations than the legacy
 ///     path at matching (<= 1e-3 relative, typically ~1e-9) accuracy;
-///   * the LEGACY per-t path (ExactOptions::legacy_bisection, and the
-///     plain exact_step_response overload): one full Talbot contour per
-///     time point / bisection probe.  Kept as the accuracy reference.
+///   * the LEGACY per-t bisection (ExactOptions::legacy_bisection, and
+///     the engine's rescue when a window loses its bracket): one full
+///     Talbot contour per bisection probe.  Kept as the accuracy
+///     reference.  exact_step_response is the per-t waveform reference on
+///     the independent per-point integrand exact_transfer_dc_safe.
 
 #include <cstddef>
 #include <cstdint>
@@ -31,7 +35,10 @@
 
 namespace rlc::core {
 
-/// Accuracy/effort knobs of the exact-waveform engine.
+/// Accuracy/effort knobs of the exact-waveform engine.  The window
+/// geometry is fixed: each window spans a ratio of 4 (one contour serves
+/// all times in [t_max/4, t_max]) and the threshold search brackets on 10
+/// geometric grid intervals per window.
 struct ExactOptions {
   /// Contour size of the legacy per-t path (also the engine's rescue
   /// bisection when it loses its bracket).
@@ -40,28 +47,19 @@ struct ExactOptions {
   /// Fixed Talbot saturates double precision around M ~ 25-30, so 48 keeps
   /// ample margin for the reduced effective node count at window feet.
   int window_points = 48;
-  /// Window ratio Lambda: one contour serves all times in
-  /// [t_max/Lambda, t_max].  Accuracy at the window foot behaves like a
-  /// per-t inversion with ~window_points/Lambda nodes, so keep it modest.
-  /// Must be > 1 (engine) / >= 1 (waveform sampling).
-  double window_ratio = 4.0;
-  /// Grid intervals per window in the threshold search (bracket density).
-  int grid_points_per_window = 10;
   /// Route exact_threshold_delay through the legacy per-t bisection.
   bool legacy_bisection = false;
 };
 
 /// Instrumentation of one engine run (or an exact_sweep aggregate).
 struct ExactStats {
-  std::int64_t transfer_evals = 0;  ///< fresh Eq. (1) evaluations
-  std::int64_t cache_hits = 0;      ///< memoized F(s) reuses
+  std::int64_t transfer_evals = 0;  ///< Eq. (1) evaluations
   std::int64_t windows = 0;         ///< shared contours built
   std::int64_t brent_iterations = 0;
   std::int64_t legacy_fallbacks = 0;  ///< engine runs rescued by bisection
 
   ExactStats& operator+=(const ExactStats& o) {
     transfer_evals += o.transfer_evals;
-    cache_hits += o.cache_hits;
     windows += o.windows;
     brent_iterations += o.brent_iterations;
     legacy_fallbacks += o.legacy_fallbacks;
@@ -77,10 +75,10 @@ std::vector<double> exact_step_response(const tline::LineParams& line,
                                         int talbot_points = 48);
 
 /// Fast path: the same waveform from shared-contour windows.  Times are
-/// grouped greedily from the largest down — each group spans at most
-/// opts.window_ratio and costs opts.window_points transfer evaluations
-/// total.  Matches the per-t path to ~1e-6 (1e-3 guaranteed by tests) on
-/// the structures here.
+/// grouped greedily from the largest down — each group spans at most a
+/// ratio of 4 and costs opts.window_points transfer evaluations total.
+/// Matches the per-t path to ~1e-6 (1e-3 guaranteed by tests) on the
+/// structures here.
 std::vector<double> exact_step_response_windowed(
     const tline::LineParams& line, double h, const tline::DriverLoad& dl,
     const std::vector<double>& times, const ExactOptions& opts = {},
@@ -94,26 +92,16 @@ std::vector<double> exact_step_response_windowed(
 std::optional<double> exact_threshold_delay(const tline::LineParams& line,
                                             double h,
                                             const tline::DriverLoad& dl,
-                                            double tau_scale, double f,
-                                            const ExactOptions& opts,
+                                            double tau_scale, double f = 0.5,
+                                            const ExactOptions& opts = {},
                                             ExactStats* stats = nullptr);
 
-/// Back-compat overload: talbot_points feeds ExactOptions::talbot_points;
-/// the engine path is used.
-std::optional<double> exact_threshold_delay(const tline::LineParams& line,
-                                            double h,
-                                            const tline::DriverLoad& dl,
+/// The same on a technology and repeater size: the line tech.line(l) driven
+/// and loaded by tech.rep.scaled(k).
+std::optional<double> exact_threshold_delay(const Technology& tech, double l,
+                                            double h, double k,
                                             double tau_scale, double f = 0.5,
-                                            int talbot_points = 48);
-
-/// Convenience overloads on a technology and repeater size.
-std::optional<double> exact_threshold_delay(const Technology& tech, double l,
-                                            double h, double k,
-                                            double tau_scale, double f = 0.5);
-std::optional<double> exact_threshold_delay(const Technology& tech, double l,
-                                            double h, double k,
-                                            double tau_scale, double f,
-                                            const ExactOptions& opts,
+                                            const ExactOptions& opts = {},
                                             ExactStats* stats = nullptr);
 
 /// Switching pattern of a coupled bus: per-conductor far-end voltages
@@ -185,8 +173,9 @@ struct ExactSweepOptions {
 /// Exact threshold delays for every task, fanned over the thread pool.
 /// Results are in input order and BIT-IDENTICAL to the serial loop for any
 /// thread count (each task builds its own evaluator; no shared state).
-/// Per-task wall time, Brent iterations, legacy fallbacks and
-/// non-bracketed results (failures) go to opts.counters when set.
+/// Each task goes to opts.counters when set as one solve with its wall
+/// time, a fallback flag when the bisection rescued it and a failure flag
+/// when the threshold was not bracketed; it records no Newton iterations.
 std::vector<std::optional<double>> exact_sweep(
     const std::vector<ExactSweepTask>& tasks,
     const ExactSweepOptions& opts = {});

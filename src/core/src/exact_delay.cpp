@@ -13,7 +13,6 @@
 #include "rlc/obs/metrics.hpp"
 #include "rlc/obs/trace.hpp"
 #include "rlc/tline/batch_evaluator.hpp"
-#include "rlc/tline/evaluator.hpp"
 
 namespace rlc::core {
 
@@ -23,6 +22,13 @@ namespace {
 /// legacy path used the same bounds).
 constexpr double kSearchLo = 0.02;
 constexpr double kSearchHi = 8.0;
+
+/// Window ratio: one shared contour serves all times in [t_max/4, t_max].
+/// Accuracy at the window foot behaves like a per-t inversion with
+/// ~window_points/4 nodes, so the ratio stays modest.
+constexpr double kWindowRatio = 4.0;
+/// Geometric grid intervals per window in the threshold search.
+constexpr int kGridPointsPerWindow = 10;
 
 rlc::laplace::LaplaceFn step_transform(const tline::LineParams& line, double h,
                                        const tline::DriverLoad& dl) {
@@ -40,18 +46,9 @@ void validate_threshold_args(double tau_scale, double f) {
   }
 }
 
-void validate_options(const ExactOptions& o, bool threshold_path) {
+void validate_options(const ExactOptions& o) {
   if (o.talbot_points < 4 || o.window_points < 4) {
     throw std::domain_error("ExactOptions: contour sizes must be >= 4");
-  }
-  if (o.grid_points_per_window < 2) {
-    throw std::domain_error("ExactOptions: grid_points_per_window must be >= 2");
-  }
-  const bool ok = threshold_path ? o.window_ratio > 1.0 : o.window_ratio >= 1.0;
-  if (!ok) {
-    throw std::domain_error(threshold_path
-                                ? "ExactOptions: window_ratio must be > 1"
-                                : "ExactOptions: window_ratio must be >= 1");
   }
 }
 
@@ -66,13 +63,12 @@ struct BatchStep {
 };
 
 /// The fast exact-waveform engine: a SoA BatchTransferEvaluator fills every
-/// cold Talbot contour in one vectorized pass (the cache-miss hot path),
-/// while the memoizing per-point TransferEvaluator backs the legacy
-/// reference bisection.
+/// Talbot contour in one vectorized pass, for the shared windows and the
+/// per-t inversions alike.
 ///
 /// The engine is channelized for the coupled-line refactor: K >= 1 modal
-/// channels, each a scalar (line, h, dl) evaluator pair with a
-/// recomposition coefficient, combined per probe as
+/// channels, each a scalar (line, h, dl) evaluator with a recomposition
+/// coefficient, combined per probe as
 ///   v(t) = offset + sum_k coef_k v_k(t).
 /// The single-conductor constructor builds one channel flagged as a pure
 /// passthrough, which bypasses the recomposition sum entirely so the
@@ -147,7 +143,7 @@ class WaveformEngine {
     while (i < idx.size()) {
       const double t_max = times[idx[i]];
       const Window window(*this, t_max);
-      const double t_min = t_max / opts_.window_ratio;
+      const double t_min = t_max / kWindowRatio;
       while (i < idx.size() && times[idx[i]] >= t_min * (1.0 - 1e-12)) {
         out[idx[i]] = window.eval(times[idx[i]]);
         ++i;
@@ -163,8 +159,6 @@ class WaveformEngine {
   std::optional<double> threshold(double tau_scale, double f) {
     const double lo = kSearchLo * tau_scale;
     const double hi = kSearchHi * tau_scale;
-    const int n_w = opts_.grid_points_per_window;
-    const double lam = opts_.window_ratio;
     double t_hi = hi;
     bool top_window = true;
     while (true) {
@@ -176,8 +170,8 @@ class WaveformEngine {
         if (!(contour.eval(t_hi) >= f)) return std::nullopt;  // not settled
         top_window = false;
       }
-      const double t_lo_w = std::max(lo, t_hi / lam);
-      const double gstep = std::pow(t_hi / t_lo_w, 1.0 / n_w);
+      const double t_lo_w = std::max(lo, t_hi / kWindowRatio);
+      const double gstep = std::pow(t_hi / t_lo_w, 1.0 / kGridPointsPerWindow);
       const double v_foot = contour.eval(t_lo_w);
       if (v_foot >= f) {
         // Already above threshold at the window foot: the first crossing
@@ -191,8 +185,9 @@ class WaveformEngine {
       // bracket, which preserves first-crossing semantics at grid
       // resolution.
       double ta = t_lo_w, va = v_foot;
-      for (int j = 1; j <= n_w; ++j) {
-        const double tb = (j == n_w) ? t_hi : t_lo_w * std::pow(gstep, j);
+      for (int j = 1; j <= kGridPointsPerWindow; ++j) {
+        const double tb =
+            (j == kGridPointsPerWindow) ? t_hi : t_lo_w * std::pow(gstep, j);
         const double vb = contour.eval(tb);
         if (vb >= f) {
           return polish(&contour, va - f, vb - f, ta, tb, gstep, lo, hi,
@@ -210,29 +205,20 @@ class WaveformEngine {
 
   /// Legacy per-t bisection (the pre-engine implementation), kept as the
   /// reference and as the rescue path when the engine loses its bracket.
-  /// Composite engines bisect the recomposed waveform (one memoized per-t
-  /// inversion per channel per probe).
+  /// Every probe is one per-t inversion of the recomposed waveform.
   std::optional<double> legacy_threshold(double tau_scale, double f) {
-    const auto v = [&](double t) {
-      if (single_) {
-        return rlc::laplace::talbot_invert(channels_[0]->eval.step_ref(), t,
-                                           opts_.talbot_points);
-      }
-      double acc = offset_;
-      for (const auto& ch : channels_)
-        acc += ch->coef * rlc::laplace::talbot_invert(ch->eval.step_ref(), t,
-                                                      opts_.talbot_points);
-      return acc;
-    };
     double lo = kSearchLo * tau_scale, hi = kSearchHi * tau_scale;
     // The hi endpoint is negated so a non-finite value (kernel overflow at
     // extreme scales) reports "no bracket" instead of bisecting on NaN.
     // A non-finite v(lo) is tolerated: the deep foot overflows first while
     // being physically ~0, i.e. safely below any threshold.
-    if (v(lo) > f || !(v(hi) >= f)) return std::nullopt;
+    if (invert_per_t(lo) > f || !(invert_per_t(hi) >= f)) return std::nullopt;
     for (int i = 0; i < 60; ++i) {
       const double mid = 0.5 * (lo + hi);
-      (v(mid) < f ? lo : hi) = mid;
+      // Adjacent doubles: further probes can at most collapse the bracket
+      // onto mid, so the returned midpoint is already final.
+      if (mid == lo || mid == hi) break;
+      (invert_per_t(mid) < f ? lo : hi) = mid;
     }
     return 0.5 * (lo + hi);
   }
@@ -326,9 +312,7 @@ class WaveformEngine {
   ExactStats stats() const {
     ExactStats s;
     for (const auto& ch : channels_) {
-      s.transfer_evals += static_cast<std::int64_t>(ch->eval.evaluations() +
-                                                    ch->batch.evaluations());
-      s.cache_hits += static_cast<std::int64_t>(ch->eval.cache_hits());
+      s.transfer_evals += static_cast<std::int64_t>(ch->batch.evaluations());
     }
     s.windows = windows_;
     s.brent_iterations = brent_iterations_;
@@ -337,20 +321,18 @@ class WaveformEngine {
   }
 
  private:
-  /// Polish the crossing.  With the default window ratio the bracket from
-  /// the grid scan always sits above ~0.25 t_max of its window, where the
-  /// window contour is accurate enough to seed the per-t refinement — so
-  /// the root is brent-solved on it with zero extra transfer evaluations
-  /// and then converged onto the legacy integrand.  Deeper brackets (large
-  /// custom window ratios) and boundary straddles get a fresh contour
+  /// Polish the crossing.  A bracket from the grid scan sits inside its
+  /// window ([t_max/4, t_max]), where the window contour is accurate enough
+  /// to seed the per-t refinement — so the root is brent-solved on it with
+  /// zero extra transfer evaluations and then converged onto the per-t
+  /// integrand.  Boundary straddles (no window) get a fresh contour
   /// anchored at the bracket top, where the bracket is re-verified and
   /// widened by grid steps if the coarser window misplaced it.
   std::optional<double> polish(const Window* window, double ga_win,
                                double gb_win, double a, double b, double gstep,
                                double lo, double hi, double tau_scale,
                                double f) {
-    if (window != nullptr && b >= 0.25 * window->t_max() && ga_win <= 0.0 &&
-        gb_win >= 0.0) {
+    if (window != nullptr && ga_win <= 0.0 && gb_win >= 0.0) {
       const auto r = rlc::math::brent_root(
           [&](double t) { return window->eval(t) - f; }, a, b,
           1e-4 * tau_scale);
@@ -413,21 +395,20 @@ class WaveformEngine {
     return t_best;
   }
 
-  /// One modal channel: the scalar evaluator pair plus its recomposition
-  /// coefficient.  Held by unique_ptr — the evaluators flush metrics at
-  /// destruction, so they must never be copied.
+  /// One modal channel: the scalar evaluator plus its recomposition
+  /// coefficient.  Held by unique_ptr — the evaluator flushes metrics at
+  /// destruction, so it must never be copied.
   struct Channel {
     Channel(const tline::LineParams& line, double h,
             const tline::DriverLoad& dl, double coef_in)
-        : eval(line, h, dl), batch(line, h, dl), coef(coef_in) {}
-    rlc::tline::TransferEvaluator eval;
+        : batch(line, h, dl), coef(coef_in) {}
     rlc::tline::BatchTransferEvaluator batch;
     BatchStep bstep{&batch};
     double coef;
   };
 
-  /// Composite per-t inversion on the batch integrand (the accuracy
-  /// reference refine_per_t converges onto).
+  /// Composite per-t inversion (the integrand the legacy bisection probes
+  /// and refine_per_t converges onto).
   double invert_per_t(double t) const {
     if (single_) {
       return rlc::laplace::talbot_invert(
@@ -467,7 +448,7 @@ std::vector<double> exact_step_response_windowed(
     const std::vector<double>& times, const ExactOptions& opts,
     ExactStats* stats) {
   line.validate();
-  validate_options(opts, /*threshold_path=*/false);
+  validate_options(opts);
   RLC_TRACE_SPAN("exact_sample");
   WaveformEngine engine(line, h, dl, opts);
   auto out = engine.sample(times);
@@ -520,7 +501,7 @@ std::vector<std::vector<double>> exact_coupled_step_response(
     const tline::CoupledLine& bus, double h, const tline::DriverLoad& dl,
     const CoupledExcitation& exc, const std::vector<double>& times,
     const ExactOptions& opts, ExactStats* stats) {
-  validate_options(opts, /*threshold_path=*/false);
+  validate_options(opts);
   RLC_TRACE_SPAN("exact_coupled_sample");
   const CoupledSetup su = coupled_setup(bus, exc);
   const std::size_t n = bus.conductors();
@@ -567,7 +548,7 @@ std::optional<double> exact_coupled_threshold_delay(
         "exact_coupled_threshold_delay: conductor index out of range");
   }
   validate_threshold_args(tau_scale, f);
-  validate_options(opts, /*threshold_path=*/!opts.legacy_bisection);
+  validate_options(opts);
   RLC_TRACE_SPAN("exact_coupled_threshold");
   const CoupledSetup su = coupled_setup(bus, exc);
   WaveformEngine engine = conductor_engine(su, exc, conductor, h, dl, opts);
@@ -589,7 +570,7 @@ CoupledNoiseResult exact_coupled_victim_noise(
     throw std::domain_error(
         "exact_coupled_victim_noise: tau_scale must be > 0");
   }
-  validate_options(opts, /*threshold_path=*/false);
+  validate_options(opts);
   RLC_TRACE_SPAN("exact_coupled_noise");
   const CoupledSetup su = coupled_setup(bus, exc);
   WaveformEngine engine = conductor_engine(su, exc, victim, h, dl, opts);
@@ -606,7 +587,7 @@ std::optional<double> exact_threshold_delay(const tline::LineParams& line,
                                             ExactStats* stats) {
   line.validate();
   validate_threshold_args(tau_scale, f);
-  validate_options(opts, /*threshold_path=*/!opts.legacy_bisection);
+  validate_options(opts);
   RLC_TRACE_SPAN("exact_threshold");
   static const int kCalls =
       obs::Registry::global().counter("exact.threshold.calls");
@@ -617,23 +598,6 @@ std::optional<double> exact_threshold_delay(const tline::LineParams& line,
                        : engine.threshold(tau_scale, f);
   if (stats) *stats += engine.stats();
   return out;
-}
-
-std::optional<double> exact_threshold_delay(const tline::LineParams& line,
-                                            double h,
-                                            const tline::DriverLoad& dl,
-                                            double tau_scale, double f,
-                                            int talbot_points) {
-  ExactOptions opts;
-  opts.talbot_points = talbot_points;
-  return exact_threshold_delay(line, h, dl, tau_scale, f, opts);
-}
-
-std::optional<double> exact_threshold_delay(const Technology& tech, double l,
-                                            double h, double k,
-                                            double tau_scale, double f) {
-  return exact_threshold_delay(tech.line(l), h, tech.rep.scaled(k), tau_scale,
-                               f);
 }
 
 std::optional<double> exact_threshold_delay(const Technology& tech, double l,
@@ -673,8 +637,9 @@ std::vector<std::optional<double>> exact_sweep(
   delays.reserve(outs.size());
   for (const auto& o : outs) {
     if (opts.counters) {
-      opts.counters->record_solve(o.stats.brent_iterations,
-                                  o.stats.legacy_fallbacks > 0,
+      // An exact task runs no Newton solve: its Brent iterations live in
+      // ExactStats, not in the counters' Newton tally.
+      opts.counters->record_solve(0, o.stats.legacy_fallbacks > 0,
                                   !o.delay.has_value(), o.wall);
     }
     if (opts.stats) *opts.stats += o.stats;

@@ -30,7 +30,7 @@
 #include "rlc/scenario/registry.hpp"
 #include "rlc/spice/transient.hpp"
 #include "rlc/tline/batch_evaluator.hpp"
-#include "rlc/tline/evaluator.hpp"
+#include "rlc/tline/transfer.hpp"
 
 namespace rlc::scenario {
 
@@ -297,8 +297,9 @@ ScenarioResult perf_exact(const ScenarioSpec& spec, ScenarioContext& ctx) {
         static_cast<double>(legacy_stats.transfer_evals) /
         static_cast<double>(engine_stats.transfer_evals);
     if (ctx.counters) {
-      ctx.counters->record_solve(engine_stats.brent_iterations,
-                                 engine_stats.legacy_fallbacks > 0, false,
+      // No Newton solve here: the engine's Brent iterations stay in
+      // ExactStats.
+      ctx.counters->record_solve(0, engine_stats.legacy_fallbacks > 0, false,
                                  s_legacy + s_engine);
     }
 
@@ -312,12 +313,12 @@ ScenarioResult perf_exact(const ScenarioSpec& spec, ScenarioContext& ctx) {
   geo = std::pow(geo, 1.0 / std::size(configs));
   res.tables.push_back(std::move(t));
 
-  // Cold-kernel head-to-head: the cache-miss hot path of the engine is
-  // filling a fresh Talbot contour with transfer samples.  Replay that
-  // workload (every node distinct, so the per-point memo never hits) three
-  // ways: per-point scalar TransferEvaluator, SoA batch at forced-scalar
-  // level, SoA batch at the active SIMD level.  Evaluators are constructed
-  // inside the timed region — cold means cold.
+  // Cold-kernel head-to-head: the hot path of the engine is filling a
+  // fresh Talbot contour with transfer samples.  Replay that workload
+  // (every node distinct) three ways: the library's per-point form
+  // exact_transfer_dc_safe(s) / s, SoA batch at forced-scalar level, SoA
+  // batch at the active SIMD level.  Evaluators are constructed inside the
+  // timed region — cold means cold.
   Table kt("Cold-contour transfer kernel: per-point vs SoA batch",
            {"tech", "l (nH/mm)", "scalar_per_point (us)", "batch_scalar (us)",
             "batch_simd (us)", "batch speedup", "simd gain"});
@@ -354,13 +355,14 @@ ScenarioResult perf_exact(const ScenarioSpec& spec, ScenarioContext& ctx) {
     std::vector<double> fre(n), fim(n);
     const int kreps = spec.quick ? 5 : 15;
 
+    const auto point_step = [&](std::size_t i) {
+      const std::complex<double> s{sre[i], sim[i]};
+      return rlc::tline::exact_transfer_dc_safe(line, c.h, dl, s) / s;
+    };
     const double s_point = time_s(
         [&] {
-          const rlc::tline::TransferEvaluator ev(line, c.h, dl);
           double acc = 0.0;
-          for (std::size_t i = 0; i < n; ++i) {
-            acc += ev.step({sre[i], sim[i]}).real();
-          }
+          for (std::size_t i = 0; i < n; ++i) acc += point_step(i).real();
           g_sink = acc;
         },
         kreps);
@@ -382,9 +384,8 @@ ScenarioResult perf_exact(const ScenarioSpec& spec, ScenarioContext& ctx) {
 
     // Agreement between the per-point values and the batch (active-level)
     // values on the same nodes — fre/fim hold the last batch_simd pass.
-    const rlc::tline::TransferEvaluator ref(line, c.h, dl);
     for (std::size_t i = 0; i < n; ++i) {
-      const std::complex<double> p = ref.step({sre[i], sim[i]});
+      const std::complex<double> p = point_step(i);
       const double mag = std::abs(p);
       if (!std::isfinite(mag) || mag == 0.0) continue;
       const double err = std::abs(std::complex<double>(fre[i], fim[i]) - p);
@@ -415,7 +416,7 @@ ScenarioResult perf_exact(const ScenarioSpec& spec, ScenarioContext& ctx) {
       "concurrent scenarios share the machine.  The cold-kernel table "
       "isolates the contour-fill hot path: batch_speedup is enforced (>= "
       "batch_speedup_target on full runs with SIMD active) and "
-      "batch_kernel_rel_err pins scalar-vs-batch agreement.");
+      "batch_kernel_rel_err pins per-point-vs-batch agreement.");
   return res;
 }
 

@@ -1,26 +1,29 @@
 #pragma once
 
 /// \file batch_evaluator.hpp
-/// BatchTransferEvaluator: the structure-of-arrays counterpart of
-/// TransferEvaluator — evaluates the exact Eq. (1) transfer function at a
-/// whole span of s nodes in one pass.  This is the cache-miss hot path of
-/// the exact-waveform engine: a cold Talbot contour needs all M nodes
-/// fresh, so per-point memoization only adds hash traffic while the
-/// transcendental core (one complex exp per node) vectorizes 4-wide.
+/// BatchTransferEvaluator: the exact Eq. (1) transfer function evaluated at
+/// a whole span of s nodes in one structure-of-arrays pass.  This is the
+/// one transfer evaluator of the exact-waveform engine: every Talbot
+/// contour (shared windows and per-t inversions alike) and every Euler
+/// span is filled through it.
 ///
-/// Against calling TransferEvaluator::transfer in a loop it
-///   * keeps the hoisted denominator invariants (same construction),
-///   * batches every cosh/sinhc through ONE rlc::simd::cexp_pd call per
-///     block (AVX2+FMA when the host has it, scalar libm otherwise —
-///     selectable per instance for head-to-head benches),
-///   * skips the memo table entirely: no hashing, no allocation, no
-///     std::function dispatch anywhere on the path.
+/// Against calling exact_transfer_dc_safe() in a loop it
+///   * hoists every s-independent invariant of the denominator at
+///     construction (driver/load products, c*h, l*h, r*h),
+///   * takes cosh(theta h) and sinh(theta h)/(theta h) from ONE complex
+///     exponential, and batches every such exp through ONE
+///     rlc::simd::cexp_pd call per block (AVX2+FMA when the host has it,
+///     scalar libm otherwise — selectable per instance for head-to-head
+///     benches),
+///   * makes no per-node calls: no allocation and no std::function
+///     dispatch anywhere on the path.
 ///
-/// Accuracy: the scalar level matches TransferEvaluator to a few ulp (same
-/// formulas, different division/sqrt sequencing); the AVX2 level matches
-/// the scalar level to ~1 ulp.  The test suite pins both agreements at
-/// 1e-12 relative, including the theta*h -> 0 series guard, denormal and
-/// huge-|s| edge cases.
+/// Accuracy: the scalar level matches exact_transfer_dc_safe to ~1e-12
+/// relative (same denominator, one exp instead of cosh + sinh, different
+/// division/sqrt sequencing); the AVX2 level matches the scalar level to
+/// ~1 ulp.  The test suite pins both agreements at 1e-12 relative,
+/// including the theta*h -> 0 series guard, denormal and huge-|s| edge
+/// cases.
 
 #include <complex>
 #include <cstddef>
@@ -56,7 +59,7 @@ class BatchTransferEvaluator {
 
   simd::Level level() const noexcept { return level_; }
 
-  /// Total nodes evaluated so far (every node is fresh — no memo).
+  /// Total nodes evaluated so far.
   std::size_t evaluations() const noexcept { return evaluations_; }
   /// Batch passes (transfer/step calls) so far.
   std::size_t passes() const noexcept { return passes_; }
@@ -65,7 +68,7 @@ class BatchTransferEvaluator {
   void eval(const double* s_re, const double* s_im, double* out_re,
             double* out_im, std::size_t n, bool divide_by_s) const;
 
-  // Hoisted invariants of the dc-safe denominator (TransferEvaluator's).
+  // Hoisted invariants of the dc-safe denominator.
   double rs_cp_cl_ = 0.0;   ///< Rs (Cp + Cl)
   double rs_ch_ = 0.0;      ///< Rs c h
   double cl_ = 0.0;         ///< Cl

@@ -7,8 +7,8 @@
 /// The coupled telegrapher equations  d2V/dx2 = (rI + sL)(sC) V  decouple
 /// exactly (at every frequency) when [L, C] = 0: an orthonormal W that
 /// diagonalizes both maps each mode j onto a *scalar* line (r, l_j, c_j)
-/// that reuses Eq. (1), the memoizing TransferEvaluator and the SoA batch
-/// kernel unchanged.  Because the driver/load boundary (Rs, Cp, Cl) is
+/// that reuses Eq. (1) and the SoA batch kernel (BatchTransferEvaluator)
+/// unchanged.  Because the driver/load boundary (Rs, Cp, Cl) is
 /// scalar-times-identity it is invariant under W, so each mode also keeps
 /// the scalar DriverLoad.  Physical far-end waveforms are recomposed as
 /// V(t) = V(0-) + W diag(v_j(t)) W^T (U(0+) - V(0-)).

@@ -3,8 +3,9 @@
 /// \file transfer_detail.hpp
 /// Shared kernels of the Eq. (1) transfer-function implementations:
 /// the series-guarded sinh(x)/x and the singularity-free denominator
-/// assembly used by exact_transfer_dc_safe, exact_transfer_skin and the
-/// TransferEvaluator.  Internal to rlc_tline.
+/// assembly used by exact_transfer_dc_safe and exact_transfer_skin, and
+/// the series-guard threshold the batch kernel shares with them.  Internal
+/// to rlc_tline.
 
 #include <cmath>
 #include <complex>
@@ -15,11 +16,12 @@ namespace rlc::tline::detail {
 
 using cplx = std::complex<double>;
 
-/// Series-guard threshold on |theta h|: below this the cosh/sinhc pair is
-/// evaluated by its Taylor series instead of exp (analytic at 0, avoids
-/// 0/0).  The batch kernel tests |(theta h)^2| instead (it carries theta^2
-/// in SoA form), so it compares against the SQUARE of this constant — both
-/// spellings live here so the scalar and SIMD guards cannot drift.
+/// Series-guard threshold on |theta h|: below this sinhc (and, in the batch
+/// kernel, cosh too) is evaluated by its Taylor series instead of exp
+/// (analytic at 0, avoids 0/0).  The batch kernel tests |(theta h)^2|
+/// instead (it carries theta^2 in SoA form), so it compares against the
+/// SQUARE of this constant — both spellings live here so the scalar and
+/// SIMD guards cannot drift.
 inline constexpr double kSeriesGuardThreshold = 1e-4;
 inline constexpr double kSeriesGuardThresholdSq =
     kSeriesGuardThreshold * kSeriesGuardThreshold;
@@ -31,23 +33,6 @@ inline cplx sinhc(cplx x) {
     return 1.0 + x2 / 6.0 + x2 * x2 / 120.0;
   }
   return std::sinh(x) / x;
-}
-
-/// cosh(x) and sinh(x)/x from a SINGLE complex exponential: e = exp(x),
-/// cosh = (e + 1/e)/2, sinh = (e - 1/e)/2, with the same series guard for
-/// sinhc near zero.  One exp instead of cosh + sinh halves the dominant
-/// transcendental cost of a transfer evaluation.
-inline void cosh_sinhc(cplx x, cplx& ch, cplx& shc) {
-  if (std::abs(x) < kSeriesGuardThreshold) {
-    const cplx x2 = x * x;
-    ch = 1.0 + x2 / 2.0 + x2 * x2 / 24.0;
-    shc = 1.0 + x2 / 6.0 + x2 * x2 / 120.0;
-    return;
-  }
-  const cplx e = std::exp(x);
-  const cplx einv = 1.0 / e;
-  ch = 0.5 * (e + einv);
-  shc = 0.5 * (e - einv) / x;
 }
 
 /// Denominator of Eq. (1) in the singularity-free form, given the series

@@ -4,12 +4,15 @@
 
 #include <cmath>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "rlc/core/delay.hpp"
 #include "rlc/core/elmore.hpp"
 #include "rlc/exec/counters.hpp"
 #include "rlc/exec/thread_pool.hpp"
+#include "rlc/laplace/talbot.hpp"
+#include "rlc/tline/batch_evaluator.hpp"
 
 namespace rlc::core {
 namespace {
@@ -107,6 +110,70 @@ TEST(ExactEngine, MatchesLegacyWithTenfoldFewerTransferEvals) {
   }
 }
 
+/// The legacy bisection as a fixed 60-iteration loop with no early exit,
+/// probing the per-t Talbot inversion of the batch evaluator's step
+/// transform over the engine's search window (0.02..8 x tau_scale).
+/// `collapse_probes` receives the number of probes made before the
+/// midpoint first equals an endpoint.
+std::optional<double> fixed_loop_bisection(const tline::LineParams& line,
+                                           double h,
+                                           const tline::DriverLoad& dl,
+                                           double tau_scale, double f,
+                                           int talbot_points,
+                                           int* collapse_probes) {
+  const tline::BatchTransferEvaluator ev(line, h, dl);
+  const auto step = [&ev](const double* sr, const double* si, double* fr,
+                          double* fi, std::size_t n) {
+    ev.step(sr, si, fr, fi, n);
+  };
+  const auto v = [&](double t) {
+    return rlc::laplace::talbot_invert(rlc::laplace::BatchLaplaceFnRef(step),
+                                       t, talbot_points);
+  };
+  double lo = 0.02 * tau_scale, hi = 8.0 * tau_scale;
+  if (v(lo) > f || !(v(hi) >= f)) return std::nullopt;
+  *collapse_probes = -1;
+  for (int i = 0; i < 60; ++i) {
+    const double mid = 0.5 * (lo + hi);
+    if (*collapse_probes < 0 && (mid == lo || mid == hi)) *collapse_probes = i;
+    (v(mid) < f ? lo : hi) = mid;
+  }
+  return 0.5 * (lo + hi);
+}
+
+TEST(ExactEngine, LegacyBisectionStopsAtCollapseWithTheFixedLoopBits) {
+  // The legacy path stops once the midpoint equals an endpoint; past that
+  // point the fixed loop's probes cannot change the returned midpoint, so
+  // both must agree bit for bit — and the early exit must skip exactly the
+  // probes made after the collapse.
+  ExactOptions legacy;
+  legacy.legacy_bisection = true;
+  for (const auto& tech : {Technology::nm250(), Technology::nm100()}) {
+    for (double l : {0.0, 1e-6, 3e-6}) {
+      const auto c = engine_case(tech, l);
+      const auto line = c.tech.line(c.l);
+      const auto dl = c.tech.rep.scaled(c.k);
+      for (double f : {0.25, 0.5, 0.75}) {
+        int probes = 0;
+        const auto ref = fixed_loop_bisection(line, c.h, dl, c.tau, f,
+                                              legacy.talbot_points, &probes);
+        ExactStats stats;
+        const auto got = exact_threshold_delay(c.tech, c.l, c.h, c.k, c.tau,
+                                               f, legacy, &stats);
+        ASSERT_TRUE(ref.has_value()) << tech.name << " l = " << l
+                                     << " f = " << f;
+        ASSERT_TRUE(got.has_value()) << tech.name << " l = " << l
+                                     << " f = " << f;
+        EXPECT_EQ(*got, *ref) << tech.name << " l = " << l << " f = " << f;
+        ASSERT_GT(probes, 0) << "the fixed loop never collapsed its bracket";
+        EXPECT_EQ(stats.transfer_evals,
+                  static_cast<std::int64_t>(2 + probes) * legacy.talbot_points)
+            << tech.name << " l = " << l << " f = " << f;
+      }
+    }
+  }
+}
+
 TEST(ExactEngine, WindowedWaveformMatchesPerT) {
   // Damped lines: shared-contour windows reproduce the per-t inversion.
   // On strongly ringing lines BOTH fixed-Talbot paths carry a ~1e-2
@@ -185,24 +252,9 @@ TEST(ExactEngine, NonBracketedReturnsNulloptOnBothPaths) {
 
 TEST(ExactEngine, OptionValidation) {
   const auto c = engine_case(Technology::nm100(), 1e-6);
-  ExactOptions o;
-  o.window_ratio = 1.0;  // threshold descent needs strictly > 1
-  EXPECT_THROW(exact_threshold_delay(c.tech, c.l, c.h, c.k, c.tau, 0.5, o),
-               std::domain_error);
-  // ...but exactly 1 is a legal (degenerate, one-time-per-window) sampling
-  // window.
   const auto line = c.tech.line(c.l);
   const auto dl = c.tech.rep.scaled(c.k);
-  EXPECT_NO_THROW(
-      exact_step_response_windowed(line, c.h, dl, {c.tau, 2.0 * c.tau}, o));
-  o.window_ratio = 0.5;
-  EXPECT_THROW(exact_step_response_windowed(line, c.h, dl, {c.tau}, o),
-               std::domain_error);
-  o = ExactOptions{};
-  o.grid_points_per_window = 1;
-  EXPECT_THROW(exact_threshold_delay(c.tech, c.l, c.h, c.k, c.tau, 0.5, o),
-               std::domain_error);
-  o = ExactOptions{};
+  ExactOptions o;
   o.window_points = 3;
   EXPECT_THROW(exact_threshold_delay(c.tech, c.l, c.h, c.k, c.tau, 0.5, o),
                std::domain_error);
@@ -249,6 +301,9 @@ TEST(ExactEngine, SweepParallelMatchesSerialBitIdentical) {
     const auto snap = counters.snapshot();
     EXPECT_EQ(snap.tasks, static_cast<std::int64_t>(ls.size()));
     EXPECT_EQ(snap.failures, 0);
+    // Exact tasks run no Newton solve; their Brent iterations stay in
+    // ExactStats.
+    EXPECT_EQ(snap.newton_iterations, 0);
     EXPECT_GT(snap.wall_total_s, 0.0);
     EXPECT_EQ(par_stats.transfer_evals, serial_stats.transfer_evals);
     EXPECT_EQ(par_stats.windows, serial_stats.windows);

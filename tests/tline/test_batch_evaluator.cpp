@@ -10,7 +10,6 @@
 
 #include "rlc/base/simd.hpp"
 #include "rlc/core/technology.hpp"
-#include "rlc/tline/evaluator.hpp"
 #include "rlc/tline/transfer.hpp"
 
 namespace rlc::tline {
@@ -56,11 +55,11 @@ double max_rel_err(const std::vector<cplx>& ref, const std::vector<double>& hr,
 TEST(BatchTransferEvaluator, MatchesPerPointEvaluatorOnContourNodes) {
   // Talbot-contour-shaped probe sets (the real workload): nodes along the
   // cotangent contour for a spread of anchor times, all three inductance
-  // regimes.  Scalar batch vs memoized per-point must agree to 1e-12.
+  // regimes.  Scalar batch vs the per-point exact_transfer_dc_safe must
+  // agree to 1e-12.
   std::mt19937_64 rng(7);
   for (double l : {0.0, 1e-6, 5e-6}) {
     const Case c = paper_case(l);
-    const TransferEvaluator ref_ev(c.line, c.h, c.dl);
     const BatchTransferEvaluator batch(c.line, c.h, c.dl,
                                        simd::Level::kScalar);
     std::vector<double> sr, si;
@@ -77,7 +76,7 @@ TEST(BatchTransferEvaluator, MatchesPerPointEvaluatorOnContourNodes) {
     }
     std::vector<cplx> ref(sr.size());
     for (std::size_t i = 0; i < sr.size(); ++i) {
-      ref[i] = ref_ev.transfer(cplx{sr[i], si[i]});
+      ref[i] = exact_transfer_dc_safe(c.line, c.h, c.dl, cplx{sr[i], si[i]});
     }
     std::vector<double> hr(sr.size()), hi(sr.size());
     batch.transfer(sr.data(), si.data(), hr.data(), hi.data(), sr.size());
@@ -131,7 +130,6 @@ TEST(BatchTransferEvaluator, SeriesGuardIsSeamlessThroughThetaZero) {
   // |theta h| -> 0: the cosh/sinhc series guard must hand over to the
   // exp-based form with no jump, including exactly at the near-DC node.
   const Case c = paper_case(1e-6);
-  const TransferEvaluator ref_ev(c.line, c.h, c.dl);
   const BatchTransferEvaluator batch(c.line, c.h, c.dl, simd::Level::kScalar);
   std::vector<double> sr, si;
   // Sweep |s| across the guard threshold (|theta h| = 1e-4 maps to some
@@ -147,7 +145,7 @@ TEST(BatchTransferEvaluator, SeriesGuardIsSeamlessThroughThetaZero) {
   }
   std::vector<cplx> ref(sr.size());
   for (std::size_t i = 0; i < sr.size(); ++i) {
-    ref[i] = ref_ev.transfer(cplx{sr[i], si[i]});
+    ref[i] = exact_transfer_dc_safe(c.line, c.h, c.dl, cplx{sr[i], si[i]});
   }
   std::vector<double> hr(sr.size()), hi(sr.size());
   batch.transfer(sr.data(), si.data(), hr.data(), hi.data(), sr.size());
@@ -159,7 +157,6 @@ TEST(BatchTransferEvaluator, DenormalAndHugeNodesStayFinite) {
   // exp(theta h) or the denominator overflows must saturate to exactly 0
   // (the per-point path reaches ~0 through IEEE inf arithmetic).
   const Case c = paper_case(1e-6);
-  const TransferEvaluator ref_ev(c.line, c.h, c.dl);
   for (simd::Level level :
        {simd::Level::kScalar, simd::detected_level()}) {
     const BatchTransferEvaluator batch(c.line, c.h, c.dl, level);
@@ -173,7 +170,8 @@ TEST(BatchTransferEvaluator, DenormalAndHugeNodesStayFinite) {
     for (std::size_t i = 0; i < sr.size(); ++i) {
       EXPECT_TRUE(std::isfinite(hr[i]) && std::isfinite(hi[i]))
           << "lane " << i << " at level " << simd::level_name(level);
-      const cplx ref = ref_ev.transfer(cplx{sr[i], si[i]});
+      const cplx ref = exact_transfer_dc_safe(c.line, c.h, c.dl,
+                                              cplx{sr[i], si[i]});
       const double rm = std::abs(ref);
       const double gm = std::hypot(hr[i], hi[i]);
       if (!std::isfinite(rm) || rm < 1e-280) {

@@ -1,5 +1,5 @@
 // Seam test for the theta*h series-guard threshold shared between the
-// scalar TransferEvaluator path (detail::cosh_sinhc, |th| test) and the SoA
+// scalar exact_transfer_dc_safe path (detail::sinhc, |th| test) and the SoA
 // BatchTransferEvaluator (|th^2| test): both must read the ONE constant in
 // transfer_detail.hpp, and the two kernels must agree across the switch.
 
@@ -11,7 +11,7 @@
 
 #include "../../src/tline/src/transfer_detail.hpp"
 #include "rlc/tline/batch_evaluator.hpp"
-#include "rlc/tline/evaluator.hpp"
+#include "rlc/tline/transfer.hpp"
 
 namespace {
 
@@ -19,32 +19,11 @@ using cplx = std::complex<double>;
 using rlc::tline::BatchTransferEvaluator;
 using rlc::tline::DriverLoad;
 using rlc::tline::LineParams;
-using rlc::tline::TransferEvaluator;
 namespace detail = rlc::tline::detail;
 
 TEST(SeriesGuardSeam, SquaredSpellingIsExactlyTheSquare) {
   EXPECT_EQ(detail::kSeriesGuardThresholdSq,
             detail::kSeriesGuardThreshold * detail::kSeriesGuardThreshold);
-}
-
-TEST(SeriesGuardSeam, CoshSinhcContinuousAcrossGuard) {
-  // Just inside the guard the Taylor series runs; just outside, the exp
-  // path.  Series truncation at |x| = 1e-4 is ~1e-28 while the exp path's
-  // (e - 1/e) cancellation costs ~5e-13 there — the guard exists precisely
-  // to cap that — so both branches must sit within ~1e-12 of libm.
-  const double t = detail::kSeriesGuardThreshold;
-  for (double phase : {0.0, 0.7, 1.9, 3.1, 4.4, 5.8}) {
-    const cplx dir = std::polar(1.0, phase);
-    for (double mag : {t * (1.0 - 1e-9), t * (1.0 + 1e-9)}) {
-      const cplx x = mag * dir;
-      cplx ch, shc;
-      detail::cosh_sinhc(x, ch, shc);
-      const cplx ch_ref = std::cosh(x);
-      const cplx shc_ref = std::sinh(x) / x;
-      EXPECT_NEAR(std::abs(ch - ch_ref), 0.0, 2e-12);
-      EXPECT_NEAR(std::abs(shc - shc_ref), 0.0, 2e-12);
-    }
-  }
 }
 
 TEST(SeriesGuardSeam, ScalarAndBatchAgreeAcrossGuardBoundary) {
@@ -55,7 +34,6 @@ TEST(SeriesGuardSeam, ScalarAndBatchAgreeAcrossGuardBoundary) {
   const double h = 1.0e-3;
   const DriverLoad dl{120.0, 3.0e-15, 8.0e-15};
 
-  TransferEvaluator scalar(line, h, dl);
   BatchTransferEvaluator batch(line, h, dl, rlc::simd::Level::kScalar);
 
   std::vector<double> sre, sim;
@@ -66,7 +44,8 @@ TEST(SeriesGuardSeam, ScalarAndBatchAgreeAcrossGuardBoundary) {
   std::vector<double> hre(sre.size()), him(sre.size());
   batch.transfer(sre.data(), sim.data(), hre.data(), him.data(), sre.size());
   for (std::size_t i = 0; i < sre.size(); ++i) {
-    const cplx ref = scalar.transfer(cplx(sre[i], sim[i]));
+    const cplx ref =
+        rlc::tline::exact_transfer_dc_safe(line, h, dl, cplx(sre[i], sim[i]));
     const cplx got(hre[i], him[i]);
     EXPECT_LE(std::abs(got - ref), 1e-12 * std::abs(ref))
         << "s = (" << sre[i] << ", " << sim[i] << ")";
