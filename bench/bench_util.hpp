@@ -12,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "rlc/exec/counters.hpp"
 #include "rlc/scenario/result.hpp"
 
 namespace bench {
@@ -72,7 +71,7 @@ inline void print_table(const rlc::scenario::Table& t) {
 }
 
 /// Render a full scenario result: banner, tables, metrics, notes, and the
-/// solver-counter / wall-time footer.
+/// threads / wall-time footer.
 inline void print_result(const rlc::scenario::ScenarioResult& res) {
   std::string id = res.name;
   std::transform(id.begin(), id.end(), id.begin(),
@@ -95,10 +94,6 @@ inline void print_result(const rlc::scenario::ScenarioResult& res) {
   if (!res.notes.empty()) std::printf("\n");
   for (const auto& n : res.notes) note(n);
   rule();
-  if (res.counters.tasks > 0) {
-    std::printf("%s\n",
-                rlc::exec::Counters::summary(res.counters).c_str());
-  }
   std::printf("[%s] threads %d | wall %.3f s%s\n", res.name.c_str(),
               res.threads, res.wall_seconds, res.spec.quick ? " | quick" : "");
 }

@@ -5,7 +5,7 @@ Two modes:
 
   validate_bench_json.py ARTIFACT_DIR
       The BENCH_<name>.json artifacts rlc_run --json emits.  Checks
-      1. the schema-7 envelope for EVERY artifact (field types, version
+      1. the schema-8 envelope for EVERY artifact (field types, version
          stamp, simd level, rectangular tables, finite numbers, embedded
          spec, observability block, telemetry block, optional coupling
          block),
@@ -32,7 +32,7 @@ import re
 import sys
 from pathlib import Path
 
-SCHEMA_VERSION = 7
+SCHEMA_VERSION = 8
 SERVE_SCHEMA_VERSION = 1
 LOAD_SCHEMA_VERSION = 2
 VERSION_RE = re.compile(r"^\d+\.\d+\.\d+$")
@@ -56,6 +56,11 @@ EXPECTED_SCENARIOS = [
     "xtalk_quiet", "xtalk_inphase", "xtalk_antiphase", "xtalk_noise_opt",
     "power_100nm", "power_35nm", "pareto_100nm", "pareto_35nm",
 ]
+
+# Scenarios whose bodies run the (h, k) optimizer: their registry delta
+# must count its solves (optimizer.calls), the tally that replaced the
+# schema-7 `counters` block.
+OPTIMIZER_SCENARIOS = ["fig4", "fig5", "fig6", "fig7", "fig8", "perf_solvers"]
 
 errors = []
 
@@ -94,8 +99,8 @@ def check_envelope(name, d):
         return
     for key, kind in (("title", str), ("quick", bool), ("threads", int),
                       ("wall_seconds", (int, float)), ("spec", dict),
-                      ("counters", dict), ("observability", dict),
-                      ("tables", list), ("metrics", dict), ("notes", list)):
+                      ("observability", dict), ("tables", list),
+                      ("metrics", dict), ("notes", list)):
         if not isinstance(d.get(key), kind):
             err(name, f"field {key!r} missing or not {kind}")
     if errors and errors[-1].startswith(name + ":"):
@@ -110,8 +115,6 @@ def check_envelope(name, d):
         err(name, f"spec.scenario {d['spec'].get('scenario')!r} != {name!r}")
     if d["threads"] < 1 or d["wall_seconds"] < 0:
         err(name, "threads/wall_seconds out of range")
-    if d["counters"].get("tasks", 0) < 0:
-        err(name, "negative counters.tasks")
 
     for t in d["tables"]:
         cols = t.get("columns", [])
@@ -368,6 +371,12 @@ def check_pareto(name, d):
 
 def check_invariants(name, d):
     tables, metrics = d["tables"], d["metrics"]
+    if name in OPTIMIZER_SCENARIOS:
+        calls = d["observability"]["metrics"]["counters"].get(
+            "optimizer.calls", 0)
+        if not calls > 0:
+            err(name, f"observability.metrics.counters['optimizer.calls'] = "
+                      f"{calls}: the registry delta saw no optimizer solve")
     if name.startswith("xtalk_"):
         check_xtalk(name, d)
         return

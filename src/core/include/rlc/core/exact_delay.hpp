@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "rlc/core/technology.hpp"
-#include "rlc/exec/counters.hpp"
 #include "rlc/exec/thread_pool.hpp"
 #include "rlc/tline/coupled_line.hpp"
 #include "rlc/tline/transfer.hpp"
@@ -165,17 +164,13 @@ struct ExactSweepOptions {
   ExactOptions exact;
   double f = 0.5;       ///< threshold fraction
   bool parallel = true;  ///< fan out over the rlc::exec pool
-  rlc::exec::ThreadPool* pool = nullptr;    ///< null: default_pool()
-  rlc::exec::Counters* counters = nullptr;  ///< optional instrumentation
+  rlc::exec::ThreadPool* pool = nullptr;  ///< null: default_pool()
   ExactStats* stats = nullptr;  ///< aggregated engine stats (deterministic)
 };
 
 /// Exact threshold delays for every task, fanned over the thread pool.
 /// Results are in input order and BIT-IDENTICAL to the serial loop for any
 /// thread count (each task builds its own evaluator; no shared state).
-/// Each task goes to opts.counters when set as one solve with its wall
-/// time, a fallback flag when the bisection rescued it and a failure flag
-/// when the threshold was not bracketed; it records no Newton iterations.
 std::vector<std::optional<double>> exact_sweep(
     const std::vector<ExactSweepTask>& tasks,
     const ExactSweepOptions& opts = {});

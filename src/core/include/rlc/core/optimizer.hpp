@@ -30,7 +30,6 @@
 #include "rlc/core/elmore.hpp"
 #include "rlc/core/pade.hpp"
 #include "rlc/core/technology.hpp"
-#include "rlc/exec/counters.hpp"
 #include "rlc/exec/thread_pool.hpp"
 
 namespace rlc::core {
@@ -113,8 +112,7 @@ struct SweepOptions {
   OptimOptions optim{};       ///< per-point solver options
   bool parallel = true;       ///< false: exact serial reference path
   std::size_t chunk = 4;      ///< points per continuation chunk (>= 1)
-  exec::ThreadPool* pool = nullptr;    ///< null: exec::default_pool()
-  exec::Counters* counters = nullptr;  ///< optional instrumentation sink
+  exec::ThreadPool* pool = nullptr;  ///< null: exec::default_pool()
 };
 
 std::vector<OptimResult> optimize_rlc_sweep(const Technology& tech,

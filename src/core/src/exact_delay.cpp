@@ -614,15 +614,12 @@ std::vector<std::optional<double>> exact_sweep(
   struct TaskOut {
     std::optional<double> delay;
     ExactStats stats;
-    double wall = 0.0;
   };
   const auto run_one = [&opts](const ExactSweepTask& task) {
-    rlc::exec::StopWatch sw;
     TaskOut out;
     out.delay = exact_threshold_delay(task.line, task.h, task.dl,
                                       task.tau_scale, opts.f, opts.exact,
                                       &out.stats);
-    out.wall = sw.seconds();
     return out;
   };
   std::vector<TaskOut> outs;
@@ -636,12 +633,6 @@ std::vector<std::optional<double>> exact_sweep(
   std::vector<std::optional<double>> delays;
   delays.reserve(outs.size());
   for (const auto& o : outs) {
-    if (opts.counters) {
-      // An exact task runs no Newton solve: its Brent iterations live in
-      // ExactStats, not in the counters' Newton tally.
-      opts.counters->record_solve(0, o.stats.legacy_fallbacks > 0,
-                                  !o.delay.has_value(), o.wall);
-    }
     if (opts.stats) *opts.stats += o.stats;
     delays.push_back(o.delay);
   }

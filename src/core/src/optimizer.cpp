@@ -272,28 +272,14 @@ std::vector<OptimResult> optimize_rlc_sweep(const Technology& tech,
 
 namespace {
 
-/// One timed, counter-recorded point solve.
-OptimResult solve_instrumented(const Technology& tech, double l,
-                               const OptimOptions& opts,
-                               exec::Counters* counters) {
-  const exec::StopWatch sw;
-  const OptimResult r = optimize_rlc(tech, l, opts);
-  if (counters) {
-    counters->record_solve(r.newton_iterations,
-                           r.method == OptimMethod::kNelderMead, !r.converged,
-                           sw.seconds());
-  }
-  return r;
-}
-
 /// Serial warm-start continuation over l_values[begin:end) starting from
 /// `start`, writing into out[begin:end).
 void continue_serially(const Technology& tech,
                        const std::vector<double>& l_values, std::size_t begin,
                        std::size_t end, OptimOptions start,
-                       exec::Counters* counters, std::vector<OptimResult>& out) {
+                       std::vector<OptimResult>& out) {
   for (std::size_t i = begin; i < end; ++i) {
-    const OptimResult r = solve_instrumented(tech, l_values[i], start, counters);
+    const OptimResult r = optimize_rlc(tech, l_values[i], start);
     out[i] = r;
     if (r.converged) {
       start.h0 = r.h;
@@ -315,7 +301,7 @@ std::vector<OptimResult> optimize_rlc_sweep(const Technology& tech,
   // chunk-seeded path as any other size, or results would depend on the
   // thread count (the scenario determinism tests pin this down).
   if (!sweep.parallel || n <= chunk) {
-    continue_serially(tech, l_values, 0, n, sweep.optim, sweep.counters, out);
+    continue_serially(tech, l_values, 0, n, sweep.optim, out);
     return out;
   }
 
@@ -327,8 +313,7 @@ std::vector<OptimResult> optimize_rlc_sweep(const Technology& tech,
   {
     OptimOptions cur = sweep.optim;
     for (std::size_t j = 0; j < n_chunks; ++j) {
-      const OptimResult r =
-          solve_instrumented(tech, l_values[j * chunk], cur, sweep.counters);
+      const OptimResult r = optimize_rlc(tech, l_values[j * chunk], cur);
       seeds[j] = r;
       if (r.converged) {
         cur.h0 = r.h;
@@ -351,8 +336,7 @@ std::vector<OptimResult> optimize_rlc_sweep(const Technology& tech,
           start.h0 = seeds[j].h;
           start.k0 = seeds[j].k;
         }
-        continue_serially(tech, l_values, begin + 1, end, start, sweep.counters,
-                          out);
+        continue_serially(tech, l_values, begin + 1, end, start, out);
       },
       /*grain=*/1);
   return out;

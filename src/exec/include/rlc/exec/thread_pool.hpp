@@ -23,7 +23,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -33,28 +32,21 @@
 namespace rlc::exec {
 
 /// Upper bound accepted from RLC_NUM_THREADS: values above this are treated
-/// as configuration errors (fall back to the hardware count) rather than an
-/// instruction to spawn thousands of threads.
+/// as configuration errors rather than an instruction to spawn thousands of
+/// threads.
 inline constexpr std::size_t kMaxThreadCount = 4096;
 
-/// Parse an RLC_NUM_THREADS-style value.  Returns the thread count for a
-/// positive integer in [1, kMaxThreadCount]; returns 0 — "use the hardware
-/// count" — for null/empty/non-numeric/trailing-garbage input, zero,
-/// negative values, and overflow, appending a one-line diagnostic to
-/// `*warning` when provided.  Exposed for the regression tests.
-std::size_t parse_thread_count(const char* text, std::string* warning = nullptr);
-
-/// Strict variant for request-serving front-ends (rlc_run --threads,
-/// rlc_serve): null/empty means "use the hardware count" (returns 0); a
-/// valid positive integer in [1, kMaxThreadCount] is returned as-is; zero,
-/// negative, non-numeric, and overflowing values get an invalid_argument
-/// Status instead of the silent hardware-count fallback above.
+/// Parse an RLC_NUM_THREADS-style value (also rlc_run --threads and
+/// rlc_serve --threads): null means "use the hardware count" (returns 0);
+/// a positive integer in [1, kMaxThreadCount] is returned as-is; empty,
+/// zero, negative, non-numeric, trailing-garbage and overflowing values
+/// get an invalid_argument Status naming the value.
 rlc::StatusOr<std::size_t> parse_thread_count_strict(const char* text);
 
 /// Thread count used by default-constructed pools: the RLC_NUM_THREADS
-/// environment variable when set to a positive integer (validated by
-/// parse_thread_count; malformed values warn once on stderr), otherwise
-/// std::thread::hardware_concurrency() (minimum 1).
+/// environment variable when parse_thread_count_strict accepts a positive
+/// integer, otherwise std::thread::hardware_concurrency() (minimum 1).  A
+/// rejected value is reported once on stderr before the fallback.
 std::size_t default_thread_count();
 
 class ThreadPool {

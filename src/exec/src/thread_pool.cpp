@@ -36,30 +36,6 @@ struct PoolMetrics {
 
 }  // namespace
 
-std::size_t parse_thread_count(const char* text, std::string* warning) {
-  const auto reject = [&](const std::string& why) -> std::size_t {
-    if (warning) {
-      *warning = "rlc::exec: RLC_NUM_THREADS=\"" +
-                 std::string(text ? text : "") + "\" " + why +
-                 "; using hardware concurrency";
-    }
-    return 0;
-  };
-  if (!text) return 0;  // unset: hardware count, no warning
-  if (*text == '\0') return reject("is empty");
-  char* end = nullptr;
-  errno = 0;
-  const long v = std::strtol(text, &end, 10);
-  if (end == text || *end != '\0') return reject("is not an integer");
-  if (errno == ERANGE) return reject("overflows");
-  if (v <= 0) return reject("is not positive");
-  if (static_cast<unsigned long>(v) > kMaxThreadCount) {
-    return reject("exceeds the " + std::to_string(kMaxThreadCount) +
-                  "-thread limit");
-  }
-  return static_cast<std::size_t>(v);
-}
-
 rlc::StatusOr<std::size_t> parse_thread_count_strict(const char* text) {
   if (!text) return std::size_t{0};  // unset: hardware count
   const auto reject = [&](const std::string& why) {
@@ -81,13 +57,17 @@ rlc::StatusOr<std::size_t> parse_thread_count_strict(const char* text) {
 }
 
 std::size_t default_thread_count() {
-  std::string warning;
-  const std::size_t parsed =
-      parse_thread_count(std::getenv("RLC_NUM_THREADS"), &warning);
-  if (parsed > 0) return parsed;
-  if (!warning.empty()) {
+  const rlc::StatusOr<std::size_t> parsed =
+      parse_thread_count_strict(std::getenv("RLC_NUM_THREADS"));
+  if (parsed.value_or(0) > 0) return *parsed;
+  if (!parsed.is_ok()) {
     static std::atomic<bool> warned{false};
-    if (!warned.exchange(true)) std::fprintf(stderr, "%s\n", warning.c_str());
+    if (!warned.exchange(true)) {
+      std::fprintf(stderr,
+                   "rlc::exec: RLC_NUM_THREADS: %s; using hardware "
+                   "concurrency\n",
+                   parsed.status().message().c_str());
+    }
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? static_cast<std::size_t>(hw) : 1;

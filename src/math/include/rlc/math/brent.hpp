@@ -1,12 +1,9 @@
 #pragma once
 
 /// \file brent.hpp
-/// Brent's method for root finding and 1-D minimization, plus a simple
-/// bracket scanner.  Used as robust fallbacks and as cross-checks for the
-/// Newton-based solvers of the core library.
-
-#include <optional>
-#include <utility>
+/// Brent's method for root finding and 1-D minimization.  Used as robust
+/// fallbacks and as cross-checks for the Newton-based solvers of the core
+/// library.
 
 #include "rlc/base/function_ref.hpp"
 
@@ -23,11 +20,6 @@ struct BrentResult {
 /// Find a root of f in [a, b] with f(a)*f(b) <= 0 using Brent's method.
 BrentResult brent_root(rlc::FunctionRef<double(double)> f, double a,
                        double b, double tol = 1e-14, int max_iter = 200);
-
-/// Scan [a, b] in `n` uniform steps and return the first subinterval
-/// [x_i, x_{i+1}] over which f changes sign (or touches zero).
-std::optional<std::pair<double, double>> scan_bracket(
-    rlc::FunctionRef<double(double)> f, double a, double b, int n);
 
 /// Result of a 1-D minimization.
 struct MinResult {

@@ -1,7 +1,7 @@
 #pragma once
 
 /// \file newton.hpp
-/// Newton–Raphson solvers: scalar, fixed-size 2D, and general N-D with
+/// Newton–Raphson solvers: bracket-guarded scalar and fixed-size 2D, with
 /// optional damping (backtracking line search on the residual norm).
 ///
 /// The paper's optimization methodology (Sections 2.1–2.2) relies on two
@@ -36,12 +36,6 @@ struct NewtonOptions {
   bool damped = true;           ///< backtracking line search if a full step grows ||f||
   int max_backtracks = 30;
 };
-
-/// Solve f(x) = 0 from initial guess x0 given f and its derivative fprime.
-/// Returns a SolveResult whose `converged` flag must be checked by callers.
-SolveResult newton_scalar(rlc::FunctionRef<double(double)> f,
-                          rlc::FunctionRef<double(double)> fprime,
-                          double x0, const NewtonOptions& opts = {});
 
 /// Scalar Newton with a guard bracket [lo, hi]: whenever the Newton step
 /// leaves the bracket (or the derivative vanishes) a bisection step is taken

@@ -3,11 +3,10 @@
 /// \file polynomial.hpp
 /// Small polynomial utilities.  The core library's two-pole model reduces to
 /// quadratic root finding; we provide a numerically robust quadratic solver
-/// (complex-aware, cancellation-free) and generic Horner evaluation.
+/// (complex-aware, cancellation-free).
 
 #include <complex>
 #include <utility>
-#include <vector>
 
 namespace rlc::math {
 
@@ -17,12 +16,5 @@ namespace rlc::math {
 /// and widely-split real roots are both handled accurately.
 std::pair<std::complex<double>, std::complex<double>> quadratic_roots(
     double a, double b, double c);
-
-/// Horner evaluation of sum coeffs[i] * x^i (coeffs[0] is the constant term).
-double polyval(const std::vector<double>& coeffs, double x);
-
-/// Horner evaluation for complex argument.
-std::complex<double> polyval(const std::vector<double>& coeffs,
-                             std::complex<double> x);
 
 }  // namespace rlc::math

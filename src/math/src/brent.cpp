@@ -118,29 +118,6 @@ BrentResult brent_root(rlc::FunctionRef<double(double)> f, double a,
   return r;
 }
 
-std::optional<std::pair<double, double>> scan_bracket(
-    rlc::FunctionRef<double(double)> f, double a, double b, int n) {
-  if (n < 1) return std::nullopt;
-  auto& reg = obs::Registry::global();
-  static const int kScans = reg.counter("brent.bracket.scans");
-  static const int kEvals = reg.counter("brent.bracket.evals");
-  reg.add(kScans);
-  reg.add(kEvals);  // f(x0) below; each loop step adds one more
-  double x0 = a;
-  double f0 = f(x0);
-  for (int i = 1; i <= n; ++i) {
-    const double x1 = a + (b - a) * static_cast<double>(i) / n;
-    const double f1 = f(x1);
-    reg.add(kEvals);
-    if (std::isfinite(f0) && std::isfinite(f1) && f0 * f1 <= 0.0) {
-      return std::make_pair(x0, x1);
-    }
-    x0 = x1;
-    f0 = f1;
-  }
-  return std::nullopt;
-}
-
 MinResult brent_minimize(rlc::FunctionRef<double(double)> f, double a,
                          double b, double tol, int max_iter) {
   static constexpr double kGolden = 0.3819660112501051;

@@ -32,63 +32,6 @@ struct SolveScope {
 
 }  // namespace
 
-SolveResult newton_scalar(rlc::FunctionRef<double(double)> f,
-                          rlc::FunctionRef<double(double)> fprime,
-                          double x0, const NewtonOptions& opts) {
-  auto& reg = obs::Registry::global();
-  static const int kIters =
-      reg.histogram("newton.scalar.iterations", 1.0, 256.0, 16);
-  static const int kSolves = reg.counter("newton.scalar.solves");
-  static const int kFailures = reg.counter("newton.scalar.failures");
-  static const int kBacktracks = reg.counter("newton.scalar.backtracks");
-  SolveResult r;
-  SolveScope scope{kIters, kSolves, kFailures, &r.converged, &r.iterations};
-  double x = x0;
-  double fx = f(x);
-  for (int it = 0; it < opts.max_iterations; ++it) {
-    rlc::checkpoint();  // cooperative cancellation/deadline (free when unset)
-    r.iterations = it;
-    if (std::abs(fx) <= opts.f_tolerance) {
-      r.x = x;
-      r.converged = true;
-      r.residual = std::abs(fx);
-      return r;
-    }
-    const double dfx = fprime(x);
-    if (dfx == 0.0 || !std::isfinite(dfx)) break;
-    double step = -fx / dfx;
-    double xn = x + step;
-    double fxn = f(xn);
-    if (opts.damped) {
-      int bt = 0;
-      while ((!std::isfinite(fxn) || std::abs(fxn) > std::abs(fx)) &&
-             bt < opts.max_backtracks) {
-        step *= 0.5;
-        xn = x + step;
-        fxn = f(xn);
-        ++bt;
-      }
-      if (bt > 0) reg.add(kBacktracks, bt);
-    }
-    if (opts.x_tolerance > 0.0 &&
-        std::abs(step) <= opts.x_tolerance * (1.0 + std::abs(xn))) {
-      r.x = xn;
-      r.converged = std::isfinite(fxn);
-      r.residual = std::abs(fxn);
-      r.iterations = it + 1;
-      return r;
-    }
-    x = xn;
-    fx = fxn;
-    if (!std::isfinite(fx)) break;
-  }
-  r.x = x;
-  r.residual = std::abs(fx);
-  r.converged = std::isfinite(fx) && std::abs(fx) <= opts.f_tolerance;
-  if (r.converged) r.iterations = opts.max_iterations;
-  return r;
-}
-
 SolveResult newton_bisect_scalar(rlc::FunctionRef<double(double)> f,
                                  rlc::FunctionRef<double(double)> fprime,
                                  double lo, double hi,

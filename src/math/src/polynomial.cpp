@@ -29,17 +29,4 @@ std::pair<std::complex<double>, std::complex<double>> quadratic_roots(
   return {std::complex<double>{re, im}, std::complex<double>{re, -im}};
 }
 
-double polyval(const std::vector<double>& coeffs, double x) {
-  double acc = 0.0;
-  for (auto it = coeffs.rbegin(); it != coeffs.rend(); ++it) acc = acc * x + *it;
-  return acc;
-}
-
-std::complex<double> polyval(const std::vector<double>& coeffs,
-                             std::complex<double> x) {
-  std::complex<double> acc = 0.0;
-  for (auto it = coeffs.rbegin(); it != coeffs.rend(); ++it) acc = acc * x + *it;
-  return acc;
-}
-
 }  // namespace rlc::math

@@ -13,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "rlc/exec/counters.hpp"
 #include "rlc/exec/thread_pool.hpp"
 #include "rlc/scenario/result.hpp"
 #include "rlc/scenario/spec.hpp"
@@ -21,11 +20,11 @@
 namespace rlc::scenario {
 
 /// Execution services handed to a scenario function: the pool its internal
-/// sweeps should fan over (never null via pool_ref) and the counters sink
-/// the run aggregates into the result envelope.
+/// sweeps should fan over (never null via pool_ref).  Solver activity is
+/// counted by the obs registry; run_scenario attributes its delta to the
+/// result's observability block.
 struct ScenarioContext {
-  exec::ThreadPool* pool = nullptr;     ///< null: exec::default_pool()
-  exec::Counters* counters = nullptr;   ///< owned by run_scenario
+  exec::ThreadPool* pool = nullptr;  ///< null: exec::default_pool()
 
   exec::ThreadPool& pool_ref() const {
     return pool ? *pool : exec::default_pool();
@@ -86,8 +85,8 @@ void register_all_scenarios();
 ScenarioSpec quick_spec(ScenarioSpec spec);
 
 /// Validate `spec`, run the scenario on `pool` (default pool when null)
-/// with fresh counters and a stopwatch, and fill the envelope fields
-/// (name, title, spec, counters, wall_seconds, threads) on the result.
+/// between two registry snapshots, and fill the envelope fields (name,
+/// title, spec, wall_seconds, threads, observability) on the result.
 /// Exceptions from the body propagate — rlc_run catches them per scenario.
 ScenarioResult run_scenario(const Scenario& s, const ScenarioSpec& spec,
                             exec::ThreadPool* pool = nullptr);

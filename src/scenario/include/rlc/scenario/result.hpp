@@ -2,16 +2,15 @@
 
 /// \file result.hpp
 /// Structured experiment output.  Scenario functions never print — they
-/// return a ScenarioResult (tables, scalar metrics, notes, solver counters,
-/// wall time), which the rlc_run driver renders as human tables via the
-/// bench formatters and serializes as a schema-versioned BENCH_<name>.json
-/// artifact.  Separating production from presentation is what lets
+/// return a ScenarioResult (tables, scalar metrics, notes, wall time and
+/// the run's registry delta), which the rlc_run driver renders as human
+/// tables via the bench formatters and serializes as a schema-versioned
+/// BENCH_<name>.json artifact.  Separating production from presentation is what lets
 /// independent scenarios run concurrently without interleaving output.
 
 #include <string>
 #include <vector>
 
-#include "rlc/exec/counters.hpp"
 #include "rlc/io/json.hpp"
 #include "rlc/obs/metrics.hpp"
 #include "rlc/obs/trace.hpp"
@@ -29,8 +28,10 @@ namespace rlc::scenario {
 /// optional `coupling` block (multi-conductor scenarios: bus width,
 /// coupling strengths and headline noise metrics), 7 added the
 /// `telemetry` block (exporter-derived stats over the run's metrics
-/// delta: Prometheus series/byte counts plus tracer ring configuration).
-inline constexpr int kSchemaVersion = 7;
+/// delta: Prometheus series/byte counts plus tracer ring configuration),
+/// 8 dropped the `counters` block (the solver tally is read from
+/// `observability.metrics`: optimizer.calls, newton.2d.iterations, ...).
+inline constexpr int kSchemaVersion = 8;
 
 /// One table cell: a number or a short text label (e.g. "-" for a
 /// non-converged point, a technology name in a key column).
@@ -112,7 +113,6 @@ struct ScenarioResult {
   std::vector<Table> tables;
   std::vector<Metric> metrics;
   std::vector<std::string> notes;
-  exec::Counters::Snapshot counters;
   Observability observability;
   CouplingInfo coupling;  ///< filled by multi-conductor scenarios
   double wall_seconds = 0.0;
@@ -127,7 +127,7 @@ struct ScenarioResult {
 
   /// The versioned artifact envelope (see README "Machine-readable
   /// artifacts"): schema, version, bench, title, quick, threads, simd,
-  /// wall_seconds, spec{...}, counters{...}, observability{...},
+  /// wall_seconds, spec{...}, observability{...}, telemetry{...},
   /// tables[...], metrics{...}, notes[...], and `error` when the run
   /// failed.
   io::Json to_json() const;

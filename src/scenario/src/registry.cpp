@@ -1,6 +1,7 @@
 #include "rlc/scenario/registry.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <stdexcept>
 #include <unordered_map>
 
@@ -113,8 +114,7 @@ ScenarioResult run_scenario(const Scenario& s, const ScenarioSpec& spec,
   if (const rlc::Status st = spec.validate(); !st.is_ok()) {
     throw std::invalid_argument(st.to_string());
   }
-  exec::Counters counters;
-  ScenarioContext ctx{pool, &counters};
+  ScenarioContext ctx{pool};
   // Bracket the scenario body with registry/tracer snapshots so the
   // envelope can attribute activity to this run.  Exact when scenarios run
   // one at a time; under --all concurrency the deltas include whatever
@@ -124,7 +124,7 @@ ScenarioResult run_scenario(const Scenario& s, const ScenarioSpec& spec,
   const std::vector<obs::Tracer::SpanStats> spans_before =
       tracing ? obs::Tracer::global().rollup()
               : std::vector<obs::Tracer::SpanStats>{};
-  const exec::StopWatch watch;
+  const auto t0 = std::chrono::steady_clock::now();
   ScenarioResult result;
   {
     // The scenario body is itself a span (named after the scenario) so a
@@ -134,11 +134,12 @@ ScenarioResult run_scenario(const Scenario& s, const ScenarioSpec& spec,
     obs::SpanGuard span(s.name.c_str());
     result = s.fn(spec, ctx);
   }
-  result.wall_seconds = watch.seconds();
+  result.wall_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
   result.name = s.name;
   result.title = s.title;
   result.spec = spec;
-  result.counters = counters.snapshot();
   result.threads = static_cast<int>(ctx.pool_ref().size());
   result.observability.tracing = tracing;
   result.observability.metrics = obs::Registry::global()

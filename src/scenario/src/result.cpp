@@ -80,18 +80,6 @@ io::Json ScenarioResult::to_json() const {
   j.set("simd", rlc::simd::active_level_name());
   j.set("wall_seconds", wall_seconds);
   j.set("spec", spec.to_json());
-
-  io::Json counters_j;
-  counters_j.set("tasks", static_cast<long long>(counters.tasks));
-  counters_j.set("newton_iterations",
-                 static_cast<long long>(counters.newton_iterations));
-  counters_j.set("fallbacks", static_cast<long long>(counters.fallbacks));
-  counters_j.set("failures", static_cast<long long>(counters.failures));
-  counters_j.set("wall_total_s", counters.wall_total_s);
-  counters_j.set("wall_min_s", counters.wall_min_s);
-  counters_j.set("wall_max_s", counters.wall_max_s);
-  j.set("counters", counters_j);
-
   j.set("observability", observability.to_json());
 
   // schema 7: what this run's metrics delta costs to scrape.  Series is

@@ -36,7 +36,6 @@ ScenarioResult ablation_pade(const ScenarioSpec& spec, ScenarioContext& ctx) {
     sweep.f = spec.threshold;
     sweep.parallel = spec.parallel;
     sweep.pool = ctx.pool;
-    sweep.counters = ctx.counters;
     const auto exact = exact_sweep(tech, ls, rc.h, rc.k, sweep);
 
     Table t(tech.name + ": two-pole 50%-delay error vs exact Eq. (1)",
@@ -106,7 +105,6 @@ ScenarioResult ablation_ladder(const ScenarioSpec& spec,
   esw.f = spec.threshold;
   esw.parallel = spec.parallel;
   esw.pool = ctx.pool;
-  esw.counters = ctx.counters;
   const auto exact = exact_sweep(tech, ls, rc.h, rc.k, esw);
 
   for (std::size_t li = 0; li < ls.size(); ++li) {
@@ -118,10 +116,7 @@ ScenarioResult ablation_ladder(const ScenarioSpec& spec,
     // The per-nseg transients are independent: fan them over the pool.
     const auto sims =
         rlc::exec::parallel_map(ctx.pool_ref(), nsegs, [&](int nseg) {
-          const rlc::exec::StopWatch sw;
-          const double sim = spice_delay(tech, l, rc.h, rc.k, nseg, est.tau);
-          if (ctx.counters) ctx.counters->record_wall(sw.seconds());
-          return sim;
+          return spice_delay(tech, l, rc.h, rc.k, nseg, est.tau);
         });
 
     char title[96];

@@ -67,7 +67,6 @@ ScenarioResult ext_crosstalk(const ScenarioSpec& spec, ScenarioContext& ctx) {
   // solves, one noise query and one MNA transient.
   const auto rows =
       rlc::exec::parallel_map(ctx.pool_ref(), configs, [&](const Config& c) {
-        const rlc::exec::StopWatch sw;
         Row row;
         const double cc = c.ccf * line.c;
         const auto bus = rlc::tline::symmetric_bus(line, cc, c.km, 2);
@@ -100,7 +99,6 @@ ScenarioResult ext_crosstalk(const ScenarioSpec& spec, ScenarioContext& ctx) {
           row.rel_err = std::abs(row.noise.peak - row.mna_noise);
           row.ok = true;
         }
-        if (ctx.counters) ctx.counters->record_wall(sw.seconds());
         return row;
       });
 
@@ -137,7 +135,7 @@ ScenarioResult ext_crosstalk(const ScenarioSpec& spec, ScenarioContext& ctx) {
 }
 
 ScenarioResult ext_frequency_response(const ScenarioSpec& spec,
-                                      ScenarioContext& ctx) {
+                                      ScenarioContext&) {
   ScenarioResult res;
   const auto tech = Technology::nm100();
   std::vector<double> ls = spec.sweep.explicit_l;
@@ -167,9 +165,7 @@ ScenarioResult ext_frequency_response(const ScenarioSpec& spec,
         rlc::spice::log_frequencies(1e8, 2e10, spec.quick ? 2 : 4);
     ao.compute_dc_op = false;
     ao.probes = {rlc::spice::Probe::node_voltage(end, "vend")};
-    const rlc::exec::StopWatch sw;
     const auto ac = run_ac(ckt, ao);
-    if (ctx.counters) ctx.counters->record_wall(sw.seconds());
 
     char title[96];
     std::snprintf(title, sizeof title,
@@ -215,7 +211,6 @@ ScenarioResult ext_scaling_trend(const ScenarioSpec& spec,
   // Nodes are independent: one optimization chain per node, fanned out.
   const auto rows =
       rlc::exec::parallel_map(ctx.pool_ref(), nodes, [&](double node_nm) {
-        const rlc::exec::StopWatch sw;
         NodeRow row{Technology::interpolated(node_nm * 1e-9)};
         const auto rc = rc_optimum(row.tech);
         const auto at0 = optimize_rlc(row.tech, 0.0, spec.optim_options());
@@ -233,7 +228,6 @@ ScenarioResult ext_scaling_trend(const ScenarioSpec& spec,
                              atl.k));
           row.undershoot = sys.undershoot() * row.tech.vdd;
         }
-        if (ctx.counters) ctx.counters->record_wall(sw.seconds());
         return row;
       });
 
@@ -292,7 +286,6 @@ ScenarioResult ext_skin_effect(const ScenarioSpec& spec,
     // Each l is two independent bisection-inversion runs: fan out per l.
     const auto shifts =
         rlc::exec::parallel_map(ctx.pool_ref(), ls, [&](double l) {
-          const rlc::exec::StopWatch sw;
           const auto line = tech.line(l);
           const auto dl = tech.rep.scaled(rc.k);
           const auto est = segment_delay(tech.rep, line, rc.h, rc.k);
@@ -305,7 +298,6 @@ ScenarioResult ext_skin_effect(const ScenarioSpec& spec,
           Shift sh;
           sh.t_dc = delay_of(Fdc, est.tau, spec.talbot_points);
           sh.t_skin = delay_of(Fskin, est.tau, spec.talbot_points);
-          if (ctx.counters) ctx.counters->record_wall(sw.seconds());
           return sh;
         });
 

@@ -33,7 +33,6 @@ core::SweepOptions sweep_options(const ScenarioSpec& spec,
   sweep.optim = spec.optim_options();
   sweep.parallel = spec.parallel;
   sweep.pool = ctx.pool;
-  sweep.counters = ctx.counters;
   return sweep;
 }
 
@@ -273,14 +272,10 @@ ScenarioResult fig8(const ScenarioSpec& spec, ScenarioContext& ctx) {
     const auto rc = rc_optimum(techs[j]);
     const auto opt = optimize_rlc_sweep(techs[j], ls, sweep);
     // The fixed-(h, k) delay evaluations are independent: one pool task per
-    // grid point, each timed into the scenario counters.
+    // grid point.
     ratios[j] = rlc::exec::parallel_map(ctx.pool_ref(), ls, [&](double l) {
-      const rlc::exec::StopWatch sw;
-      const double fixed =
-          delay_per_length(techs[j].rep, techs[j].line(l), rc.h, rc.k,
-                           spec.threshold);
-      if (ctx.counters) ctx.counters->record_wall(sw.seconds());
-      return fixed;
+      return delay_per_length(techs[j].rep, techs[j].line(l), rc.h, rc.k,
+                              spec.threshold);
     });
     for (std::size_t i = 0; i < ls.size(); ++i) {
       ratios[j][i] =

@@ -72,7 +72,6 @@ GridEval evaluate_grid(const Technology& tech, const OptimizeRequest& req,
   dopt.f = req.optim.f;
   const auto rows =
       rlc::exec::parallel_map(ctx.pool_ref(), g.kg, [&](double k) {
-        const rlc::exec::StopWatch sw;
         std::vector<double> row;
         row.reserve(2 * g.hg.size());
         for (double h : g.hg) {
@@ -80,7 +79,6 @@ GridEval evaluate_grid(const Technology& tech, const OptimizeRequest& req,
           row.push_back(d.converged ? d.tau / h : 0.0);
           row.push_back(chain_power_per_length(tech, h, k, req.power));
         }
-        if (ctx.counters) ctx.counters->record_wall(sw.seconds());
         return row;
       });
   for (const auto& row : rows) {
@@ -120,7 +118,6 @@ ScenarioResult power_objective(const ScenarioSpec& spec, ScenarioContext& ctx,
 
   const auto solves =
       rlc::exec::parallel_map(ctx.pool_ref(), eps_list, [&](double eps) {
-        const rlc::exec::StopWatch sw;
         OptimizeRequest req = base;
         req.constraints.delay_slack_eps = eps;
         rlc::StatusOr<OptimizeResponse> resp = optimize(tech, req);
@@ -129,7 +126,6 @@ ScenarioResult power_objective(const ScenarioSpec& spec, ScenarioContext& ctx,
                                    std::to_string(eps) +
                                    "): " + resp.status().to_string());
         }
-        if (ctx.counters) ctx.counters->record_wall(sw.seconds());
         return *resp;
       });
 
@@ -190,13 +186,11 @@ ScenarioResult pareto_objective(const ScenarioSpec& spec, ScenarioContext& ctx,
   const Technology tech = technology_by_name(tech_name);
   const OptimizeRequest req = base_request(spec);
 
-  const rlc::exec::StopWatch sw;
   rlc::StatusOr<std::vector<ParetoPoint>> front =
       pareto_front(tech, req, ctx.pool);
   if (!front.is_ok()) {
     throw std::runtime_error("pareto_front: " + front.status().to_string());
   }
-  if (ctx.counters) ctx.counters->record_wall(sw.seconds());
 
   Table t("Delay-power Pareto front over the (h, k) grid (l = 1 nH/mm, " +
               tech_name + "; sorted by delay, power strictly decreasing)",

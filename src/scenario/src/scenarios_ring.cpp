@@ -43,10 +43,7 @@ ScenarioResult fig9_10(const ScenarioSpec& spec, ScenarioContext& ctx) {
   // The two ring transients are independent: fan them over the pool.
   const auto results =
       rlc::exec::parallel_map(ctx.pool_ref(), lvals, [&](double l) {
-        const rlc::exec::StopWatch sw;
-        auto r = simulate_ring(tech, ring_params(spec, l, rc.h, rc.k));
-        if (ctx.counters) ctx.counters->record_wall(sw.seconds());
-        return r;
+        return simulate_ring(tech, ring_params(spec, l, rc.h, rc.k));
       });
 
   std::vector<double> periods;
@@ -118,10 +115,7 @@ ScenarioResult fig11(const ScenarioSpec& spec, ScenarioContext& ctx) {
     // over the pool, then tabulate in grid order.
     const auto results =
         rlc::exec::parallel_map(ctx.pool_ref(), s.ls, [&](double l) {
-          const rlc::exec::StopWatch sw;
-          auto r = simulate_ring(s.tech, ring_params(spec, l, rc.h, rc.k));
-          if (ctx.counters) ctx.counters->record_wall(sw.seconds());
-          return r;
+          return simulate_ring(s.tech, ring_params(spec, l, rc.h, rc.k));
         });
 
     char title[96];
@@ -155,9 +149,7 @@ ScenarioResult fig11(const ScenarioSpec& spec, ScenarioContext& ctx) {
     const auto rc = rlc::core::rc_optimum(tech);
     const auto p = ring_params(spec, 2.6e-6, rc.h, rc.k);
     const double drive = 30.0 * rc.tau;
-    const rlc::exec::StopWatch sw;
     const auto r = simulate_buffered_line(tech, p, drive, 5);
-    if (ctx.counters) ctx.counters->record_wall(sw.seconds());
     res.metric("buffered_line_transition_ratio", r.transition_ratio);
     res.note(
         "Control: square-wave-driven 5-stage buffered line, 100 nm, l = 2.6 "
@@ -182,10 +174,7 @@ ScenarioResult fig12(const ScenarioSpec& spec, ScenarioContext& ctx) {
 
   const auto results =
       rlc::exec::parallel_map(ctx.pool_ref(), ls, [&](double l) {
-        const rlc::exec::StopWatch sw;
-        auto r = simulate_ring(tech, ring_params(spec, l, rc.h, rc.k));
-        if (ctx.counters) ctx.counters->record_wall(sw.seconds());
-        return r;
+        return simulate_ring(tech, ring_params(spec, l, rc.h, rc.k));
       });
 
   Table t("Peak and rms wire current density vs line inductance (100 nm)",

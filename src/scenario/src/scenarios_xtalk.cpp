@@ -170,7 +170,6 @@ ScenarioResult xtalk_quiet(const ScenarioSpec& spec, ScenarioContext& ctx) {
   };
   const auto rows =
       rlc::exec::parallel_map(ctx.pool_ref(), cfgs, [&](const XtalkConfig& c) {
-        const rlc::exec::StopWatch sw;
         Row row;
         const XtalkPoint p = make_point(c);
         const CoupledExcitation exc{{0.0, 0.0}, {1.0, 0.0}};
@@ -185,7 +184,6 @@ ScenarioResult xtalk_quiet(const ScenarioSpec& spec, ScenarioContext& ctx) {
           row.rel_err = waveform_rel_err(p, exc, 1, mna, probe_times(p.tau));
           row.ok = true;
         }
-        if (ctx.counters) ctx.counters->record_wall(sw.seconds());
         return row;
       });
 
@@ -261,10 +259,7 @@ ScenarioResult xtalk_switching(const ScenarioSpec& spec, ScenarioContext& ctx,
 
   const auto rows =
       rlc::exec::parallel_map(ctx.pool_ref(), cfgs, [&](const XtalkConfig& c) {
-        const rlc::exec::StopWatch sw;
-        DelayRow row = delay_row(c, pattern, spec.quick);
-        if (ctx.counters) ctx.counters->record_wall(sw.seconds());
-        return row;
+        return delay_row(c, pattern, spec.quick);
       });
 
   const char* dcol = antiphase ? "d_anti (ps)" : "d_inphase (ps)";
@@ -329,7 +324,6 @@ ScenarioResult xtalk_noise_opt(const ScenarioSpec& spec,
   };
   const auto rows =
       rlc::exec::parallel_map(ctx.pool_ref(), cases, [&](const OptCase& oc) {
-        const rlc::exec::StopWatch sw;
         const auto tech = technology_by_name(oc.tech_name);
         OptimizeRequest req;
         req.l = kXtalkL;
@@ -349,7 +343,6 @@ ScenarioResult xtalk_noise_opt(const ScenarioSpec& spec,
           throw std::runtime_error("noise-constrained solve: " +
                                    resp.status().to_string());
         }
-        if (ctx.counters) ctx.counters->record_wall(sw.seconds());
         return row;
       });
 

@@ -3,23 +3,33 @@
 /// warm-start reference point-for-point (h, k, tau within 1e-9 relative)
 /// across the Figure 4-7 inductance grids at both technology nodes, and
 /// must return results in input order for any thread count — including a
-/// pool forced to one thread via RLC_NUM_THREADS.
+/// pool forced to one thread via RLC_NUM_THREADS — and must solve every
+/// point exactly once (read from the obs registry delta).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "rlc/core/optimizer.hpp"
-#include "rlc/exec/counters.hpp"
 #include "rlc/exec/thread_pool.hpp"
+#include "rlc/obs/metrics.hpp"
 
 namespace {
 
 using namespace rlc::core;
+
+std::int64_t counter_value(const rlc::obs::MetricsSnapshot& s,
+                           const std::string& name) {
+  for (const auto& [n, v] : s.counters) {
+    if (n == name) return v;
+  }
+  return 0;
+}
 
 /// The grid behind Figures 4-7: 0..5 nH/mm in 26 points.
 std::vector<double> figure_grid() {
@@ -110,25 +120,34 @@ TEST(ParallelSweep, ParallelPathIsBitIdenticalForAnyThreadCount) {
   }
 }
 
-TEST(ParallelSweep, CountersSeeEverySolveExactlyOnce) {
+TEST(ParallelSweep, SolvesEveryPointExactlyOnce) {
   const auto ls = figure_grid();
-  const auto tech = Technology::nm250();
-  for (const bool parallel : {false, true}) {
-    rlc::exec::ThreadPool pool(4);
-    rlc::exec::Counters counters;
-    SweepOptions sweep;
-    sweep.parallel = parallel;
-    sweep.pool = &pool;
-    sweep.counters = &counters;
-    const auto rs = optimize_rlc_sweep(tech, ls, sweep);
-    ASSERT_EQ(rs.size(), ls.size());
-    const auto s = counters.snapshot();
-    EXPECT_EQ(s.tasks, static_cast<std::int64_t>(ls.size())) << parallel;
-    EXPECT_EQ(s.failures, 0) << parallel;
-    EXPECT_EQ(s.fallbacks, 0) << parallel;
-    EXPECT_GT(s.newton_iterations, 0) << parallel;
-    EXPECT_GT(s.wall_total_s, 0.0) << parallel;
-    EXPECT_GE(s.wall_max_s, s.wall_min_s) << parallel;
+  auto& reg = rlc::obs::Registry::global();
+  for (const auto& tech : {Technology::nm250(), Technology::nm100()}) {
+    for (const bool parallel : {false, true}) {
+      rlc::exec::ThreadPool pool(4);
+      SweepOptions sweep;
+      sweep.parallel = parallel;
+      sweep.pool = &pool;
+      const auto before = reg.snapshot();
+      const auto rs = optimize_rlc_sweep(tech, ls, sweep);
+      const auto delta = reg.snapshot().delta_since(before);
+      ASSERT_EQ(rs.size(), ls.size());
+      const auto n = static_cast<std::int64_t>(ls.size());
+      const auto nm = std::count_if(rs.begin(), rs.end(), [](const auto& r) {
+        return r.method == OptimMethod::kNelderMead;
+      });
+      EXPECT_TRUE(std::all_of(rs.begin(), rs.end(),
+                              [](const auto& r) { return r.converged; }))
+          << tech.name << " parallel " << parallel;
+      // One optimizer call, and one Newton solve of Eqs. (7)-(8), per point.
+      EXPECT_EQ(counter_value(delta, "optimizer.calls"), n)
+          << tech.name << " parallel " << parallel;
+      EXPECT_EQ(counter_value(delta, "newton.2d.solves"), n)
+          << tech.name << " parallel " << parallel;
+      EXPECT_EQ(counter_value(delta, "optimizer.nm_fallbacks"), nm)
+          << tech.name << " parallel " << parallel;
+    }
   }
 }
 

@@ -1,7 +1,7 @@
 /// rlc::exec unit tests: pool sizing (including the RLC_NUM_THREADS
-/// override), exact coverage and ordering of parallel_for / parallel_map,
-/// exception propagation, nested loops, and concurrent counter updates.
-/// This suite is the one CI runs under ThreadSanitizer.
+/// override and its parser), exact coverage and ordering of parallel_for /
+/// parallel_map, exception propagation and nested loops.  This suite is
+/// the one CI runs under ThreadSanitizer.
 
 #include "rlc/exec/thread_pool.hpp"
 
@@ -13,13 +13,11 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
-
-#include "rlc/exec/counters.hpp"
 
 namespace {
 
-using rlc::exec::Counters;
 using rlc::exec::ThreadPool;
 
 /// Scoped setenv/unsetenv so env-sensitive tests cannot leak state.
@@ -62,31 +60,35 @@ TEST(ThreadPool, DefaultThreadCountHonorsEnvOverride) {
 }
 
 TEST(ThreadPool, ParseThreadCountAcceptsPositiveIntegers) {
-  std::string warning;
-  EXPECT_EQ(rlc::exec::parse_thread_count("1", &warning), 1u);
-  EXPECT_EQ(rlc::exec::parse_thread_count("4", &warning), 4u);
-  EXPECT_EQ(rlc::exec::parse_thread_count("  16", &warning), 16u);
-  EXPECT_EQ(rlc::exec::parse_thread_count("4096", &warning), 4096u);
-  EXPECT_TRUE(warning.empty()) << warning;
+  for (const auto& [text, want] :
+       {std::pair<const char*, std::size_t>{"1", 1}, {"4", 4}, {"  16", 16},
+        {"4096", 4096}}) {
+    const auto got = rlc::exec::parse_thread_count_strict(text);
+    ASSERT_TRUE(got.is_ok()) << text << ": " << got.status().to_string();
+    EXPECT_EQ(*got, want) << text;
+  }
 }
 
 TEST(ThreadPool, ParseThreadCountRejectsMalformedInputWithWarning) {
-  // Each malformed value maps to 0 ("use the default") and explains itself.
+  // Each malformed value is an invalid_argument whose message quotes it
+  // (default_thread_count prints that message once and falls back).
   const char* bad[] = {"0",    "-3",   "abc", "4abc", "",
                        "1e3",  " ",    "+",   "4097",
                        "99999999999999999999"};  // ERANGE overflow
   for (const char* text : bad) {
-    std::string warning;
-    EXPECT_EQ(rlc::exec::parse_thread_count(text, &warning), 0u) << text;
-    EXPECT_NE(warning.find("RLC_NUM_THREADS"), std::string::npos) << text;
-    EXPECT_NE(warning.find("hardware concurrency"), std::string::npos) << text;
+    const auto got = rlc::exec::parse_thread_count_strict(text);
+    ASSERT_FALSE(got.is_ok()) << text;
+    EXPECT_EQ(got.status().code(), rlc::StatusCode::kInvalidArgument) << text;
+    EXPECT_NE(got.status().message().find('"' + std::string(text) + '"'),
+              std::string::npos)
+        << got.status().message();
   }
 }
 
 TEST(ThreadPool, ParseThreadCountNullIsSilentDefault) {
-  std::string warning;
-  EXPECT_EQ(rlc::exec::parse_thread_count(nullptr, &warning), 0u);
-  EXPECT_TRUE(warning.empty());  // unset env is not an error
+  const auto got = rlc::exec::parse_thread_count_strict(nullptr);
+  ASSERT_TRUE(got.is_ok());  // unset env is not an error
+  EXPECT_EQ(*got, 0u);       // 0: use the hardware count
 }
 
 TEST(ThreadPool, ParallelForRunsEveryIndexExactlyOnce) {
@@ -159,50 +161,6 @@ TEST(ThreadPool, NestedParallelForDoesNotDeadlock) {
     });
   });
   EXPECT_EQ(total.load(), 8 * 16);
-}
-
-TEST(Counters, ConcurrentRecordingAggregatesExactly) {
-  Counters counters;
-  ThreadPool pool(8);
-  const std::size_t n = 20000;
-  pool.parallel_for(n, [&](std::size_t i) {
-    counters.record_solve(static_cast<std::int64_t>(i % 5), i % 7 == 0,
-                          i % 13 == 0, 1e-6);
-  });
-  const auto s = counters.snapshot();
-  std::int64_t iters = 0, fallbacks = 0, failures = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    iters += static_cast<std::int64_t>(i % 5);
-    if (i % 7 == 0) ++fallbacks;
-    if (i % 13 == 0) ++failures;
-  }
-  EXPECT_EQ(s.tasks, static_cast<std::int64_t>(n));
-  EXPECT_EQ(s.newton_iterations, iters);
-  EXPECT_EQ(s.fallbacks, fallbacks);
-  EXPECT_EQ(s.failures, failures);
-  EXPECT_NEAR(s.wall_total_s, 1e-6 * static_cast<double>(n), 1e-9 * n);
-  EXPECT_NEAR(s.wall_min_s, 1e-6, 2e-9);
-  EXPECT_NEAR(s.wall_max_s, 1e-6, 2e-9);
-  EXPECT_NEAR(s.wall_mean_s(), 1e-6, 2e-9);
-
-  const std::string text = counters.summary("unit");
-  EXPECT_NE(text.find("unit"), std::string::npos);
-  EXPECT_NE(text.find("tasks 20000"), std::string::npos);
-
-  counters.reset();
-  const auto z = counters.snapshot();
-  EXPECT_EQ(z.tasks, 0);
-  EXPECT_EQ(z.newton_iterations, 0);
-  EXPECT_EQ(z.wall_min_s, 0.0);
-  EXPECT_EQ(z.wall_mean_s(), 0.0);
-}
-
-TEST(Counters, EmptySummaryIsWellFormed) {
-  const Counters counters;
-  const auto s = counters.snapshot();
-  EXPECT_EQ(s.tasks, 0);
-  EXPECT_EQ(s.wall_min_s, 0.0);
-  EXPECT_EQ(counters.summary().find("[solver counters]"), 0u);
 }
 
 }  // namespace

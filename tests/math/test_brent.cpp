@@ -33,19 +33,6 @@ TEST(BrentRoot, SteepFunction) {
   EXPECT_NEAR(r.x, 0.123, 1e-9);
 }
 
-TEST(ScanBracket, FindsFirstSignChange) {
-  const auto f = [](double x) { return std::sin(x); };
-  const auto b = scan_bracket(f, 1.0, 10.0, 100);
-  ASSERT_TRUE(b.has_value());
-  EXPECT_LE(b->first, 3.14159265);
-  EXPECT_GE(b->second, 3.14159265);
-}
-
-TEST(ScanBracket, NoneWhenPositive) {
-  const auto f = [](double x) { return 1.0 + x * x; };
-  EXPECT_FALSE(scan_bracket(f, -5.0, 5.0, 64).has_value());
-}
-
 TEST(BrentMinimize, Parabola) {
   const auto f = [](double x) { return (x - 2.5) * (x - 2.5) + 7.0; };
   const auto r = brent_minimize(f, 0.0, 10.0);

@@ -7,35 +7,6 @@
 namespace rlc::math {
 namespace {
 
-TEST(NewtonScalar, SqrtTwo) {
-  const auto f = [](double x) { return x * x - 2.0; };
-  const auto fp = [](double x) { return 2.0 * x; };
-  const auto r = newton_scalar(f, fp, 1.0);
-  ASSERT_TRUE(r.converged);
-  EXPECT_NEAR(r.x, std::sqrt(2.0), 1e-12);
-  EXPECT_LE(r.iterations, 8);
-}
-
-TEST(NewtonScalar, CubicFromFlatRegionNeedsDamping) {
-  // x^3 - x: near x = 1/sqrt(3) the derivative vanishes; damping keeps the
-  // iteration bounded where pure Newton overshoots wildly.
-  const auto f = [](double x) { return x * x * x - x; };
-  const auto fp = [](double x) { return 3.0 * x * x - 1.0; };
-  const auto r = newton_scalar(f, fp, 0.46);
-  ASSERT_TRUE(r.converged);
-  // Any of the three roots {-1, 0, 1} is a valid answer.
-  EXPECT_NEAR(std::abs(r.x) * (std::abs(r.x) - 1.0), 0.0, 1e-9);
-}
-
-TEST(NewtonScalar, ReportsFailureOnNoRoot) {
-  const auto f = [](double x) { return x * x + 1.0; };
-  const auto fp = [](double x) { return 2.0 * x; };
-  NewtonOptions opts;
-  opts.max_iterations = 30;
-  const auto r = newton_scalar(f, fp, 3.0, opts);
-  EXPECT_FALSE(r.converged);
-}
-
 TEST(NewtonBisect, FindsRootWithinBracket) {
   const auto f = [](double x) { return std::cos(x) - x; };
   const auto fp = [](double x) { return -std::sin(x) - 1.0; };
@@ -103,29 +74,6 @@ TEST(Newton2D, RespectsLowerBounds) {
   EXPECT_GT(r.x[0], 0.0);
   EXPECT_GT(r.x[1], 0.0);
 }
-
-// Parameterized sweep: scalar Newton must converge for a family of shifted
-// exponential equations exp(x) = a, any a > 0.
-class NewtonExpSweep : public ::testing::TestWithParam<double> {};
-
-TEST_P(NewtonExpSweep, ConvergesToLog) {
-  const double a = GetParam();
-  const auto f = [a](double x) { return std::exp(x) - a; };
-  const auto fp = [](double x) { return std::exp(x); };
-  NewtonOptions opts;
-  // Large a needs many damped steps (the full Newton step overflows exp);
-  // small a has |f'| << 1 near the root so the f-tolerance translates into
-  // a looser x accuracy.
-  opts.max_iterations = 500;
-  opts.f_tolerance = 1e-12 * std::max(a, 1.0);
-  const auto r = newton_scalar(f, fp, 0.0, opts);
-  ASSERT_TRUE(r.converged) << "a = " << a;
-  EXPECT_NEAR(r.x, std::log(a), 1e-7 * (1.0 + std::abs(std::log(a))));
-}
-
-INSTANTIATE_TEST_SUITE_P(Sweep, NewtonExpSweep,
-                         ::testing::Values(1e-4, 0.1, 0.5, 1.0, 2.0, 10.0,
-                                           1e3, 1e6));
 
 }  // namespace
 }  // namespace rlc::math

@@ -60,19 +60,5 @@ TEST(QuadraticRoots, ProductAndSumIdentities) {
   }
 }
 
-TEST(Polyval, MatchesHorner) {
-  const std::vector<double> c{1.0, -2.0, 0.5, 3.0};  // 1 - 2x + 0.5x^2 + 3x^3
-  EXPECT_NEAR(polyval(c, 2.0), 1.0 - 4.0 + 2.0 + 24.0, 1e-12);
-  EXPECT_DOUBLE_EQ(polyval({}, 5.0), 0.0);
-  EXPECT_DOUBLE_EQ(polyval({42.0}, 5.0), 42.0);
-}
-
-TEST(Polyval, ComplexArgument) {
-  const std::vector<double> c{0.0, 0.0, 1.0};  // x^2
-  const auto v = polyval(c, std::complex<double>{0.0, 1.0});
-  EXPECT_NEAR(v.real(), -1.0, 1e-15);
-  EXPECT_NEAR(v.imag(), 0.0, 1e-15);
-}
-
 }  // namespace
 }  // namespace rlc::math

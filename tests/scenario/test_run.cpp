@@ -114,7 +114,7 @@ TEST(ScenarioRun, EnvelopeJsonParsesWithSchemaFields) {
   const ScenarioResult res = run_scenario(s, spec);
   const rlc::io::JsonValue v = rlc::io::parse_json(res.to_json().str());
 
-  EXPECT_EQ(v.int_or("schema", 0), kSchemaVersion);
+  EXPECT_EQ(v.int_or("schema", 0), 8);
   EXPECT_EQ(v.string_or("bench", ""), "fig4");
   EXPECT_EQ(v.bool_or("quick", false), true);
   EXPECT_GE(v.number_or("wall_seconds", -1.0), 0.0);
@@ -129,8 +129,16 @@ TEST(ScenarioRun, EnvelopeJsonParsesWithSchemaFields) {
   EXPECT_EQ(t0.find("rows")->items()[0].items().size(),
             t0.find("columns")->items().size());
 
-  ASSERT_NE(v.find("counters"), nullptr);
-  EXPECT_GE(v.find("counters")->int_or("tasks", -1), 0);
+  // Schema 8: no counters block; the solver tally is the registry delta.
+  // Quick fig4 solves 7 inductances at each of the two nodes.
+  EXPECT_EQ(v.find("counters"), nullptr);
+  const rlc::io::JsonValue* obs = v.find("observability");
+  ASSERT_NE(obs, nullptr);
+  const rlc::io::JsonValue* metrics = obs->find("metrics");
+  ASSERT_NE(metrics, nullptr);
+  const rlc::io::JsonValue* counters = metrics->find("counters");
+  ASSERT_NE(counters, nullptr);
+  EXPECT_EQ(counters->int_or("optimizer.calls", -1), 14);
 
   // The embedded spec round-trips back to the spec that ran.
   const rlc::io::JsonValue* spec_j = v.find("spec");
