@@ -427,6 +427,29 @@ def check_invariants(name, d):
         if metrics.get("input_overshoot_V_1", 0) <= \
                 metrics.get("input_overshoot_V_0", math.inf):
             err(name, "higher-inductance ring should overshoot more")
+    elif name == "fig11":
+        # Figure 11: every ring oscillates; the 100 nm period collapses near
+        # 2 nH/mm (false switching) and the 250 nm one never does; the
+        # square-wave-driven buffered line (full runs only) switches falsely
+        # too, so the collapse is not a ring artifact.
+        for table in tables:
+            col = col_index(table, "period")
+            periods = numbers(table, col) if col is not None else []
+            if not periods or not all(p > 0 for p in periods):
+                err(name, f"'{table.get('title')}': every ring must "
+                          f"oscillate (period > 0), got {periods}")
+        onset = metrics.get("collapse_onset_100nm_nH_per_mm")
+        if onset is None or not 1.8 <= onset <= 2.2:
+            err(name, f"collapse_onset_100nm_nH_per_mm = {onset}, want the "
+                      "100 nm collapse within [1.8, 2.2] nH/mm")
+        if "collapse_onset_250nm_nH_per_mm" in metrics:
+            err(name, "the 250 nm ring must not collapse, got an onset at "
+                      f"{metrics['collapse_onset_250nm_nH_per_mm']} nH/mm")
+        if not d.get("quick", True):
+            ratio = metrics.get("buffered_line_transition_ratio")
+            if ratio is None or not ratio > 1:
+                err(name, f"buffered_line_transition_ratio = {ratio}, want "
+                          "> 1 (false switching on the buffered line)")
     elif name == "ablation_pade":
         # The two-pole model degrades with l but stays a usable delay model
         # over the paper's 0-5 nH/mm range (worst case ~14% at l = 5).

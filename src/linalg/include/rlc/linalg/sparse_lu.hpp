@@ -3,12 +3,14 @@
 /// \file sparse_lu.hpp
 /// Left-looking (Gilbert–Peierls) sparse LU with threshold partial pivoting,
 /// in the style of CSparse's cs_lu.  This is the workhorse behind the MNA
-/// circuit solver: transient analysis refactorizes a nonlinear circuit at
-/// every Newton iteration and a linear one only when (integrator, dt)
-/// changes, solving with the kept factors in between.  The factorization
-/// cost is proportional to the number of floating-point operations actually
-/// performed (important for the ladder-structured RLC circuits in this
-/// repo, which factor with almost no fill-in).
+/// circuit solver.  Transient analysis factors a linear circuit only when
+/// (integrator, dt) changes and solves with the kept factors in between; a
+/// nonlinear circuit whose devices touch few unknowns has its linear
+/// interior factored the same way (the bordered Newton solve), and any
+/// other nonlinear circuit is refactored at every Newton iteration.  The
+/// factorization cost is proportional to the number of floating-point
+/// operations actually performed (important for the ladder-structured RLC
+/// circuits in this repo, which factor with almost no fill-in).
 
 #include <vector>
 
@@ -25,6 +27,9 @@ class SparseLU {
 
   /// Solve A x = b.
   std::vector<double> solve(const std::vector<double>& b) const;
+  /// Solve A x = b into `x`, resized to size(): no allocation once `x`
+  /// holds that capacity.  `x` must not alias `b`.
+  void solve(const std::vector<double>& b, std::vector<double>& x) const;
 
   /// Numeric-only refactorization: reuse the pivot order and the symbolic
   /// pattern of the original factorization for a matrix with the SAME

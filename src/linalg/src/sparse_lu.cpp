@@ -207,10 +207,17 @@ bool SparseLU::refactor(const CscMatrix& A, double pivot_floor) {
 }
 
 std::vector<double> SparseLU::solve(const std::vector<double>& b) const {
+  std::vector<double> x;
+  solve(b, x);
+  return x;
+}
+
+void SparseLU::solve(const std::vector<double>& b,
+                     std::vector<double>& x) const {
   if (static_cast<int>(b.size()) != n_) {
     throw std::invalid_argument("SparseLU::solve: size mismatch");
   }
-  std::vector<double> x(n_, 0.0);
+  x.resize(n_);
   // Row permutation: x[pinv[i]] = b[i].
   for (int i = 0; i < n_; ++i) x[pinv_[i]] = b[i];
   // Forward substitution, L unit lower triangular (diagonal stored first).
@@ -231,7 +238,6 @@ std::vector<double> SparseLU::solve(const std::vector<double>& b) const {
       x[u_rowidx_[p]] -= u_values_[p] * xj;
     }
   }
-  return x;
 }
 
 }  // namespace rlc::linalg

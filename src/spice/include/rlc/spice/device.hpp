@@ -115,12 +115,19 @@ class Device {
   int branch_base() const { return branch_base_; }
 
   /// True if the stamp depends on the current iterate (requires Newton).
-  /// `false` is also a promise the transient engine relies on: the matrix
-  /// entries stamp() adds depend only on (analysis, integrator, dt) — never
-  /// on the time, the iterate, the source scale or the device's history,
-  /// all of which may reach the right-hand side only.  A circuit of such
-  /// devices is factored once per (analysis, integrator, dt, gmin) and then
-  /// stepped on the right-hand side alone.
+  /// Either answer is also a promise the transient engine relies on.
+  ///
+  /// `false`: the matrix entries stamp() adds depend only on (analysis,
+  /// integrator, dt) — never on the time, the iterate, the source scale or
+  /// the device's history.  The right-hand side ignores the iterate: it may
+  /// depend only on the time, integrator, dt, source scale and history.  A
+  /// circuit of such devices is factored once per (analysis, integrator,
+  /// dt, gmin) and then stepped on the right-hand side alone; in a
+  /// nonlinear circuit their right-hand side is stamped once per step.
+  ///
+  /// `true`: stamp() adds the same (row, col) sequence at every iterate and
+  /// writes the right-hand side only on those rows, so the bordered Newton
+  /// solve can find the rows and columns these devices touch from one stamp.
   virtual bool nonlinear() const { return false; }
 
   /// Contribute to the MNA system for the given context.

@@ -73,12 +73,19 @@ struct TransientResult {
   long steps_accepted = 0;
   long steps_rejected = 0;
   long newton_iterations = 0;
-  /// LU factorizations of the step matrices, full plus numeric-only (the
-  /// initial DC solve's are not counted).  A linear circuit factors only
-  /// when (integrator, dt) changes from one step to the next, so a fixed-dt
-  /// run with backward-Euler start-up steps factors twice; a nonlinear one
+  /// Sparse LU factorizations, full plus numeric-only (the initial DC
+  /// solve's are not counted).  A linear circuit factors only when
+  /// (integrator, dt) changes from one step to the next, so a fixed-dt run
+  /// with backward-Euler start-up steps factors twice.  A nonlinear circuit
+  /// whose devices touch few unknowns (a ring of inverters on RLC ladders)
+  /// factors its linear interior as often and solves each Newton iteration
+  /// on the small border those devices touch; any other nonlinear circuit
   /// factors once per Newton iteration.
   long factorizations = 0;
+  /// Dense LU factorizations of the border system, one per Newton
+  /// iteration that took the bordered solve (0 when none did); a singular
+  /// one, which hands its iteration to the full path, counts too.
+  long border_factorizations = 0;
 
   /// Signal by label; throws std::out_of_range if unknown.
   const std::vector<double>& signal(const std::string& label) const;

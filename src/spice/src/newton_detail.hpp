@@ -26,7 +26,7 @@ struct NewtonOutcome {
   int iterations = 0;
 };
 
-/// What fixes the matrix of a linear circuit (see Device::nonlinear()).
+/// What fixes the matrix of the linear devices (see Device::nonlinear()).
 struct FactorKey {
   Analysis analysis = Analysis::kDc;
   Integrator method = Integrator::kTrapezoidal;
@@ -35,35 +35,81 @@ struct FactorKey {
   bool operator==(const FactorKey&) const = default;
 };
 
+/// The bordered (Schur-complement) form of a transient Newton iteration.
+/// The unknowns split into a border B, every row and column a nonlinear
+/// device stamps plus any unknown whose row or column has no entry in the
+/// rest, and the interior I, which only linear devices touch.  Per key the
+/// constant interior block is factored once, with W = A_II^-1 A_IB and the
+/// dense base S0 = A_BB,lin - A_BI W; per step the linear right-hand side
+/// gives y_I = A_II^-1 z_I and r_B = z_B - A_BI y_I; per Newton iteration
+/// the nonlinear devices stamp into a copy of S0 and r_B, a dense |B| x |B|
+/// solve gives x_B, and x_I = y_I - W x_B.
+struct BorderedSolve {
+  std::optional<FactorKey> key;  ///< the key the members below were set for
+  bool usable = false;  ///< false: the full path serves this key
+  std::vector<const Device*> linear, nonlinear;
+  std::vector<int> border, interior;  ///< unknown indices, ascending
+  std::vector<int> pos;  ///< unknown -> its index within its own block
+  std::vector<char> in_border;
+  rlc::linalg::TripletCompressor compressor;  ///< assembles A_II
+  std::unique_ptr<rlc::linalg::SparseLU> lu;  ///< factors A_II
+  std::vector<rlc::linalg::Triplet> a_bi;  ///< (border pos, interior pos, value)
+  std::vector<double> w;   ///< W, column-major |I| x |B|
+  std::vector<int> w_lo, w_hi;  ///< nonzero row range of each column of W
+  std::vector<double> s0;  ///< S0, row-major |B| x |B|
+  std::vector<double> y, r;  ///< y_I and r_B of the current step
+  // Scratch reused across iterations, so an iteration allocates nothing.
+  std::vector<rlc::linalg::Triplet> triplets;
+  std::vector<double> rhs, z, s, xb, xi;
+};
+
 /// Reusable state across Newton iterations and time steps of one analysis:
-/// the cached triplet-to-CSC mapping and the last LU factors.  A linear
-/// circuit reuses the factors as they are while `key` holds (set only while
-/// `lu` factors the matrix of that key); otherwise the factors serve
-/// numeric-only refactorization, keyed on the MNA sparsity pattern, which
-/// is stable within an analysis.
+/// the cached triplet-to-CSC mapping and the last LU factors of the full
+/// path, and the bordered solve.  A linear circuit reuses the full path's
+/// factors as they are while `key` holds (set only while `lu` factors the
+/// matrix of that key); otherwise the factors serve numeric-only
+/// refactorization, keyed on the MNA sparsity pattern, which is stable
+/// within an analysis.
 struct SolveWorkspace {
   rlc::linalg::TripletCompressor compressor;
   std::unique_ptr<rlc::linalg::SparseLU> lu;
   std::optional<FactorKey> key;
   std::vector<rlc::linalg::Triplet> triplets;
   std::vector<double> rhs;
+  BorderedSolve bordered;
+  /// Sparse factorizations, of the full matrix or of the bordered interior.
   long full_factorizations = 0;
   long refactorizations = 0;
+  long border_factorizations = 0;  ///< dense LUs of the bordered system
 };
 
-/// Assemble the MNA system at the context's iterate and solve it once.  A
-/// linear circuit whose key matches the kept factors stamps only the
-/// right-hand side and solves with them; any other call restamps the
-/// matrix and refactors, reusing the workspace's symbolic information when
-/// the pattern allows.  Returns the raw solution of A x = z (not an
-/// increment).
-std::vector<double> assemble_and_solve(const Circuit& ckt,
-                                       const StampContext& ctx, double gshunt,
-                                       SolveWorkspace& ws);
+/// Each assembles the MNA system at the context's iterate and solves it
+/// once, returning the raw solution of A x = z (not an increment).
+///
+/// The full path: a linear circuit whose key matches the kept factors
+/// stamps only the right-hand side and solves with them; any other call
+/// restamps every device and refactors, reusing the workspace's symbolic
+/// information when the pattern allows.
+std::vector<double> solve_full(const Circuit& ckt, const StampContext& ctx,
+                               double gshunt, SolveWorkspace& ws);
+
+/// The bordered path; nullopt when it does not apply: DC analysis, an
+/// empty border or interior, a border of more than a quarter of the
+/// unknowns, or a singular interior (for the whole key) or border (for
+/// this iteration).  The caller then takes solve_full.  `new_step` is true
+/// on the first Newton iteration of a solve; false reuses the linear
+/// right-hand side of the previous call, which Device::nonlinear()
+/// promises does not depend on the iterate.
+std::optional<std::vector<double>> solve_bordered(const Circuit& ckt,
+                                                  const StampContext& ctx,
+                                                  double gshunt,
+                                                  SolveWorkspace& ws,
+                                                  bool new_step);
 
 /// Newton-Raphson on the circuit equations with the given base context
 /// (analysis type, time, dt, gmin, source_scale are taken from `ctx`).
-/// `x` holds the initial guess on entry and the solution on success.
+/// `x` holds the initial guess on entry and the solution on success.  Each
+/// iteration takes solve_bordered where it applies, solve_full otherwise.
 NewtonOutcome newton_solve(const Circuit& ckt, StampContext ctx,
                            const NewtonSettings& st, int n_node_unknowns,
                            std::vector<double>& x, SolveWorkspace& ws);

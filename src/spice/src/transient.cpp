@@ -7,6 +7,7 @@
 
 #include "newton_detail.hpp"
 #include "rlc/obs/metrics.hpp"
+#include "rlc/obs/trace.hpp"
 #include "rlc/spice/dcop.hpp"
 
 namespace rlc::spice {
@@ -49,16 +50,26 @@ struct TransientScope {
     static const int kNewton = reg.counter("spice.transient.newton_iterations");
     static const int kFactorizations =
         reg.counter("spice.transient.factorizations");
+    static const int kBorderFactorizations =
+        reg.counter("spice.transient.border_factorizations");
     reg.add(kRuns);
     reg.add(kSteps, *steps);
     reg.add(kNewton, *newton_iterations);
     reg.add(kFactorizations, ws->full_factorizations + ws->refactorizations);
+    reg.add(kBorderFactorizations, ws->border_factorizations);
   }
 };
+
+void record_factorizations(TransientResult& res,
+                           const detail::SolveWorkspace& ws) {
+  res.factorizations = ws.full_factorizations + ws.refactorizations;
+  res.border_factorizations = ws.border_factorizations;
+}
 
 }  // namespace
 
 TransientResult run_transient(Circuit& ckt, const TransientOptions& opts) {
+  RLC_TRACE_SPAN("spice_transient");
   if (!(opts.tstop > 0.0) || !(opts.dt > 0.0) || opts.dt > opts.tstop) {
     throw std::invalid_argument("run_transient: need 0 < dt <= tstop");
   }
@@ -155,7 +166,7 @@ TransientResult run_transient(Circuit& ckt, const TransientOptions& opts) {
       successes_at_reduced_dt = 0;
       if (dt_cur < dt_min) {
         res.completed = false;
-        res.factorizations = ws.full_factorizations + ws.refactorizations;
+        record_factorizations(res, ws);
         return res;
       }
       continue;
@@ -189,11 +200,13 @@ TransientResult run_transient(Circuit& ckt, const TransientOptions& opts) {
       dt_cur = std::min(opts.dt, dt_cur * std::clamp(grow, 0.5, 2.0));
     }
 
-    // Accept the step.
-    x_prev2 = x_prev1;
-    x_prev1 = x_try;
+    // Accept the step.  Only the LTE control reads the history.
+    if (opts.adaptive_lte) {
+      x_prev2.swap(x_prev1);
+      x_prev1 = x_try;
+    }
     dt_prev = dt_cur;
-    x = x_try;
+    x.swap(x_try);
     ctx.x = &x;
     for (const auto& dev : ckt.devices()) dev->commit_step(ctx);
     t = ctx.time;
@@ -208,7 +221,7 @@ TransientResult run_transient(Circuit& ckt, const TransientOptions& opts) {
   }
   res.steps_accepted = accepted;
   res.completed = true;
-  res.factorizations = ws.full_factorizations + ws.refactorizations;
+  record_factorizations(res, ws);
   return res;
 }
 

@@ -37,12 +37,9 @@ std::vector<linalg::Triplet> matrix_stamp(const Device& dev,
   return triplets;
 }
 
-TEST(LinearDeviceContract, MatrixStampDependsOnlyOnAnalysisIntegratorAndDt) {
-  // The factor-once key is (analysis, integrator, dt, gmin): every device
-  // whose nonlinear() is false must stamp the same matrix at any time,
-  // iterate, source scale and companion history.  A time-varying linear
-  // device added later fails here instead of reusing stale factors.
-  Circuit c;
+/// One of each linear device, eleven in all; returns the pulsed voltage
+/// source, whose right-hand side moves with time.
+const VSource& add_linear_devices(Circuit& c) {
   const NodeId a = c.node("a"), b = c.node("b"), d = c.node("d");
   const NodeId p = c.node("p"), q = c.node("q");
   const PulseSpec pulse{0.0, 1.0, 1e-10, 2e-11, 2e-11, 1e-10, 5e-10};
@@ -58,6 +55,16 @@ TEST(LinearDeviceContract, MatrixStampDependsOnlyOnAnalysisIntegratorAndDt) {
   c.add_isource("Idc", a, c.ground(), DcSpec{1e-3});
   c.add_isource("Ipulse", b, d, pulse);
   c.finalize();
+  return vpulse;
+}
+
+TEST(LinearDeviceContract, MatrixStampDependsOnlyOnAnalysisIntegratorAndDt) {
+  // The factor-once key is (analysis, integrator, dt, gmin): every device
+  // whose nonlinear() is false must stamp the same matrix at any time,
+  // iterate, source scale and companion history.  A time-varying linear
+  // device added later fails here instead of reusing stale factors.
+  Circuit c;
+  const VSource& vpulse = add_linear_devices(c);
   const int n = c.unknown_count();
 
   std::vector<double> x1(static_cast<std::size_t>(n), 0.0), x2(x1.size());
@@ -93,6 +100,50 @@ TEST(LinearDeviceContract, MatrixStampDependsOnlyOnAnalysisIntegratorAndDt) {
           if (dev.get() == &vpulse && an == Analysis::kTransient) {
             EXPECT_NE(rhs1, rhs2);  // the two contexts really differ
           }
+          ++checked;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(checked, 11 * 8);
+}
+
+TEST(LinearDeviceContract, RightHandSideIgnoresTheIterate) {
+  // The bordered Newton solve stamps the linear devices' right-hand side
+  // once per step and keeps it across the step's iterations: at a fixed
+  // time, history and source scale, two different iterates must give the
+  // same right-hand side, bit for bit.
+  Circuit c;
+  add_linear_devices(c);
+  const int n = c.unknown_count();
+
+  std::vector<double> x1(static_cast<std::size_t>(n), 0.0), x2(x1.size());
+  for (std::size_t i = 0; i < x2.size(); ++i) x2[i] = 0.1 + 0.37 * i;
+  std::vector<double> history(x1.size());
+  for (std::size_t i = 0; i < history.size(); ++i) history[i] = 0.05 * i - 0.2;
+  std::vector<double> rhs1(x1.size()), rhs2(x1.size());
+
+  int checked = 0;
+  for (const auto& dev : c.devices()) {
+    ASSERT_FALSE(dev->nonlinear()) << dev->name();
+    for (Analysis an : {Analysis::kDc, Analysis::kTransient}) {
+      for (Integrator m : {Integrator::kTrapezoidal, Integrator::kBackwardEuler}) {
+        for (double dt : {1e-12, 3e-12}) {
+          StampContext first;
+          first.analysis = an;
+          first.method = m;
+          first.dt = dt;
+          first.time = 1.3e-10;  // mid-edge of the pulse
+          first.source_scale = 0.5;
+          first.x = &history;
+          dev->init_history(first);
+          dev->commit_step(first);  // nonzero companion history
+          first.x = &x1;
+          StampContext second = first;
+          second.x = &x2;
+          matrix_stamp(*dev, first, rhs1);
+          matrix_stamp(*dev, second, rhs2);
+          EXPECT_EQ(rhs1, rhs2) << dev->name();  // bitwise
           ++checked;
         }
       }
