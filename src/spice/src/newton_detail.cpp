@@ -12,14 +12,16 @@ namespace {
 
 using rlc::linalg::Triplet;
 
-/// The one limit on the bordered solve: a border of more than this share
-/// of the unknowns takes the full path, where the split leaves little
-/// interior to factor once and the dense O(|B|^3) LU of every iteration
-/// nears the size of the whole system.  There is no cap in unknowns: on
-/// rings of 5 to 121 inverter stages driving 6-segment ladders (97 to 2301
-/// unknowns, borders of 12 to 244) a bordered Newton iteration was 3.5-15x
-/// cheaper than the full path's, whose sparse LU fills in superlinearly.
-constexpr double kMaxBorderShare = 0.25;
+/// The one limit on the bordered solve.  Its dense border LU costs about
+/// |B|^3 / 3 per Newton iteration; the full path costs at least a constant
+/// per unknown (a restamp, a compression and a sparse LU that at best barely
+/// fills in).  A border with |B|^3 over this many times the unknown count
+/// takes the full path.  On inverter chains, whose full-path LU does not
+/// fill in, the bordered iteration stopped being the cheaper one between
+/// |B|^3 / n = 186 and 308; on rings, whose full-path LU fills in, it stays
+/// cheaper well past that, at every border share measured (EXPERIMENTS.md,
+/// "Border size limit").
+constexpr double kMaxBorderCubePerUnknown = 250.0;
 
 /// Gaussian elimination with partial pivoting of the row-major n x n matrix
 /// `a`, applied to `b` as it goes, then back substitution: `b` becomes the
@@ -127,7 +129,10 @@ void setup_bordered(const Circuit& ckt, const StampContext& ctx,
   }
   const int nb = static_cast<int>(bs.border.size());
   const int ni = static_cast<int>(bs.interior.size());
-  if (nb == 0 || ni == 0 || nb > kMaxBorderShare * n) return;
+  if (nb == 0 || ni == 0 ||
+      static_cast<double>(nb) * nb * nb > kMaxBorderCubePerUnknown * n) {
+    return;
+  }
 
   // Split the linear matrix into its blocks; A_IB lands in W's columns.
   std::vector<Triplet> a_ii;
@@ -148,22 +153,20 @@ void setup_bordered(const Circuit& ckt, const StampContext& ctx,
       bs.s0[static_cast<std::size_t>(r) * nb + c] += t.value;
     }
   }
-  // Factor A_II, numeric-only while its pattern holds (as solve_full does).
-  const auto& a = bs.compressor.compress(ni, ni, a_ii);
+  // Factor A_II afresh, with fresh pivoting: the factors serve the whole
+  // key, so digits lost to another key's pivot order would stay in W, S0
+  // and every y_I.
   try {
-    if (bs.lu != nullptr && bs.compressor.reused() && bs.lu->size() == ni &&
-        bs.lu->refactor(a)) {
-      ++ws.refactorizations;
-    } else {
-      bs.lu = std::make_unique<rlc::linalg::SparseLU>(a);
-      ++ws.full_factorizations;
-    }
+    bs.lu = std::make_unique<rlc::linalg::SparseLU>(
+        rlc::linalg::CscMatrix::from_triplets(ni, ni, a_ii));
   } catch (const std::runtime_error&) {
     bs.lu.reset();
     return;
   }
+  ++ws.full_factorizations;
   // W = A_II^-1 A_IB, one solve per border column, trimmed to the rows it
-  // reaches; then S0 = A_BB,lin - A_BI W.
+  // reaches (the x_I update skips the rest: 14% more mna_ring ops/s,
+  // EXPERIMENTS.md); then S0 = A_BB,lin - A_BI W.
   std::vector<double> col;
   bs.w_lo.assign(static_cast<std::size_t>(nb), 0);
   bs.w_hi.assign(static_cast<std::size_t>(nb), 0);

@@ -51,7 +51,6 @@ struct BorderedSolve {
   std::vector<int> border, interior;  ///< unknown indices, ascending
   std::vector<int> pos;  ///< unknown -> its index within its own block
   std::vector<char> in_border;
-  rlc::linalg::TripletCompressor compressor;  ///< assembles A_II
   std::unique_ptr<rlc::linalg::SparseLU> lu;  ///< factors A_II
   std::vector<rlc::linalg::Triplet> a_bi;  ///< (border pos, interior pos, value)
   std::vector<double> w;   ///< W, column-major |I| x |B|
@@ -77,7 +76,8 @@ struct SolveWorkspace {
   std::vector<rlc::linalg::Triplet> triplets;
   std::vector<double> rhs;
   BorderedSolve bordered;
-  /// Sparse factorizations, of the full matrix or of the bordered interior.
+  /// Fresh sparse factorizations, of the full matrix or of the bordered
+  /// interior, and the full path's numeric-only ones.
   long full_factorizations = 0;
   long refactorizations = 0;
   long border_factorizations = 0;  ///< dense LUs of the bordered system
@@ -94,12 +94,13 @@ std::vector<double> solve_full(const Circuit& ckt, const StampContext& ctx,
                                double gshunt, SolveWorkspace& ws);
 
 /// The bordered path; nullopt when it does not apply: DC analysis, an
-/// empty border or interior, a border of more than a quarter of the
-/// unknowns, or a singular interior (for the whole key) or border (for
-/// this iteration).  The caller then takes solve_full.  `new_step` is true
-/// on the first Newton iteration of a solve; false reuses the linear
-/// right-hand side of the previous call, which Device::nonlinear()
-/// promises does not depend on the iterate.
+/// empty border or interior, a border whose dense LU would cost more than
+/// the full path (|B|^3 over a fixed multiple of the unknown count), or a
+/// singular interior (for the whole key) or border (for this iteration).
+/// The caller then takes solve_full.  `new_step` is true on the first
+/// Newton iteration of a solve; false reuses the linear right-hand side of
+/// the previous call, which Device::nonlinear() promises does not depend
+/// on the iterate.
 std::optional<std::vector<double>> solve_bordered(const Circuit& ckt,
                                                   const StampContext& ctx,
                                                   double gshunt,

@@ -249,9 +249,9 @@ TEST(Bordered, EachIterationMatchesTheFullSparseLu) {
     }
     EXPECT_EQ(compared, 240);
     EXPECT_EQ(bordered.border_factorizations, 240);
-    // Two keys: one interior factorization each, the second numeric-only.
-    EXPECT_EQ(bordered.full_factorizations, 1);
-    EXPECT_EQ(bordered.refactorizations, 1);
+    // Two keys: one fresh interior factorization each.
+    EXPECT_EQ(bordered.full_factorizations, 2);
+    EXPECT_EQ(bordered.refactorizations, 0);
   }
 }
 
@@ -320,15 +320,21 @@ TEST(Bordered, LoneInverterTakesTheFullPath) {
   EXPECT_EQ(r.border_factorizations, 0);
 }
 
-TEST(Bordered, BorderShareDecidesThePath) {
-  // One-segment ladders leave a border of 12 in 22 unknowns, over the
-  // quarter share: the full path.  A 41-stage ring keeps a share of 84 in
-  // 781 and solves on its border, however many unknowns that is.
+TEST(Bordered, BorderSizeDecidesThePath) {
+  // The bordered solve declines a border whose |B|^3 exceeds 250 times the
+  // unknown count, whatever its share.  One-segment ladders leave a border
+  // of 12 in 22 unknowns (55%, 1728 / 22 = 79): bordered.  A 21-stage ring
+  // on 6-segment ladders has a border of 44 in 401 (212 per unknown):
+  // bordered.  A 15-stage ring on one-segment ladders has 32 in 62 (528 per
+  // unknown): the full path.
   struct Shape {
     int stages, nseg, unknowns;
     bool bordered;
   };
-  for (const Shape& shape : {Shape{5, 1, 22, false}, Shape{41, 6, 781, true}}) {
+  for (const Shape& shape : {Shape{5, 1, 22, true}, Shape{21, 6, 401, true},
+                             Shape{15, 1, 62, false}}) {
+    SCOPED_TRACE(std::to_string(shape.stages) + " stages, " +
+                 std::to_string(shape.nseg) + " segments");
     Ring ring;
     build_ring(benchmark_rings()[0], ring, shape.stages, shape.nseg);
     ring.opts.tstop = 40 * ring.opts.dt;
@@ -361,7 +367,7 @@ TEST(Bordered, CountsReachTheRegistryOncePerTransient) {
   const auto r = run_transient(ring.ckt, ring.opts);
   auto delta = reg.snapshot().delta_since(before);
   ASSERT_TRUE(r.completed);
-  EXPECT_EQ(r.factorizations, 2);  // one full, one numeric-only
+  EXPECT_EQ(r.factorizations, 2);  // one per key
   EXPECT_EQ(r.border_factorizations, 5249);
   EXPECT_EQ(counter(delta, "spice.transient.runs"), 1);
   EXPECT_EQ(counter(delta, "spice.transient.newton_iterations"), 5249);
