@@ -5,7 +5,7 @@ Two modes:
 
   validate_bench_json.py ARTIFACT_DIR
       The BENCH_<name>.json artifacts rlc_run --json emits.  Checks
-      1. the schema-8 envelope for EVERY artifact (field types, version
+      1. the schema-9 envelope for EVERY artifact (field types, version
          stamp, simd level, rectangular tables, finite numbers, embedded
          spec, observability block, telemetry block, optional coupling
          block),
@@ -32,7 +32,7 @@ import re
 import sys
 from pathlib import Path
 
-SCHEMA_VERSION = 8
+SCHEMA_VERSION = 9
 SERVE_SCHEMA_VERSION = 1
 LOAD_SCHEMA_VERSION = 2
 VERSION_RE = re.compile(r"^\d+\.\d+\.\d+$")
@@ -113,6 +113,8 @@ def check_envelope(name, d):
 
     if d["spec"].get("scenario") != name:
         err(name, f"spec.scenario {d['spec'].get('scenario')!r} != {name!r}")
+    if "parallel" in d["spec"]:
+        err(name, "spec carries the `parallel` switch schema 9 dropped")
     if d["threads"] < 1 or d["wall_seconds"] < 0:
         err(name, "threads/wall_seconds out of range")
 

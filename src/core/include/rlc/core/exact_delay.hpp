@@ -162,8 +162,7 @@ struct ExactSweepTask {
 
 struct ExactSweepOptions {
   ExactOptions exact;
-  double f = 0.5;       ///< threshold fraction
-  bool parallel = true;  ///< fan out over the rlc::exec pool
+  double f = 0.5;  ///< threshold fraction
   rlc::exec::ThreadPool* pool = nullptr;  ///< null: default_pool()
   ExactStats* stats = nullptr;  ///< aggregated engine stats (deterministic)
 };

@@ -23,14 +23,12 @@
 /// validation, typed Status results, coupled buses, the noise budget and
 /// the power objective.
 
-#include <cstddef>
 #include <vector>
 
 #include "rlc/core/delay.hpp"
 #include "rlc/core/elmore.hpp"
 #include "rlc/core/pade.hpp"
 #include "rlc/core/technology.hpp"
-#include "rlc/exec/thread_pool.hpp"
 
 namespace rlc::core {
 
@@ -90,33 +88,12 @@ OptimResult optimize_rlc(const Repeater& rep, const tline::LineParams& line,
 OptimResult optimize_rlc(const Technology& tech, double l,
                          const OptimOptions& opts = {});
 
-/// Sweep over inductance values with warm starts (each solve starts from the
-/// previous optimum, the natural continuation for Figures 4-8).  Shorthand
-/// for the serial SweepOptions path below.
+/// Sweep over inductance values with warm starts: each solve starts from
+/// the previous converged optimum, the natural continuation for Figures
+/// 4-8, along which Newton stays in the minimum's basin.  Serial by design:
+/// every point depends on the one before it.
 std::vector<OptimResult> optimize_rlc_sweep(const Technology& tech,
                                             const std::vector<double>& l_values,
                                             const OptimOptions& opts = {});
-
-/// Execution policy for optimize_rlc_sweep: serial continuation (the
-/// reference path above) or the chunked-continuation parallel path.
-///
-/// The parallel path preserves warm-start semantics in two phases: a serial
-/// pre-pass runs the continuation over every `chunk`-th point only,
-/// producing a converged seed per chunk; the chunks then run concurrently
-/// on the pool, each continuing serially from its seed.  Every point is
-/// solved exactly once (chunk starts reuse the pre-pass result), all solves
-/// are Newton-converged to the same residual tolerance, so the results
-/// match the serial path to solver precision and are returned in input
-/// order for any thread count.
-struct SweepOptions {
-  OptimOptions optim{};       ///< per-point solver options
-  bool parallel = true;       ///< false: exact serial reference path
-  std::size_t chunk = 4;      ///< points per continuation chunk (>= 1)
-  exec::ThreadPool* pool = nullptr;  ///< null: exec::default_pool()
-};
-
-std::vector<OptimResult> optimize_rlc_sweep(const Technology& tech,
-                                            const std::vector<double>& l_values,
-                                            const SweepOptions& sweep);
 
 }  // namespace rlc::core

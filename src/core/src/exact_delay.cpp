@@ -622,14 +622,9 @@ std::vector<std::optional<double>> exact_sweep(
                                       &out.stats);
     return out;
   };
-  std::vector<TaskOut> outs;
-  if (opts.parallel && tasks.size() > 1) {
-    auto& pool = opts.pool ? *opts.pool : rlc::exec::default_pool();
-    outs = rlc::exec::parallel_map(pool, tasks, run_one);
-  } else {
-    outs.reserve(tasks.size());
-    for (const auto& t : tasks) outs.push_back(run_one(t));
-  }
+  auto& pool = opts.pool ? *opts.pool : rlc::exec::default_pool();
+  const std::vector<TaskOut> outs =
+      rlc::exec::parallel_map(pool, tasks, run_one);
   std::vector<std::optional<double>> delays;
   delays.reserve(outs.size());
   for (const auto& o : outs) {

@@ -264,81 +264,16 @@ OptimResult optimize_rlc(const Technology& tech, double l,
 std::vector<OptimResult> optimize_rlc_sweep(const Technology& tech,
                                             const std::vector<double>& l_values,
                                             const OptimOptions& opts) {
-  SweepOptions serial;
-  serial.optim = opts;
-  serial.parallel = false;
-  return optimize_rlc_sweep(tech, l_values, serial);
-}
-
-namespace {
-
-/// Serial warm-start continuation over l_values[begin:end) starting from
-/// `start`, writing into out[begin:end).
-void continue_serially(const Technology& tech,
-                       const std::vector<double>& l_values, std::size_t begin,
-                       std::size_t end, OptimOptions start,
-                       std::vector<OptimResult>& out) {
-  for (std::size_t i = begin; i < end; ++i) {
-    const OptimResult r = optimize_rlc(tech, l_values[i], start);
-    out[i] = r;
-    if (r.converged) {
-      start.h0 = r.h;
-      start.k0 = r.k;
+  std::vector<OptimResult> out;
+  out.reserve(l_values.size());
+  OptimOptions start = opts;
+  for (double l : l_values) {
+    out.push_back(optimize_rlc(tech, l, start));
+    if (out.back().converged) {
+      start.h0 = out.back().h;
+      start.k0 = out.back().k;
     }
   }
-}
-
-}  // namespace
-
-std::vector<OptimResult> optimize_rlc_sweep(const Technology& tech,
-                                            const std::vector<double>& l_values,
-                                            const SweepOptions& sweep) {
-  const std::size_t n = l_values.size();
-  std::vector<OptimResult> out(n);
-  if (n == 0) return out;
-  const std::size_t chunk = sweep.chunk > 0 ? sweep.chunk : 1;
-  // No pool-size shortcut here: a 1-thread pool must take the same
-  // chunk-seeded path as any other size, or results would depend on the
-  // thread count (the scenario determinism tests pin this down).
-  if (!sweep.parallel || n <= chunk) {
-    continue_serially(tech, l_values, 0, n, sweep.optim, out);
-    return out;
-  }
-
-  // Phase 1 (serial): continuation over the chunk-start points only; each
-  // result seeds one chunk and doubles as that point's final answer, so the
-  // total solve count equals the serial path's.
-  const std::size_t n_chunks = (n + chunk - 1) / chunk;
-  std::vector<OptimResult> seeds(n_chunks);
-  {
-    OptimOptions cur = sweep.optim;
-    for (std::size_t j = 0; j < n_chunks; ++j) {
-      const OptimResult r = optimize_rlc(tech, l_values[j * chunk], cur);
-      seeds[j] = r;
-      if (r.converged) {
-        cur.h0 = r.h;
-        cur.k0 = r.k;
-      }
-    }
-  }
-
-  // Phase 2 (parallel): chunks are independent given their seeds; each
-  // writes a disjoint slice of `out`, so ordering is by construction.
-  exec::ThreadPool& pool = sweep.pool ? *sweep.pool : exec::default_pool();
-  pool.parallel_for(
-      n_chunks,
-      [&](std::size_t j) {
-        const std::size_t begin = j * chunk;
-        const std::size_t end = std::min(begin + chunk, n);
-        out[begin] = seeds[j];
-        OptimOptions start = sweep.optim;
-        if (seeds[j].converged) {
-          start.h0 = seeds[j].h;
-          start.k0 = seeds[j].k;
-        }
-        continue_serially(tech, l_values, begin + 1, end, start, out);
-      },
-      /*grain=*/1);
   return out;
 }
 

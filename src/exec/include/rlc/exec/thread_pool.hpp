@@ -1,9 +1,12 @@
 #pragma once
 
 /// \file thread_pool.hpp
-/// Fixed-size thread pool and data-parallel loops for the sweep-shaped
-/// workloads of this library (inductance sweeps of the stationarity solve,
-/// randomized test trials, figure-bench grids).
+/// Fixed-size thread pool and data-parallel loops for the independent
+/// tasks of this library: exact-delay sweeps (one exact solve per task),
+/// Pareto fronts (one power solve per repeater size), scenario grids,
+/// batched service queries and randomized test trials.  Warm-started
+/// l-sweeps of the (h, k) optimizer are not among them: each point starts
+/// from the previous optimum, so they run serially.
 ///
 /// Design constraints, in order:
 ///   * determinism — parallel_for / parallel_map produce results identical
@@ -11,8 +14,8 @@
 ///   * no oversubscription — one pool, sized once from the hardware (or the
 ///     RLC_NUM_THREADS override), shared by default across all callers;
 ///   * simplicity — a single mutex-protected task queue, no work stealing;
-///     sweep tasks are coarse (one Newton solve each), so queue contention
-///     is negligible against solve cost.
+///     tasks are coarse (a whole solve each), so queue contention is
+///     negligible against solve cost.
 ///
 /// The calling thread participates in the loop: a pool of size n spawns
 /// n - 1 workers, so size 1 means "run inline, spawn nothing" and the

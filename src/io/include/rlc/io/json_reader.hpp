@@ -10,6 +10,7 @@
 /// Not a general-purpose parser: documents are expected to fit in memory
 /// and parse errors throw std::runtime_error with a byte offset.
 
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -35,7 +36,9 @@ class JsonValue {
   /// Object lookup (first match); nullptr when absent or not an object.
   const JsonValue* find(const std::string& key) const;
 
-  /// Lookup with defaults, for tolerant spec parsing.
+  /// Lookup with defaults, for tolerant parsing of trusted documents.
+  /// int_or truncates toward zero; an untrusted integer field goes through
+  /// exact_int instead.
   double number_or(const std::string& key, double fallback) const;
   long long int_or(const std::string& key, long long fallback) const;
   bool bool_or(const std::string& key, bool fallback) const;
@@ -50,6 +53,13 @@ class JsonValue {
   std::vector<JsonValue> items_;
   std::vector<std::pair<std::string, JsonValue>> members_;
 };
+
+/// `d` as an int when it is integral and within int's range; nullopt for
+/// fractions, NaN, infinities and out-of-range magnitudes.  The check runs
+/// before any conversion: casting an out-of-range double to an integer is
+/// undefined behaviour, and untrusted JSON can carry 1e300.  Every integer
+/// field of a request or spec is read through here.
+std::optional<int> exact_int(double d);
 
 /// Parse a complete JSON document; trailing non-whitespace is an error.
 JsonValue parse_json(const std::string& text);

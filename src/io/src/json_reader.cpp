@@ -1,8 +1,10 @@
 #include "rlc/io/json_reader.hpp"
 
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <stdexcept>
 
 namespace rlc::io {
@@ -63,6 +65,14 @@ std::string JsonValue::string_or(const std::string& key,
                                  std::string fallback) const {
   const JsonValue* v = find(key);
   return v && v->kind_ == Kind::kString ? v->string_ : std::move(fallback);
+}
+
+std::optional<int> exact_int(double d) {
+  constexpr double kMin = static_cast<double>(std::numeric_limits<int>::min());
+  constexpr double kMax = static_cast<double>(std::numeric_limits<int>::max());
+  // NaN fails both comparisons and is rejected with the out-of-range values.
+  if (!(d >= kMin && d <= kMax) || std::trunc(d) != d) return std::nullopt;
+  return static_cast<int>(d);
 }
 
 class Parser {

@@ -30,8 +30,10 @@ namespace rlc::scenario {
 /// `telemetry` block (exporter-derived stats over the run's metrics
 /// delta: Prometheus series/byte counts plus tracer ring configuration),
 /// 8 dropped the `counters` block (the solver tally is read from
-/// `observability.metrics`: optimizer.calls, newton.2d.iterations, ...).
-inline constexpr int kSchemaVersion = 8;
+/// `observability.metrics`: optimizer.calls, newton.2d.iterations, ...),
+/// 9 dropped `spec.parallel` (sweeps are serial warm starts; only
+/// independent tasks fan out over the pool).
+inline constexpr int kSchemaVersion = 9;
 
 /// One table cell: a number or a short text label (e.g. "-" for a
 /// non-converged point, a technology name in a key column).

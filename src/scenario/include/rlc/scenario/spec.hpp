@@ -60,7 +60,6 @@ struct ScenarioSpec {
   int segments_per_line = 12;  ///< pi-ladder segments for SPICE experiments
   int ring_stages = 5;         ///< ring-oscillator stages (odd)
   bool quick = false;          ///< reduced grids for CI smoke runs
-  bool parallel = true;        ///< fan sweeps over the rlc::exec pool
   int max_newton_iterations = 80;
   double residual_tol = 1e-9;
   int talbot_points = 48;      ///< exact-engine contour size

@@ -34,7 +34,6 @@ ScenarioResult ablation_pade(const ScenarioSpec& spec, ScenarioContext& ctx) {
     ExactSweepOptions sweep;
     sweep.exact = spec.exact_options();
     sweep.f = spec.threshold;
-    sweep.parallel = spec.parallel;
     sweep.pool = ctx.pool;
     const auto exact = exact_sweep(tech, ls, rc.h, rc.k, sweep);
 
@@ -103,7 +102,6 @@ ScenarioResult ablation_ladder(const ScenarioSpec& spec,
   ExactSweepOptions esw;
   esw.exact = spec.exact_options();
   esw.f = spec.threshold;
-  esw.parallel = spec.parallel;
   esw.pool = ctx.pool;
   const auto exact = exact_sweep(tech, ls, rc.h, rc.k, esw);
 

@@ -1,8 +1,8 @@
-/// Paper scenarios: Table 1 and Figures 2, 4-8.  Each body is the faithful
-/// port of the corresponding legacy bench binary's computation — identical
-/// call sequences and solver options, so the numeric series are unchanged
-/// (bit-identical for fig4/fig7, verified by tests/scenario) — but results
-/// are returned as tables/metrics instead of printed.
+/// Paper scenarios: Table 1 and Figures 2, 4-8.  Each body ports the
+/// corresponding legacy bench binary's computation — the same grids and
+/// solver options — but returns tables/metrics instead of printing.
+/// Figures 4-8 run one warm-start l-sweep per technology node (see
+/// sweep_nodes); fig4/fig7 are pinned bit-for-bit by tests/scenario.
 
 #include <algorithm>
 #include <cmath>
@@ -27,13 +27,16 @@ namespace {
 
 using namespace rlc::core;
 
-core::SweepOptions sweep_options(const ScenarioSpec& spec,
-                                 ScenarioContext& ctx) {
-  core::SweepOptions sweep;
-  sweep.optim = spec.optim_options();
-  sweep.parallel = spec.parallel;
-  sweep.pool = ctx.pool;
-  return sweep;
+/// One l-sweep per technology node.  Each sweep is a serial warm-start
+/// continuation, but the nodes are independent of each other, so they fan
+/// out over the scenario's pool (bit-identical for any pool size).
+std::vector<std::vector<OptimResult>> sweep_nodes(
+    const std::vector<Technology>& techs, const std::vector<double>& ls,
+    const ScenarioSpec& spec, ScenarioContext& ctx) {
+  const OptimOptions opts = spec.optim_options();
+  return rlc::exec::parallel_map(
+      ctx.pool_ref(), techs,
+      [&](const Technology& t) { return optimize_rlc_sweep(t, ls, opts); });
 }
 
 ScenarioResult table1(const ScenarioSpec&, ScenarioContext&) {
@@ -151,9 +154,9 @@ ScenarioResult fig4(const ScenarioSpec& spec, ScenarioContext& ctx) {
   const auto ls = spec.sweep.values();
   const Technology t250 = Technology::nm250();
   const Technology t100 = Technology::nm100();
-  const auto sweep = sweep_options(spec, ctx);
-  const auto r250 = optimize_rlc_sweep(t250, ls, sweep);
-  const auto r100 = optimize_rlc_sweep(t100, ls, sweep);
+  const auto sweeps = sweep_nodes({t250, t100}, ls, spec, ctx);
+  const auto& r250 = sweeps[0];
+  const auto& r100 = sweeps[1];
 
   Table t("l_crit(h_optRLC, k_optRLC) vs line inductance l",
           {"l (nH/mm)", "lcrit 250nm (nH/mm)", "lcrit 100nm (nH/mm)"});
@@ -176,9 +179,9 @@ ScenarioResult fig5(const ScenarioSpec& spec, ScenarioContext& ctx) {
   const auto ls = spec.sweep.values();
   const auto t250 = Technology::nm250();
   const auto t100 = Technology::nm100();
-  const auto sweep = sweep_options(spec, ctx);
-  const auto r250 = optimize_rlc_sweep(t250, ls, sweep);
-  const auto r100 = optimize_rlc_sweep(t100, ls, sweep);
+  const auto sweeps = sweep_nodes({t250, t100}, ls, spec, ctx);
+  const auto& r250 = sweeps[0];
+  const auto& r100 = sweeps[1];
   const double h250 = rc_optimum(t250).h;
   const double h100 = rc_optimum(t100).h;
 
@@ -200,9 +203,9 @@ ScenarioResult fig6(const ScenarioSpec& spec, ScenarioContext& ctx) {
   const auto ls = spec.sweep.values();
   const auto t250 = Technology::nm250();
   const auto t100 = Technology::nm100();
-  const auto sweep = sweep_options(spec, ctx);
-  const auto r250 = optimize_rlc_sweep(t250, ls, sweep);
-  const auto r100 = optimize_rlc_sweep(t100, ls, sweep);
+  const auto sweeps = sweep_nodes({t250, t100}, ls, spec, ctx);
+  const auto& r250 = sweeps[0];
+  const auto& r100 = sweeps[1];
   const double k250 = rc_optimum(t250).k;
   const double k100 = rc_optimum(t100).k;
 
@@ -229,11 +232,10 @@ ScenarioResult fig6(const ScenarioSpec& spec, ScenarioContext& ctx) {
 ScenarioResult fig7(const ScenarioSpec& spec, ScenarioContext& ctx) {
   ScenarioResult res;
   const auto ls = spec.sweep.values();
-  const Technology techs[] = {Technology::nm250(), Technology::nm100(),
-                              Technology::nm100_with_250nm_dielectric()};
-  const auto sweep = sweep_options(spec, ctx);
-  std::vector<std::vector<OptimResult>> sweeps;
-  for (const auto& t : techs) sweeps.push_back(optimize_rlc_sweep(t, ls, sweep));
+  const std::vector<Technology> techs{
+      Technology::nm250(), Technology::nm100(),
+      Technology::nm100_with_250nm_dielectric()};
+  const auto sweeps = sweep_nodes(techs, ls, spec, ctx);
 
   Table t("(tau/h)_RLC-opt / (tau/h)_opt-at-l=0 vs line inductance l",
           {"l (nH/mm)", "250nm", "100nm", "100nm(c=250nm)"});
@@ -265,12 +267,12 @@ ScenarioResult fig8(const ScenarioSpec& spec, ScenarioContext& ctx) {
   ScenarioResult res;
   const auto ls = spec.sweep.values();
   double worst[2] = {0.0, 0.0};
-  const Technology techs[] = {Technology::nm250(), Technology::nm100()};
-  const auto sweep = sweep_options(spec, ctx);
+  const std::vector<Technology> techs{Technology::nm250(), Technology::nm100()};
+  const auto sweeps = sweep_nodes(techs, ls, spec, ctx);
   std::vector<std::vector<double>> ratios(2);
   for (int j = 0; j < 2; ++j) {
     const auto rc = rc_optimum(techs[j]);
-    const auto opt = optimize_rlc_sweep(techs[j], ls, sweep);
+    const auto& opt = sweeps[j];
     // The fixed-(h, k) delay evaluations are independent: one pool task per
     // grid point.
     ratios[j] = rlc::exec::parallel_map(ctx.pool_ref(), ls, [&](double l) {

@@ -2,8 +2,8 @@
 /// repo's own perf trajectory:
 ///   * perf_solvers — Eq. (3) delay solve ("less than four iterations in
 ///     all cases"), the (h, k) optimization ("less than six iterations"),
-///     sweep scaling serial vs parallel, and the supporting kernels
-///     (sparse LU, transient steps, Nelder-Mead fallback);
+///     the Nelder-Mead fallback and the supporting kernels (sparse LU,
+///     transient steps);
 ///   * perf_exact — the legacy-vs-engine exact-delay head-to-head whose
 ///     metrics (speedup, accuracy) future PRs regress-check.
 ///
@@ -61,7 +61,7 @@ double time_s(F&& fn, int reps) {
 
 // ---------------------------------------------------------------- solvers
 
-ScenarioResult perf_solvers(const ScenarioSpec& spec, ScenarioContext& ctx) {
+ScenarioResult perf_solvers(const ScenarioSpec& spec, ScenarioContext&) {
   ScenarioResult res;
   const int reps = spec.quick ? 3 : 5;
   const auto tech = Technology::nm100();
@@ -140,34 +140,6 @@ ScenarioResult perf_solvers(const ScenarioSpec& spec, ScenarioContext& ctx) {
     res.metric("newton_us", s_newton * 1e6);
     res.metric("nelder_mead_slowdown", s_nm / s_newton);
   }
-
-  // Sweep scaling: serial vs the chunked-continuation parallel path.
-  Table sweep_t("Inductance-sweep scaling (65-point grid, 250 nm)",
-                {"variant", "threads", "median wall (ms)"});
-  {
-    const auto t250 = Technology::nm250();
-    std::vector<double> ls;
-    const int n = spec.quick ? 32 : 64;
-    for (int i = 0; i <= n; ++i) ls.push_back(5e-6 * i / n);
-    double wall[2] = {0.0, 0.0};
-    for (int parallel = 0; parallel < 2; ++parallel) {
-      SweepOptions sweep;
-      sweep.optim = spec.optim_options();
-      sweep.parallel = parallel != 0;
-      sweep.pool = ctx.pool;
-      wall[parallel] = time_s(
-          [&] {
-            const auto rs = optimize_rlc_sweep(t250, ls, sweep);
-            g_sink = rs.back().delay_per_length;
-          },
-          reps);
-      sweep_t.row({parallel ? "parallel" : "serial",
-                   parallel ? static_cast<double>(ctx.pool_ref().size()) : 1.0,
-                   wall[parallel] * 1e3});
-    }
-    res.metric("sweep_parallel_speedup", wall[0] / wall[1]);
-  }
-  res.tables.push_back(std::move(sweep_t));
 
   // Supporting kernels: sparse LU on ladder matrices, one segment transient.
   Table kern_t("Supporting kernels",

@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cmath>
+#include <optional>
 #include <stdexcept>
 
 namespace rlc::scenario {
@@ -27,6 +28,18 @@ std::vector<double> numbers_of(const io::JsonValue& v, const char* where) {
     out.push_back(item.as_number());
   }
   return out;
+}
+
+/// Integer member `key` of `obj`: absent or non-numeric keeps `fallback`,
+/// like the other tolerant accessors, but a number that is not an int is
+/// rejected rather than truncated.
+int int_field(const io::JsonValue& obj, const char* key, int fallback,
+              const std::string& where) {
+  const io::JsonValue* f = obj.find(key);
+  if (!f || f->kind() != io::JsonValue::Kind::kNumber) return fallback;
+  const std::optional<int> i = io::exact_int(f->as_number());
+  if (!i) invalid(where + key + " must be an integer");
+  return *i;
 }
 
 }  // namespace
@@ -132,7 +145,6 @@ io::Json ScenarioSpec::to_json() const {
   j.set("segments_per_line", segments_per_line);
   j.set("ring_stages", ring_stages);
   j.set("quick", quick);
-  j.set("parallel", parallel);
   j.set("max_newton_iterations", max_newton_iterations);
   j.set("residual_tol", residual_tol);
   j.set("talbot_points", talbot_points);
@@ -153,24 +165,25 @@ rlc::StatusOr<ScenarioSpec> ScenarioSpec::from_json(const io::JsonValue& v) {
       }
       spec.sweep.l_min = sw->number_or("l_min", spec.sweep.l_min);
       spec.sweep.l_max = sw->number_or("l_max", spec.sweep.l_max);
-      spec.sweep.points = static_cast<int>(sw->int_or("points", spec.sweep.points));
+      spec.sweep.points =
+          int_field(*sw, "points", spec.sweep.points, "spec.sweep.");
       if (const io::JsonValue* ex = sw->find("explicit_l")) {
         spec.sweep.explicit_l = numbers_of(*ex, "spec.sweep.explicit_l");
       }
     }
     spec.threshold = v.number_or("threshold", spec.threshold);
     spec.segments_per_line =
-        static_cast<int>(v.int_or("segments_per_line", spec.segments_per_line));
-    spec.ring_stages = static_cast<int>(v.int_or("ring_stages", spec.ring_stages));
+        int_field(v, "segments_per_line", spec.segments_per_line, "spec.");
+    spec.ring_stages = int_field(v, "ring_stages", spec.ring_stages, "spec.");
     spec.quick = v.bool_or("quick", spec.quick);
-    spec.parallel = v.bool_or("parallel", spec.parallel);
-    spec.max_newton_iterations = static_cast<int>(
-        v.int_or("max_newton_iterations", spec.max_newton_iterations));
+    spec.max_newton_iterations = int_field(
+        v, "max_newton_iterations", spec.max_newton_iterations, "spec.");
     spec.residual_tol = v.number_or("residual_tol", spec.residual_tol);
     spec.talbot_points =
-        static_cast<int>(v.int_or("talbot_points", spec.talbot_points));
+        int_field(v, "talbot_points", spec.talbot_points, "spec.");
   } catch (const std::exception& e) {
-    // numbers_of / the tolerant accessors throw on shape mismatches.
+    // numbers_of, int_field and the tolerant accessors throw on shape
+    // mismatches.
     return rlc::Status::invalid_argument(e.what());
   }
   if (rlc::Status st = spec.validate(); !st.is_ok()) return st;

@@ -2,7 +2,7 @@
 
 #include <cmath>
 #include <cstdint>
-#include <limits>
+#include <optional>
 
 namespace rlc::svc {
 
@@ -172,18 +172,9 @@ rlc::Status take_number(const io::JsonValue& v, const char* key,
 rlc::Status take_int(const io::JsonValue& v, const char* key, int* out) {
   double d = *out;
   if (rlc::Status st = take_number(v, key, &d); !st.is_ok()) return st;
-  // Range-check before casting: float-to-int conversion of an out-of-range
-  // double (an untrusted {"max_iterations": 1e300}) is undefined behavior,
-  // so the cast must not run until the value is known to fit.  NaN fails
-  // the >= comparison and is rejected the same way.
-  constexpr double kIntMin =
-      static_cast<double>(std::numeric_limits<int>::min());
-  constexpr double kIntMax =
-      static_cast<double>(std::numeric_limits<int>::max());
-  if (!(d >= kIntMin) || !(d <= kIntMax) || std::nearbyint(d) != d) {
-    return bad(std::string(key) + " must be an integer");
-  }
-  *out = static_cast<int>(d);
+  const std::optional<int> i = io::exact_int(d);
+  if (!i) return bad(std::string(key) + " must be an integer");
+  *out = *i;
   return rlc::Status::ok();
 }
 

@@ -5,7 +5,7 @@
 #include <cmath>
 #include <random>
 
-#include "rlc/math/derivative.hpp"
+#include "support/derivative.hpp"
 
 namespace rlc::core {
 namespace {

@@ -266,19 +266,24 @@ TEST(ExactEngine, OptionValidation) {
 TEST(ExactEngine, SweepParallelMatchesSerialBitIdentical) {
   // exact_sweep must be deterministic: every task builds its own evaluator
   // and contours, so the parallel fan-out returns bit-identical delays to
-  // the serial loop for any thread count, in input order.
+  // a plain loop of exact_threshold_delay calls for any thread count, in
+  // input order.
   const auto tech = Technology::nm250();
   const auto rc = rc_optimum(tech);
   std::vector<double> ls;
   for (int i = 0; i <= 10; ++i) ls.push_back(5.0e-6 * i / 10.0);
 
-  ExactSweepOptions serial;
-  serial.parallel = false;
+  std::vector<std::optional<double>> ref;
   ExactStats serial_stats;
-  serial.stats = &serial_stats;
-  const auto ref = exact_sweep(tech, ls, rc.h, rc.k, serial);
-  ASSERT_EQ(ref.size(), ls.size());
-  for (const auto& d : ref) ASSERT_TRUE(d.has_value());
+  for (double l : ls) {
+    // exact_sweep's search scale: the two-pole delay, which converges on
+    // this grid.
+    const auto d = segment_delay(tech.rep, tech.line(l), rc.h, rc.k);
+    ASSERT_TRUE(d.converged) << l;
+    ref.push_back(exact_threshold_delay(tech, l, rc.h, rc.k, d.tau, 0.5,
+                                        ExactOptions{}, &serial_stats));
+    ASSERT_TRUE(ref.back().has_value()) << l;
+  }
 
   auto& reg = rlc::obs::Registry::global();
   const auto threshold_calls = [&reg] {

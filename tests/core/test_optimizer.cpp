@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 namespace rlc::core {
 namespace {
@@ -114,16 +116,23 @@ TEST(Optimizer, SweepTrendsMatchFigures5And6) {
 
 TEST(Optimizer, SweepNewtonStaysWithinPaperIterationClaim) {
   // "convergence is achieved in less than six iterations in all cases" —
-  // holds with warm-started continuation along the sweep.
-  const auto tech = Technology::nm250();
-  std::vector<double> ls;
-  for (int i = 0; i <= 50; ++i) ls.push_back(i * 0.1e-6);
-  const auto rs = optimize_rlc_sweep(tech, ls);
-  for (std::size_t i = 0; i < rs.size(); ++i) {
-    ASSERT_TRUE(rs[i].converged);
-    EXPECT_EQ(rs[i].method, OptimMethod::kNewton) << "l index " << i;
-    if (i > 0) {
-      EXPECT_LE(rs[i].newton_iterations, 6) << "l index " << i;
+  // holds with warm-started continuation along the sweep, at both paper
+  // nodes, on the quick (7-point) and full (26-point) figure grids as well
+  // as a 51-point one: Newton answers every point.
+  for (const auto& tech : {Technology::nm250(), Technology::nm100()}) {
+    for (const int points : {7, 26, 51}) {
+      std::vector<double> ls;
+      for (int i = 0; i < points; ++i) ls.push_back(5.0e-6 * i / (points - 1));
+      const auto rs = optimize_rlc_sweep(tech, ls);
+      for (std::size_t i = 0; i < rs.size(); ++i) {
+        SCOPED_TRACE(tech.name + ", " + std::to_string(points) +
+                     "-point grid, l index " + std::to_string(i));
+        ASSERT_TRUE(rs[i].converged);
+        EXPECT_EQ(rs[i].method, OptimMethod::kNewton);
+        if (i > 0) {
+          EXPECT_LE(rs[i].newton_iterations, 6);
+        }
+      }
     }
   }
 }

@@ -5,7 +5,7 @@
 #include <cmath>
 #include <tuple>
 
-#include "rlc/math/derivative.hpp"
+#include "support/derivative.hpp"
 #include "rlc/tline/transfer.hpp"
 
 namespace rlc::core {

@@ -1,4 +1,4 @@
-#include "rlc/laplace/stehfest.hpp"
+#include "support/stehfest.hpp"
 
 #include <gtest/gtest.h>
 

@@ -1,4 +1,4 @@
-#include "rlc/math/derivative.hpp"
+#include "support/derivative.hpp"
 
 #include <gtest/gtest.h>
 

@@ -1,10 +1,13 @@
-/// End-to-end scenario runs: fig4 and fig7 must reproduce the retired
-/// standalone binaries bit-for-bit, results must be deterministic across
-/// thread counts, and the JSON envelope must parse back with the schema
-/// fields rlc_run artifacts promise.
+/// End-to-end scenario runs: fig4 and fig7 must equal their computation
+/// (the retired standalone binaries' grids and options along the serial
+/// warm-start sweep) bit-for-bit, the figure sweeps must be Newton-only,
+/// results must be deterministic across thread counts, and the JSON
+/// envelope must parse back with the schema fields rlc_run artifacts
+/// promise.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -12,13 +15,13 @@
 #include "rlc/core/optimizer.hpp"
 #include "rlc/exec/thread_pool.hpp"
 #include "rlc/io/json_reader.hpp"
+#include "rlc/obs/metrics.hpp"
 #include "rlc/scenario/registry.hpp"
 
 namespace {
 
 using namespace rlc::scenario;
 using rlc::core::OptimResult;
-using rlc::core::SweepOptions;
 using rlc::core::Technology;
 
 const Scenario& scenario(const std::string& name) {
@@ -28,9 +31,9 @@ const Scenario& scenario(const std::string& name) {
   return *s;
 }
 
-/// The exact computation bench/fig4_lcrit.cpp performed before it was
-/// retired: default 26-point sweep, default solver options, critical
-/// inductance at the RLC-optimal (h, k) per node.
+/// The computation of the retired bench/fig4_lcrit.cpp: default 26-point
+/// sweep, default solver options, critical inductance at the RLC-optimal
+/// (h, k) per node, along the serial warm-start sweep.
 TEST(ScenarioRun, Fig4MatchesLegacyBinaryBitExactly) {
   const Scenario& s = scenario("fig4");
   const ScenarioResult res = run_scenario(s, s.defaults);
@@ -42,9 +45,8 @@ TEST(ScenarioRun, Fig4MatchesLegacyBinaryBitExactly) {
   for (int i = 0; i <= 25; ++i) ls.push_back(5.0e-6 * i / 25);
   const Technology t250 = Technology::nm250();
   const Technology t100 = Technology::nm100();
-  const SweepOptions sweep;  // the legacy binary used the defaults
-  const auto r250 = optimize_rlc_sweep(t250, ls, sweep);
-  const auto r100 = optimize_rlc_sweep(t100, ls, sweep);
+  const auto r250 = optimize_rlc_sweep(t250, ls);
+  const auto r100 = optimize_rlc_sweep(t100, ls);
 
   ASSERT_EQ(t.rows.size(), ls.size());
   for (std::size_t i = 0; i < ls.size(); ++i) {
@@ -73,11 +75,8 @@ TEST(ScenarioRun, Fig7MatchesLegacyBinaryBitExactly) {
   for (int i = 0; i <= 25; ++i) ls.push_back(5.0e-6 * i / 25);
   const Technology techs[] = {Technology::nm250(), Technology::nm100(),
                               Technology::nm100_with_250nm_dielectric()};
-  const SweepOptions sweep;
   std::vector<std::vector<OptimResult>> sweeps;
-  for (const auto& tech : techs) {
-    sweeps.push_back(optimize_rlc_sweep(tech, ls, sweep));
-  }
+  for (const auto& tech : techs) sweeps.push_back(optimize_rlc_sweep(tech, ls));
 
   ASSERT_EQ(t.rows.size(), ls.size());
   for (std::size_t i = 0; i < ls.size(); ++i) {
@@ -88,6 +87,37 @@ TEST(ScenarioRun, Fig7MatchesLegacyBinaryBitExactly) {
                 sweeps[j][i].delay_per_length / sweeps[j][0].delay_per_length)
           << "row " << i << " tech " << j;
     }
+  }
+}
+
+std::int64_t counter(const rlc::obs::MetricsSnapshot& m,
+                     const std::string& name) {
+  for (const auto& [n, v] : m.counters) {
+    if (n == name) return v;
+  }
+  return 0;  // the delta drops zero counters
+}
+
+/// The paper's Newton claim holds along every figure sweep: run one at a
+/// time (so the registry delta is the scenario's own), quick fig4-fig8
+/// solve each grid point once per technology node, and Newton answers all
+/// of them without the Nelder-Mead fallback.
+TEST(ScenarioRun, FigureSweepsAreAnsweredByNewtonAlone) {
+  const struct {
+    const char* name;
+    int nodes;
+  } figures[] = {{"fig4", 2}, {"fig5", 2}, {"fig6", 2}, {"fig7", 3},
+                 {"fig8", 2}};
+  for (const auto& fig : figures) {
+    const Scenario& s = scenario(fig.name);
+    const ScenarioSpec spec = quick_spec(s.defaults);
+    const ScenarioResult res = run_scenario(s, spec);
+    ASSERT_TRUE(res.error.empty()) << fig.name << ": " << res.error;
+    const auto& m = res.observability.metrics;
+    EXPECT_EQ(counter(m, "optimizer.nm_fallbacks"), 0) << fig.name;
+    EXPECT_EQ(counter(m, "optimizer.calls"),
+              static_cast<std::int64_t>(spec.sweep.values().size()) * fig.nodes)
+        << fig.name;
   }
 }
 
@@ -114,7 +144,7 @@ TEST(ScenarioRun, EnvelopeJsonParsesWithSchemaFields) {
   const ScenarioResult res = run_scenario(s, spec);
   const rlc::io::JsonValue v = rlc::io::parse_json(res.to_json().str());
 
-  EXPECT_EQ(v.int_or("schema", 0), 8);
+  EXPECT_EQ(v.int_or("schema", 0), 9);
   EXPECT_EQ(v.string_or("bench", ""), "fig4");
   EXPECT_EQ(v.bool_or("quick", false), true);
   EXPECT_GE(v.number_or("wall_seconds", -1.0), 0.0);
@@ -132,6 +162,9 @@ TEST(ScenarioRun, EnvelopeJsonParsesWithSchemaFields) {
   // Schema 8: no counters block; the solver tally is the registry delta.
   // Quick fig4 solves 7 inductances at each of the two nodes.
   EXPECT_EQ(v.find("counters"), nullptr);
+  // Schema 9: the embedded spec has no `parallel` switch.
+  ASSERT_NE(v.find("spec"), nullptr);
+  EXPECT_EQ(v.find("spec")->find("parallel"), nullptr);
   const rlc::io::JsonValue* obs = v.find("observability");
   ASSERT_NE(obs, nullptr);
   const rlc::io::JsonValue* metrics = obs->find("metrics");

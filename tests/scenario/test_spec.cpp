@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace {
@@ -106,7 +107,6 @@ TEST(ScenarioSpec, JsonRoundTripPreservesEveryField) {
   s.segments_per_line = 20;
   s.ring_stages = 7;
   s.quick = true;
-  s.parallel = false;
   s.max_newton_iterations = 55;
   s.residual_tol = 1e-11;
   s.talbot_points = 64;
@@ -135,14 +135,63 @@ TEST(ScenarioSpec, FromJsonReturnsStatusNotThrow) {
 }
 
 TEST(ScenarioSpec, FromJsonToleratesMissingFields) {
-  const ScenarioSpec s =
-      ScenarioSpec::from_json_text("{\"scenario\": \"fig4\"}").value();
-  EXPECT_EQ(s.scenario, "fig4");
-  EXPECT_EQ(s, [] {
+  const ScenarioSpec want = [] {
     ScenarioSpec d;
     d.scenario = "fig4";
     return d;
-  }());  // everything else at defaults
+  }();  // everything else at defaults
+  // A spec that still sends the retired `parallel` switch (schema <= 8
+  // artifacts) parses too: unknown keys are ignored.
+  for (const char* text : {"{\"scenario\": \"fig4\"}",
+                           "{\"scenario\": \"fig4\", \"parallel\": false}"}) {
+    const auto s = ScenarioSpec::from_json_text(text);
+    ASSERT_TRUE(s.is_ok()) << text << ": " << s.status().to_string();
+    EXPECT_EQ(*s, want) << text;
+  }
+}
+
+TEST(ScenarioSpec, FromJsonRejectsNonIntegralAndOutOfRangeInts) {
+  // Each integer field takes only a number that is an int: a fraction, a
+  // value that wraps into int range (2^32 + a valid value) and one whose
+  // conversion would be undefined all come back as invalid_argument
+  // naming the field, instead of being truncated to a valid spec.
+  const struct {
+    const char* name;  ///< field path in the message
+    const char* json;  ///< the field with "%s" for the value
+    const char* valid;  ///< an accepted value
+    const char* fraction;  ///< truncates to a valid value
+    const char* wraps;  ///< 2^32 + valid
+  } fields[] = {
+      {"spec.sweep.points", "\"sweep\": {\"points\": %s}", "3", "3.9",
+       "4294967299"},
+      {"spec.segments_per_line", "\"segments_per_line\": %s", "4", "4.5",
+       "4294967300"},
+      {"spec.ring_stages", "\"ring_stages\": %s", "5", "5.5", "4294967301"},
+      {"spec.max_newton_iterations", "\"max_newton_iterations\": %s", "3",
+       "3.9", "4294967299"},
+      {"spec.talbot_points", "\"talbot_points\": %s", "48", "48.5",
+       "4294967344"},
+  };
+  const auto spec_with = [](const char* field, const char* value) {
+    std::string body = field;
+    body.replace(body.find("%s"), 2, value);
+    return "{\"scenario\": \"fig5\", " + body + "}";
+  };
+  for (const auto& f : fields) {
+    const std::string ok = spec_with(f.json, f.valid);
+    EXPECT_TRUE(ScenarioSpec::from_json_text(ok).is_ok()) << ok;
+    for (const char* value : {f.fraction, f.wraps, "1e300", "-1e300"}) {
+      const std::string text = spec_with(f.json, value);
+      const auto r = ScenarioSpec::from_json_text(text);
+      if (r.is_ok()) {
+        ADD_FAILURE() << text << " was accepted";
+        continue;
+      }
+      EXPECT_EQ(r.status().code(), rlc::StatusCode::kInvalidArgument) << text;
+      EXPECT_NE(r.status().message().find(f.name), std::string::npos)
+          << text << ": " << r.status().to_string();
+    }
+  }
 }
 
 TEST(ScenarioSpec, OptionsMapSpecFields) {

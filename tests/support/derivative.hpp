@@ -1,9 +1,10 @@
 #pragma once
 
 /// \file derivative.hpp
-/// Finite-difference derivatives with Richardson extrapolation.  Primarily
-/// used by the test suite to validate the analytic sensitivities
-/// (d b1/d h, d s1/d k, ...) that the (h, k) optimizer relies on.
+/// Finite-difference derivatives with Richardson extrapolation, a
+/// test-support reference (no library code calls it): the tests use it to
+/// validate the analytic sensitivities (d b1/d h, d s1/d k, ...) that the
+/// (h, k) optimizer relies on.
 
 #include <functional>
 

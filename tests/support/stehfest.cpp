@@ -1,9 +1,8 @@
-#include "rlc/laplace/stehfest.hpp"
+#include "support/stehfest.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
-
-#include "rlc/obs/metrics.hpp"
 
 namespace rlc::laplace {
 
@@ -39,11 +38,6 @@ double stehfest_invert_with_weights(const std::function<double(double)>& F_real,
                                     double t, const std::vector<double>& v) {
   if (!(t > 0.0)) throw std::invalid_argument("stehfest_invert: t must be > 0");
   const int N = static_cast<int>(v.size()) - 1;
-  auto& reg = obs::Registry::global();
-  static const int kInversions = reg.counter("stehfest.inversions");
-  static const int kEvals = reg.counter("stehfest.f_evals");
-  reg.add(kInversions);
-  reg.add(kEvals, N);
   const double ln2_t = std::log(2.0) / t;
   double acc = 0.0;
   for (int k = 1; k <= N; ++k) acc += v[k] * F_real(k * ln2_t);

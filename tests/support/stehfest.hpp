@@ -1,10 +1,11 @@
 #pragma once
 
 /// \file stehfest.hpp
-/// Gaver–Stehfest inverse Laplace transform.  Only needs F on the real
-/// axis, which makes it a useful independent cross-check of the Talbot
-/// inversion for smooth (non-oscillatory) responses; it is known to lose
-/// accuracy for strongly underdamped responses, which the tests document.
+/// Gaver–Stehfest inverse Laplace transform, a test-support reference (no
+/// library code calls it).  Only needs F on the real axis, which makes it
+/// a useful independent cross-check of the Talbot inversion for smooth
+/// (non-oscillatory) responses; it is known to lose accuracy for strongly
+/// underdamped responses, which the tests document.
 
 #include <functional>
 #include <vector>

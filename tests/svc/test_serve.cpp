@@ -66,6 +66,10 @@ TEST_F(ServeTest, MalformedFramingIsRejectedPerLine) {
       "{\"op\":\"query\",\"id\":{}}",           // bad id kind
       "{\"op\":\"scenario\"}",                  // scenario without spec
       "{\"op\":\"scenario\",\"spec\":{\"threshold\":7}}",  // bad spec
+      // An integer field that does not fit an int is rejected, not
+      // wrapped to 3 sweep points.
+      "{\"op\":\"scenario\",\"spec\":{\"scenario\":\"fig5\",\"quick\":true,"
+      "\"sweep\":{\"points\":4294967299}}}",
   };
   const std::vector<std::string> responses = server_.handle_lines(lines);
   ASSERT_EQ(responses.size(), lines.size());

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -418,8 +417,11 @@ TEST(Session, PreCancelledTokenShortCircuits) {
 TEST(Session, MidBatchCancellationStopsCleanly) {
   // Cancel from another thread while a batch is in flight: every element
   // must come back either ok or cancelled — no crash, no torn result, and
-  // (under TSan) no race.  Which elements finish is timing-dependent by
-  // design; only the outcome set is pinned.
+  // (under TSan) no race.  The batch's own progress triggers the cancel,
+  // not a clock: the canceller fires as soon as the registry shows the
+  // first exact solve started, when at most one request per pool thread
+  // is in flight and the rest of the 64 are still queued.  Which elements
+  // finish is schedule-dependent by design; only the outcome set is pinned.
   Session session(SessionOptions{4, 0});
   std::vector<QueryRequest> reqs;
   for (int i = 0; i < 64; ++i) {
@@ -428,12 +430,24 @@ TEST(Session, MidBatchCancellationStopsCleanly) {
     q.with_exact_delay = true;  // slow enough for the cancel to land inside
     reqs.push_back(q);
   }
+  const auto exact_calls = [] {
+    for (const auto& [name, value] :
+         obs::Registry::global().snapshot().counters) {
+      if (name == "exact.threshold.calls") return value;
+    }
+    return std::int64_t{0};
+  };
+  const std::int64_t calls_before = exact_calls();
   CancelSource src;
+  std::atomic<bool> batch_done{false};
   std::thread canceller([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    while (exact_calls() == calls_before && !batch_done.load()) {
+      std::this_thread::yield();
+    }
     src.request_cancel();
   });
   const auto results = session.submit_batch(reqs, src.token());
+  batch_done.store(true);
   canceller.join();
   ASSERT_EQ(results.size(), reqs.size());
   int cancelled = 0;
@@ -446,8 +460,8 @@ TEST(Session, MidBatchCancellationStopsCleanly) {
       ++cancelled;
     }
   }
-  // 64 exact-engine solves on 4 threads take far longer than 5 ms, so at
-  // least the tail of the batch must have been cancelled.
+  // The cancel fired while at most 4 of the 64 exact-engine solves had
+  // started, so at least the tail of the batch must have been cancelled.
   EXPECT_GT(cancelled, 0);
 }
 
