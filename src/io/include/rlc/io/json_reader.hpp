@@ -37,7 +37,8 @@ class JsonValue {
   const JsonValue* find(const std::string& key) const;
 
   /// Lookup with defaults, for tolerant parsing of trusted documents.
-  /// int_or truncates toward zero; an untrusted integer field goes through
+  /// int_or truncates toward zero and gives the fallback for a number
+  /// outside the long long range; an untrusted integer field goes through
   /// exact_int instead.
   double number_or(const std::string& key, double fallback) const;
   long long int_or(const std::string& key, long long fallback) const;

@@ -53,9 +53,14 @@ double JsonValue::number_or(const std::string& key, double fallback) const {
   return v && v->kind_ == Kind::kNumber ? v->number_ : fallback;
 }
 long long JsonValue::int_or(const std::string& key, long long fallback) const {
+  // [-2^63, 2^63) truncates into a long long; NaN fails both comparisons.
+  constexpr double kLimit = 9223372036854775808.0;
   const JsonValue* v = find(key);
-  return v && v->kind_ == Kind::kNumber ? static_cast<long long>(v->number_)
-                                        : fallback;
+  if (!v || v->kind_ != Kind::kNumber ||
+      !(v->number_ >= -kLimit && v->number_ < kLimit)) {
+    return fallback;
+  }
+  return static_cast<long long>(v->number_);
 }
 bool JsonValue::bool_or(const std::string& key, bool fallback) const {
   const JsonValue* v = find(key);

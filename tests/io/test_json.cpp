@@ -99,6 +99,18 @@ TEST(JsonReader, TypedAccessorsThrowOnKindMismatch) {
   EXPECT_THROW(v.find("n")->items(), std::runtime_error);
 }
 
+TEST(JsonReader, IntOrFallsBackOutsideTheLongLongRange) {
+  // The cast of an out-of-range double is undefined behaviour, which the
+  // float-cast-overflow sanitizer build reports.
+  const JsonValue v = parse_json(
+      "{\"big\": 1e300, \"small\": -1e300, \"past\": 9.3e18, "
+      "\"ok\": 42}");
+  EXPECT_EQ(v.int_or("big", -1), -1);
+  EXPECT_EQ(v.int_or("small", -1), -1);
+  EXPECT_EQ(v.int_or("past", -1), -1);
+  EXPECT_EQ(v.int_or("ok", -1), 42);
+}
+
 TEST(JsonRoundTrip, WriterOutputParsesBackIdentically) {
   JsonArray row;
   row.push(1.5).push("label \"x\"\n").push(false);
