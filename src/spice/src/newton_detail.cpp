@@ -164,6 +164,7 @@ void setup_bordered(const Circuit& ckt, const StampContext& ctx,
     return;
   }
   ++ws.full_factorizations;
+  ws.factor_nonzeros += bs.lu->l_nnz() + bs.lu->u_nnz();
   // W = A_II^-1 A_IB, one solve per border column, trimmed to the rows it
   // reaches (the x_I update skips the rest: 14% more mna_ring ops/s,
   // EXPERIMENTS.md); then S0 = A_BB,lin - A_BI W.
@@ -222,6 +223,7 @@ std::vector<double> solve_full(const Circuit& ckt, const StampContext& ctx,
   } else {
     ws.lu = std::make_unique<rlc::linalg::SparseLU>(A);
     ++ws.full_factorizations;
+    ws.factor_nonzeros += ws.lu->l_nnz() + ws.lu->u_nnz();
   }
   ws.key = key;
   return ws.lu->solve(ws.rhs);

@@ -80,6 +80,7 @@ struct SolveWorkspace {
   /// interior, and the full path's numeric-only ones.
   long full_factorizations = 0;
   long refactorizations = 0;
+  long factor_nonzeros = 0;  ///< L + U nonzeros of the fresh ones, summed
   long border_factorizations = 0;  ///< dense LUs of the bordered system
 };
 

@@ -52,11 +52,14 @@ struct TransientScope {
         reg.counter("spice.transient.factorizations");
     static const int kBorderFactorizations =
         reg.counter("spice.transient.border_factorizations");
+    static const int kFactorNonzeros =
+        reg.counter("spice.transient.factor_nonzeros");
     reg.add(kRuns);
     reg.add(kSteps, *steps);
     reg.add(kNewton, *newton_iterations);
     reg.add(kFactorizations, ws->full_factorizations + ws->refactorizations);
     reg.add(kBorderFactorizations, ws->border_factorizations);
+    reg.add(kFactorNonzeros, ws->factor_nonzeros);
   }
 };
 

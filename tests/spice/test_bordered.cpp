@@ -373,6 +373,8 @@ TEST(Bordered, CountsReachTheRegistryOncePerTransient) {
   EXPECT_EQ(counter(delta, "spice.transient.newton_iterations"), 5249);
   EXPECT_EQ(counter(delta, "spice.transient.factorizations"), 2);
   EXPECT_EQ(counter(delta, "spice.transient.border_factorizations"), 5249);
+  // The 85-unknown interior, factored afresh for each of the two keys.
+  EXPECT_EQ(counter(delta, "spice.transient.factor_nonzeros"), 2 * 555);
 
   before = reg.snapshot();
   const auto inv = run_lone_inverter();
@@ -381,6 +383,8 @@ TEST(Bordered, CountsReachTheRegistryOncePerTransient) {
   EXPECT_EQ(counter(delta, "spice.transient.factorizations"),
             inv.newton_iterations);
   EXPECT_EQ(counter(delta, "spice.transient.border_factorizations"), 0);
+  // Five unknowns, factored afresh once; every later iteration refactors.
+  EXPECT_EQ(counter(delta, "spice.transient.factor_nonzeros"), 16);
 }
 
 /// A benchmark ring plus a contradictory pair of voltage sources: on the

@@ -225,6 +225,8 @@ TEST(FactorOnce, CountsReachTheRegistryOncePerTransient) {
   EXPECT_EQ(counter(delta, "spice.transient.steps"), 100);
   EXPECT_EQ(counter(delta, "spice.transient.newton_iterations"), 100);
   EXPECT_EQ(counter(delta, "spice.transient.factorizations"), 2);
+  // One fresh factorization; the switch to trapezoidal refactors.
+  EXPECT_EQ(counter(delta, "spice.transient.factor_nonzeros"), 20);
 }
 
 /// The six seed-1 `mna_linear` configurations of the repository benchmark
