@@ -1,5 +1,6 @@
 #include "rlc/linalg/sparse_lu.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -45,7 +46,225 @@ int dfs(int j, const std::vector<int>& lp, const std::vector<int>& li,
   return top;
 }
 
+/// Power-of-two row scales: 2^-e for a row whose largest magnitude is
+/// m·2^e, m in [0.5, 1), so scaling is exact and each scaled row peaks in
+/// [0.5, 1).  A row without a normal nonzero keeps scale 1 (the
+/// factorization then finds it singular).
+std::vector<double> row_scales(const CscMatrix& A) {
+  std::vector<double> rmax(static_cast<std::size_t>(A.rows()), 0.0);
+  const auto& ai = A.row_idx();
+  const auto& ax = A.values();
+  for (std::size_t p = 0; p < ax.size(); ++p) {
+    rmax[ai[p]] = std::max(rmax[ai[p]], std::abs(ax[p]));
+  }
+  std::vector<double> scale(rmax.size(), 1.0);
+  for (std::size_t i = 0; i < rmax.size(); ++i) {
+    if (std::isnormal(rmax[i])) {
+      int e = 0;
+      std::frexp(rmax[i], &e);
+      scale[i] = std::ldexp(1.0, -e);
+    }
+  }
+  return scale;
+}
+
 }  // namespace
+
+std::vector<int> minimum_degree_order(const CscMatrix& A) {
+  if (A.rows() != A.cols()) {
+    throw std::invalid_argument("minimum_degree_order: matrix must be square");
+  }
+  const int n = A.rows();
+  const auto& ap = A.col_ptr();
+  const auto& ai = A.row_idx();
+
+  // Pattern of A + A^T without the diagonal, duplicates removed.  Node i's
+  // list lives in adj[ptr[i], ptr[i+1]): its first elen[i] entries are the
+  // elements (eliminated pivots) it belongs to, the next len[i] - elen[i]
+  // its variable neighbours not yet covered by an element.  Eliminating p
+  // replaces either p or an absorbed element in each neighbour's list, so
+  // a list never outgrows its original space.
+  std::vector<int> ptr(static_cast<std::size_t>(n) + 1, 0);
+  for (int j = 0; j < n; ++j) {
+    for (int p = ap[j]; p < ap[j + 1]; ++p) {
+      if (ai[p] != j) {
+        ++ptr[ai[p] + 1];
+        ++ptr[j + 1];
+      }
+    }
+  }
+  for (int i = 0; i < n; ++i) ptr[i + 1] += ptr[i];
+  std::vector<int> adj(static_cast<std::size_t>(ptr[n]));
+  std::vector<int> len(static_cast<std::size_t>(n), 0);
+  std::vector<int> elen(len.size(), 0);
+  std::vector<int> mark(len.size(), -1);
+  for (int j = 0; j < n; ++j) {
+    for (int p = ap[j]; p < ap[j + 1]; ++p) {
+      const int i = ai[p];
+      if (i == j) continue;
+      adj[ptr[i] + len[i]++] = j;
+      adj[ptr[j] + len[j]++] = i;
+    }
+  }
+  for (int i = 0; i < n; ++i) {
+    int kept = 0;
+    for (int p = ptr[i]; p < ptr[i] + len[i]; ++p) {
+      if (mark[adj[p]] != i) {
+        mark[adj[p]] = i;
+        adj[ptr[i] + kept++] = adj[p];
+      }
+    }
+    len[i] = kept;
+  }
+
+  // Elements: the variables of element e are pool[estart[e], +esize[e]).
+  // Every element a variable belongs to is in its list, and all of them are
+  // absorbed when it is eliminated, so a live element holds live variables
+  // only.  A dense node, adjacent to more than max(16, 4 sqrt(n)) others,
+  // leaves the graph and is ordered last, as AMD does with dense rows: the
+  // supply of a 121-stage ring (242 neighbours in 2,301 unknowns, under
+  // AMD's 10 sqrt(n)) otherwise joins most elements, and rescanning it cost
+  // a third of the order's time and 30% more fill.
+  enum : char { kVariable, kElement, kAbsorbed, kDense };
+  std::vector<char> state(len.size(), kVariable);
+  const int dense_degree =
+      std::max(16, static_cast<int>(4.0 * std::sqrt(static_cast<double>(n))));
+  int n_dense = 0;
+  for (int i = 0; i < n; ++i) {
+    if (len[i] > dense_degree) {
+      state[i] = kDense;
+      ++n_dense;
+    }
+  }
+  std::vector<int> pool, estart(len.size(), 0), esize(len.size(), 0);
+  pool.reserve(adj.size() + static_cast<std::size_t>(n));
+
+  // Degree buckets: doubly linked lists, newest first.  A node's degree
+  // counts its non-dense neighbours.
+  std::vector<int> degree(len.size(), 0), head(len.size() + 1, -1);
+  for (int i = 0; i < n; ++i) {
+    for (int p = ptr[i]; p < ptr[i] + len[i]; ++p) {
+      degree[i] += state[adj[p]] != kDense;
+    }
+  }
+  std::vector<int> next(len.size(), -1), prev(len.size(), -1);
+  const auto insert = [&](int i) {
+    const int d = degree[i];
+    next[i] = head[d];
+    prev[i] = -1;
+    if (head[d] >= 0) prev[head[d]] = i;
+    head[d] = i;
+  };
+  const auto remove = [&](int i) {
+    if (prev[i] >= 0) {
+      next[prev[i]] = next[i];
+    } else {
+      head[degree[i]] = next[i];
+    }
+    if (next[i] >= 0) prev[next[i]] = prev[i];
+  };
+  for (int i = n - 1; i >= 0; --i) {
+    if (state[i] != kDense) insert(i);
+  }
+
+  // w[e] = |L_e \ L_p| for the elements next to the current pivot's
+  // element L_p, valid while wstamp[e] is the step's stamp.
+  std::vector<int> w(len.size(), 0), wstamp(len.size(), -1);
+  std::vector<int> scratch;
+  std::fill(mark.begin(), mark.end(), -1);
+  std::vector<int> order;
+  order.reserve(len.size());
+  int mindeg = 0;
+  const int n_sparse = n - n_dense;
+  for (int k = 0; k < n_sparse; ++k) {
+    while (head[mindeg] < 0) ++mindeg;
+    const int piv = head[mindeg];
+    remove(piv);
+    order.push_back(piv);
+
+    // The new element L_p: p's variable neighbours and the variables of
+    // every element p belongs to, which it absorbs.
+    mark[piv] = k;
+    const int lp_start = static_cast<int>(pool.size());
+    const int pb = ptr[piv];
+    for (int p = pb; p < pb + len[piv]; ++p) {
+      const int e = adj[p];
+      if (p < pb + elen[piv]) {
+        if (state[e] != kElement) continue;
+        for (int q = estart[e]; q < estart[e] + esize[e]; ++q) {
+          const int v = pool[q];
+          if (mark[v] != k) {
+            mark[v] = k;
+            pool.push_back(v);
+          }
+        }
+        state[e] = kAbsorbed;
+      } else if (state[e] == kVariable && mark[e] != k) {
+        mark[e] = k;
+        pool.push_back(e);
+      }
+    }
+    state[piv] = kElement;
+    estart[piv] = lp_start;
+    esize[piv] = static_cast<int>(pool.size()) - lp_start;
+    len[piv] = elen[piv] = 0;
+    const int lp_size = esize[piv];
+
+    for (int q = lp_start; q < lp_start + lp_size; ++q) {
+      const int i = pool[q];
+      for (int p = ptr[i]; p < ptr[i] + elen[i]; ++p) {
+        const int e = adj[p];
+        if (state[e] != kElement) continue;
+        if (wstamp[e] != k) {
+          wstamp[e] = k;
+          w[e] = esize[e];
+        }
+        --w[e];
+      }
+    }
+
+    // Each i in L_p: drop absorbed elements (and, aggressively, those now
+    // inside L_p) and the neighbours p covers, add p, and bound the degree
+    // by |A_i| + |L_p \ i| + sum of |L_e \ L_p| (AMD's approximate degree).
+    for (int q = lp_start; q < lp_start + lp_size; ++q) {
+      const int i = pool[q];
+      remove(i);
+      scratch.clear();
+      int ext = 0;
+      for (int p = ptr[i]; p < ptr[i] + elen[i]; ++p) {
+        const int e = adj[p];
+        if (state[e] != kElement) continue;
+        if (w[e] == 0) {
+          state[e] = kAbsorbed;
+          continue;
+        }
+        ext += w[e];
+        scratch.push_back(e);
+      }
+      scratch.push_back(piv);
+      const int n_elems = static_cast<int>(scratch.size());
+      for (int p = ptr[i] + elen[i]; p < ptr[i] + len[i]; ++p) {
+        const int v = adj[p];
+        if (state[v] == kVariable && mark[v] != k) {
+          ++ext;
+          scratch.push_back(v);
+        }
+      }
+      std::copy(scratch.begin(), scratch.end(), adj.begin() + ptr[i]);
+      elen[i] = n_elems;
+      len[i] = static_cast<int>(scratch.size());
+      degree[i] = std::min({degree[i] + lp_size - 1, ext + lp_size - 1,
+                            n_sparse - k - 1});
+      insert(i);
+      mindeg = std::min(mindeg, degree[i]);
+    }
+  }
+  for (int i = 0; i < n; ++i) {
+    if (state[i] == kDense) order.push_back(i);
+  }
+  return order;
+}
+
 
 SparseLU::SparseLU(const CscMatrix& A, double pivot_tol) {
   if (A.rows() != A.cols()) {
@@ -59,6 +278,8 @@ SparseLU::SparseLU(const CscMatrix& A, double pivot_tol) {
   const auto& ap = A.col_ptr();
   const auto& ai = A.row_idx();
   const auto& ax = A.values();
+  q_ = minimum_degree_order(A);
+  row_scale_ = row_scales(A);
 
   l_colptr_.assign(n + 1, 0);
   u_colptr_.assign(n + 1, 0);
@@ -71,15 +292,16 @@ SparseLU::SparseLU(const CscMatrix& A, double pivot_tol) {
   std::vector<char> marked(n, 0);
 
   for (int k = 0; k < n; ++k) {
-    // ---- Symbolic: reach of the pattern of A(:,k) over L. ----
+    const int j = q_[k];
+    // ---- Symbolic: reach of the pattern of A(:,j) over L. ----
     int top = n;
-    for (int p = ap[k]; p < ap[k + 1]; ++p) {
+    for (int p = ap[j]; p < ap[j + 1]; ++p) {
       const int i = ai[p];
       if (!marked[i]) top = dfs(i, l_colptr_, l_rowidx_, pinv_, xi, top, stack, pstack, marked);
     }
-    // ---- Numeric: x = L \ A(:,k) (unit lower triangular solve). ----
+    // ---- Numeric: x = L \ (R A)(:,j) (unit lower triangular solve). ----
     for (int px = top; px < n; ++px) x[xi[px]] = 0.0;
-    for (int p = ap[k]; p < ap[k + 1]; ++p) x[ai[p]] = ax[p];
+    for (int p = ap[j]; p < ap[j + 1]; ++p) x[ai[p]] = row_scale_[ai[p]] * ax[p];
     for (int px = top; px < n; ++px) {
       const int i = xi[px];
       const int I = pinv_[i];
@@ -108,10 +330,10 @@ SparseLU::SparseLU(const CscMatrix& A, double pivot_tol) {
     if (ipiv < 0 || amax <= 0.0 || !std::isfinite(amax)) {
       throw std::runtime_error("SparseLU: matrix is singular to working precision");
     }
-    // Diagonal preference — only valid if row k is actually in this
-    // column's pattern (marked): x[k] is stale garbage otherwise.
-    if (marked[k] && pinv_[k] < 0 && std::abs(x[k]) >= pivot_tol * amax) {
-      ipiv = k;
+    // Diagonal preference — only valid if row j is actually in this
+    // column's pattern (marked): x[j] is stale garbage otherwise.
+    if (marked[j] && pinv_[j] < 0 && std::abs(x[j]) >= pivot_tol * amax) {
+      ipiv = j;
     }
     const double pivot = x[ipiv];
 
@@ -148,11 +370,13 @@ SparseLU::SparseLU(const CscMatrix& A, double pivot_tol) {
     // ---- Clear marks for the next column. ----
     for (int px = top; px < n; ++px) marked[xi[px]] = 0;
   }
-  // Remap L's row indices into pivot coordinates so L is truly lower
-  // triangular with unit diagonal at position (k, k); keep the original
-  // coordinates for the numeric-only refactorization path.
+  // Keep L's row indices in A's coordinates for refactor(); map both
+  // factors' row indices, and b's rows, to where solve() keeps each step.
   l_rowidx_orig_ = l_rowidx_;
-  for (auto& r : l_rowidx_) r = pinv_[r];
+  for (auto& r : l_rowidx_) r = q_[pinv_[r]];
+  for (auto& r : u_rowidx_) r = q_[r];
+  b_pos_.resize(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) b_pos_[i] = q_[pinv_[i]];
 }
 
 bool SparseLU::refactor(const CscMatrix& A, double pivot_floor) {
@@ -165,14 +389,15 @@ bool SparseLU::refactor(const CscMatrix& A, double pivot_floor) {
   std::vector<double> x(n_, 0.0);
   std::size_t lpos = 0, upos = 0;
   for (int k = 0; k < n_; ++k) {
-    // Scatter A(:,k) over the cached pattern.
+    const int j = q_[k];
+    // Scatter the scaled A(:,j) over the cached pattern.
     for (int p = pat_ptr_[k]; p < pat_ptr_[k + 1]; ++p) x[pat_idx_[p]] = 0.0;
-    for (int p = ap[k]; p < ap[k + 1]; ++p) x[ai[p]] = ax[p];
+    for (int p = ap[j]; p < ap[j + 1]; ++p) x[ai[p]] = row_scale_[ai[p]] * ax[p];
     // Sparse triangular solve in the cached topological order.
     for (int p = pat_ptr_[k]; p < pat_ptr_[k + 1]; ++p) {
       const int i = pat_idx_[p];
       const int I = pinv_[i];
-      if (I >= k) continue;  // not pivotal before column k
+      if (I >= k) continue;  // not pivotal before step k
       const double xval = x[i];
       if (xval == 0.0) continue;
       for (int q = l_colptr_[I] + 1; q < l_colptr_[I + 1]; ++q) {
@@ -218,24 +443,24 @@ void SparseLU::solve(const std::vector<double>& b,
     throw std::invalid_argument("SparseLU::solve: size mismatch");
   }
   x.resize(n_);
-  // Row permutation: x[pinv[i]] = b[i].
-  for (int i = 0; i < n_; ++i) x[pinv_[i]] = b[i];
+  // Step k's entry lives at x[q_[k]] throughout, so the back substitution
+  // leaves the solution in place.  Scaled, row-permuted right-hand side:
+  for (int i = 0; i < n_; ++i) x[b_pos_[i]] = row_scale_[i] * b[i];
   // Forward substitution, L unit lower triangular (diagonal stored first).
-  for (int j = 0; j < n_; ++j) {
-    const double xj = x[j];
-    if (xj == 0.0) continue;
-    for (int p = l_colptr_[j] + 1; p < l_colptr_[j + 1]; ++p) {
-      x[l_rowidx_[p]] -= l_values_[p] * xj;
+  for (int k = 0; k < n_; ++k) {
+    const double xk = x[q_[k]];
+    if (xk == 0.0) continue;
+    for (int p = l_colptr_[k] + 1; p < l_colptr_[k + 1]; ++p) {
+      x[l_rowidx_[p]] -= l_values_[p] * xk;
     }
   }
   // Back substitution, U upper triangular (diagonal stored last per column).
-  for (int j = n_ - 1; j >= 0; --j) {
-    const int pdiag = u_colptr_[j + 1] - 1;
-    x[j] /= u_values_[pdiag];
-    const double xj = x[j];
-    if (xj == 0.0) continue;
-    for (int p = u_colptr_[j]; p < pdiag; ++p) {
-      x[u_rowidx_[p]] -= u_values_[p] * xj;
+  for (int k = n_ - 1; k >= 0; --k) {
+    const int pdiag = u_colptr_[k + 1] - 1;
+    const double xk = x[q_[k]] /= u_values_[pdiag];
+    if (xk == 0.0) continue;
+    for (int p = u_colptr_[k]; p < pdiag; ++p) {
+      x[u_rowidx_[p]] -= u_values_[p] * xk;
     }
   }
 }

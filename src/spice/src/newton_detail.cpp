@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "rlc/obs/trace.hpp"
@@ -22,6 +23,14 @@ using rlc::linalg::Triplet;
 /// cheaper well past that, at every border share measured (EXPERIMENTS.md,
 /// "Border size limit").
 constexpr double kMaxBorderCubePerUnknown = 250.0;
+
+/// The largest scaled backward error a refactored full-path solve may
+/// have; above it the matrix is factored afresh.  Fresh factorizations of
+/// the benchmark rings' Newton iterates read at most 2.8e-16 and refactors
+/// that keep their digits 5.2e-16; the three of 714 refactors above 4 ulps
+/// (1.5e-15 to 1.1e-11) sat 1.3e-13 to 5e-10 off the fresh answer.
+constexpr double kMaxRefactorBackwardError =
+    4.0 * std::numeric_limits<double>::epsilon();
 
 /// Gaussian elimination with partial pivoting of the row-major n x n matrix
 /// `a`, applied to `b` as it goes, then back substitution: `b` becomes the
@@ -191,6 +200,34 @@ void setup_bordered(const Circuit& ckt, const StampContext& ctx,
   bs.usable = true;
 }
 
+/// Normwise backward error of x for A x = b with every row scaled by its
+/// largest magnitude: max_i |b - A x|_i / m_i over max_i (|A| |x| + |b|)_i
+/// / m_i, where m_i is row i's largest |a_ij|.  A backward-stable solve
+/// reads a few ulps here; NaN when A x and b are both zero.
+double scaled_backward_error(const rlc::linalg::CscMatrix& A,
+                             const std::vector<double>& b,
+                             const std::vector<double>& x) {
+  const auto& ap = A.col_ptr();
+  const auto& ai = A.row_idx();
+  const auto& ax = A.values();
+  std::vector<double> r(b), s(b.size()), rmax(b.size(), 0.0);
+  for (std::size_t i = 0; i < b.size(); ++i) s[i] = std::abs(b[i]);
+  for (int j = 0; j < A.cols(); ++j) {
+    for (int p = ap[j]; p < ap[j + 1]; ++p) {
+      const double t = ax[p] * x[j];
+      r[ai[p]] -= t;
+      s[ai[p]] += std::abs(t);
+      rmax[ai[p]] = std::max(rmax[ai[p]], std::abs(ax[p]));
+    }
+  }
+  double num = 0.0, den = 0.0;
+  for (std::size_t i = 0; i < b.size(); ++i) {
+    num = std::max(num, std::abs(r[i]) / rmax[i]);
+    den = std::max(den, s[i] / rmax[i]);
+  }
+  return num / den;
+}
+
 }  // namespace
 
 std::vector<double> solve_full(const Circuit& ckt, const StampContext& ctx,
@@ -214,17 +251,25 @@ std::vector<double> solve_full(const Circuit& ckt, const StampContext& ctx,
     for (int i = 0; i < n_nodes; ++i) ws.triplets.push_back({i, i, gdiag});
   }
   const auto& A = ws.compressor.compress(n, n, ws.triplets);
-  // Numeric-only refactorization while the pattern holds and the cached
-  // pivot order stays stable; fall back to a fresh factorization (with
-  // fresh pivoting) otherwise.
+  // Numeric-only refactorization while the pattern holds, the cached pivot
+  // order stays stable and the solve keeps its digits: under a stale pivot
+  // order a refactor can lose them even above refactor()'s pivot floor (a
+  // ring start-up iterate once read 5e-10 off a fresh factorization, at a
+  // backward error of 1e-11).  Fall back to a fresh factorization (with
+  // fresh pivoting) otherwise.  A refactor of unchanged values repeats the
+  // fresh factors bit for bit, so either branch then gives the same x.
   if (ws.lu != nullptr && ws.compressor.reused() && ws.lu->size() == n &&
       ws.lu->refactor(A)) {
-    ++ws.refactorizations;
-  } else {
-    ws.lu = std::make_unique<rlc::linalg::SparseLU>(A);
-    ++ws.full_factorizations;
-    ws.factor_nonzeros += ws.lu->l_nnz() + ws.lu->u_nnz();
+    std::vector<double> x = ws.lu->solve(ws.rhs);
+    if (scaled_backward_error(A, ws.rhs, x) <= kMaxRefactorBackwardError) {
+      ++ws.refactorizations;
+      ws.key = key;
+      return x;
+    }
   }
+  ws.lu = std::make_unique<rlc::linalg::SparseLU>(A);
+  ++ws.full_factorizations;
+  ws.factor_nonzeros += ws.lu->l_nnz() + ws.lu->u_nnz();
   ws.key = key;
   return ws.lu->solve(ws.rhs);
 }

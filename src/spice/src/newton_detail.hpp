@@ -90,7 +90,8 @@ struct SolveWorkspace {
 /// The full path: a linear circuit whose key matches the kept factors
 /// stamps only the right-hand side and solves with them; any other call
 /// restamps every device and refactors, reusing the workspace's symbolic
-/// information when the pattern allows.
+/// information when the pattern allows and the refactored solve passes a
+/// backward-error check, and factoring afresh otherwise.
 std::vector<double> solve_full(const Circuit& ckt, const StampContext& ctx,
                                double gshunt, SolveWorkspace& ws);
 
