@@ -203,27 +203,37 @@ void setup_bordered(const Circuit& ckt, const StampContext& ctx,
 /// Normwise backward error of x for A x = b with every row scaled by its
 /// largest magnitude: max_i |b - A x|_i / m_i over max_i (|A| |x| + |b|)_i
 /// / m_i, where m_i is row i's largest |a_ij|.  A backward-stable solve
-/// reads a few ulps here; NaN when A x and b are both zero.
+/// reads a few ulps here; NaN when A x and b are both zero.  `scratch`
+/// holds the three row sums, so a call allocates nothing once it has grown.
 double scaled_backward_error(const rlc::linalg::CscMatrix& A,
                              const std::vector<double>& b,
-                             const std::vector<double>& x) {
+                             const std::vector<double>& x,
+                             std::vector<double>& scratch) {
+  const std::size_t n = b.size();
+  scratch.assign(3 * n, 0.0);
+  double* r = scratch.data();  // b - A x
+  double* s = r + n;           // |A| |x| + |b|
+  double* m = s + n;           // max_j |a_ij|
+  for (std::size_t i = 0; i < n; ++i) {
+    r[i] = b[i];
+    s[i] = std::abs(b[i]);
+  }
   const auto& ap = A.col_ptr();
   const auto& ai = A.row_idx();
   const auto& ax = A.values();
-  std::vector<double> r(b), s(b.size()), rmax(b.size(), 0.0);
-  for (std::size_t i = 0; i < b.size(); ++i) s[i] = std::abs(b[i]);
   for (int j = 0; j < A.cols(); ++j) {
     for (int p = ap[j]; p < ap[j + 1]; ++p) {
       const double t = ax[p] * x[j];
       r[ai[p]] -= t;
       s[ai[p]] += std::abs(t);
-      rmax[ai[p]] = std::max(rmax[ai[p]], std::abs(ax[p]));
+      m[ai[p]] = std::max(m[ai[p]], std::abs(ax[p]));
     }
   }
   double num = 0.0, den = 0.0;
-  for (std::size_t i = 0; i < b.size(); ++i) {
-    num = std::max(num, std::abs(r[i]) / rmax[i]);
-    den = std::max(den, s[i] / rmax[i]);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double inv = 1.0 / m[i];
+    num = std::max(num, std::abs(r[i]) * inv);
+    den = std::max(den, s[i] * inv);
   }
   return num / den;
 }
@@ -252,16 +262,16 @@ std::vector<double> solve_full(const Circuit& ckt, const StampContext& ctx,
   }
   const auto& A = ws.compressor.compress(n, n, ws.triplets);
   // Numeric-only refactorization while the pattern holds, the cached pivot
-  // order stays stable and the solve keeps its digits: under a stale pivot
-  // order a refactor can lose them even above refactor()'s pivot floor (a
-  // ring start-up iterate once read 5e-10 off a fresh factorization, at a
-  // backward error of 1e-11).  Fall back to a fresh factorization (with
-  // fresh pivoting) otherwise.  A refactor of unchanged values repeats the
-  // fresh factors bit for bit, so either branch then gives the same x.
+  // order stays stable and the solve keeps its digits, which a stale pivot
+  // order can cost even above refactor()'s pivot floor; fall back to a
+  // fresh factorization (with fresh pivoting) otherwise.  A refactor of
+  // unchanged values repeats the fresh factors bit for bit, so either
+  // branch then gives the same x.
   if (ws.lu != nullptr && ws.compressor.reused() && ws.lu->size() == n &&
       ws.lu->refactor(A)) {
     std::vector<double> x = ws.lu->solve(ws.rhs);
-    if (scaled_backward_error(A, ws.rhs, x) <= kMaxRefactorBackwardError) {
+    if (scaled_backward_error(A, ws.rhs, x, ws.residual) <=
+        kMaxRefactorBackwardError) {
       ++ws.refactorizations;
       ws.key = key;
       return x;

@@ -75,6 +75,7 @@ struct SolveWorkspace {
   std::optional<FactorKey> key;
   std::vector<rlc::linalg::Triplet> triplets;
   std::vector<double> rhs;
+  std::vector<double> residual;  ///< scratch of the refactor's residual check
   BorderedSolve bordered;
   /// Fresh sparse factorizations, of the full matrix or of the bordered
   /// interior, and the full path's numeric-only ones.

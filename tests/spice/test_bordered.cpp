@@ -271,9 +271,9 @@ TEST(Bordered, EachIterationMatchesTheFullSparseLu) {
 TEST(Bordered, FullPathRefactorKeepsItsDigits) {
   // The full path keeps one workspace across the same iterates, so most of
   // its solves refactor numerically under the order, scales and pivots of
-  // an earlier iterate.  A stale pivot can lose digits (at one start-up
-  // iterate here it once left a solution 1.1e-10 off); a refactor whose
-  // solve fails the residual check is replaced by a fresh factorization.
+  // an earlier iterate.  A stale pivot can lose digits (without the
+  // residual check one start-up iterate here sat 5e-10 off); a refactor
+  // whose solve fails the check is replaced by a fresh factorization.
   for (const std::size_t which : {std::size_t{0}, std::size_t{3}, std::size_t{9}}) {
     detail::SolveWorkspace kept;
     walk_iterates(which, [&](const Circuit& ckt, const StampContext& ctx,
