@@ -17,8 +17,8 @@
 
 Counts are exact only when one scenario runs at a time (--serial): the
 registry is process-wide, so concurrent scenarios would share deltas.  They
-hold for any pool of two or more threads; a one-thread pool runs its loops
-inline and counts no exec.pool.loops, hence the fixed --threads.  They do
+hold for any pool size, since a loop counts in exec.pool.loops whether it
+runs on the pool or inline; --threads 4 is the recorded command.  They do
 depend on the simd level (the batch kernels' pass counts), which the
 baseline records.
 """

@@ -172,14 +172,16 @@ void ThreadPool::parallel_for(std::size_t n,
                               std::size_t grain) {
   if (n == 0) return;
   RLC_TRACE_SPAN("parallel_for");
+  // Counted before the inline shortcut, so the count is the same for every
+  // pool size.
+  auto& reg = obs::Registry::global();
+  const PoolMetrics& pm = PoolMetrics::get();
+  reg.add(pm.loops);
   if (size_ == 1 || n == 1) {
     // Exactly the serial loop: same order, same exception behaviour.
     for (std::size_t i = 0; i < n; ++i) fn(i);
     return;
   }
-  auto& reg = obs::Registry::global();
-  const PoolMetrics& pm = PoolMetrics::get();
-  reg.add(pm.loops);
   if (grain == 0) grain = std::max<std::size_t>(1, n / (4 * size_));
   auto loop = std::make_shared<Loop>();
   loop->n = n;

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
 #include <numeric>
 #include <optional>
@@ -15,6 +16,8 @@
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "rlc/obs/metrics.hpp"
 
 namespace {
 
@@ -120,6 +123,27 @@ TEST(ThreadPool, ParallelForHandlesEdgeShapes) {
   pool.parallel_for(
       5, [&](std::size_t i) { hits[i].fetch_add(1); }, /*grain=*/1000);
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+// exec.pool.loops is one of the deterministic counts the quick-run gate
+// holds, so it must not depend on the pool size: a one-thread pool and a
+// one-index loop run inline and still count.
+TEST(ThreadPool, EveryNonEmptyLoopCountsWhateverThePoolSize) {
+  auto& reg = rlc::obs::Registry::global();
+  const auto loops = [&reg] {
+    for (const auto& [name, value] : reg.snapshot().counters) {
+      if (name == "exec.pool.loops") return value;
+    }
+    return std::int64_t{0};
+  };
+  for (const std::size_t threads : {1u, 3u}) {
+    ThreadPool pool(threads);
+    const std::int64_t before = loops();
+    pool.parallel_for(0, [](std::size_t) {});
+    pool.parallel_for(1, [](std::size_t) {});
+    pool.parallel_for(5, [](std::size_t) {});
+    EXPECT_EQ(loops() - before, 2) << "threads " << threads;
+  }
 }
 
 TEST(ThreadPool, ParallelMapIsOrderedAndDeterministic) {
