@@ -6,46 +6,56 @@
 /// of bench/bench_util.hpp so the scenario layer, the rlc_run driver, and
 /// the examples share one implementation.
 ///
-/// `Json` builds an object whose keys keep insertion order; values are
-/// rendered on insertion, so nesting is by composing builders.  `JsonArray`
-/// is the matching ordered array builder (rows of mixed numbers/strings).
-/// Strings are escaped per RFC 8259: quote, backslash, and every control
-/// character below 0x20 (the named escapes \b \f \n \r \t, \u00XX for the
-/// rest).  Non-finite numbers render as `null` — JSON has no inf/nan.
+/// `Json` builds an object whose keys keep insertion order; each value is
+/// rendered on insertion into the builder's one text buffer, so nesting is
+/// by composing builders.  `JsonArray` is the matching ordered array
+/// builder (rows of mixed numbers/strings).  Strings are escaped per RFC
+/// 8259: quote, backslash, and every control character below 0x20 (the
+/// named escapes \b \f \n \r \t, \u00XX for the rest).  Numbers go through
+/// <charconv> and come out as the bytes of printf's "%.17g" in the C
+/// locale; non-finite numbers render as `null` — JSON has no inf/nan.
 
 #include <cstddef>
 #include <string>
-#include <utility>
+#include <string_view>
 #include <vector>
 
 namespace rlc::io {
 
 /// Escape a string body per RFC 8259 (no surrounding quotes).
-std::string json_escape(const std::string& v);
+std::string json_escape(std::string_view v);
 
-/// Render a double as a JSON number round-trippable to the same bits
-/// (%.17g), or `null` when non-finite.
+/// Append `v` as a JSON number round-trippable to the same bits: the bytes
+/// of printf's "%.17g" (std::to_chars, general format, precision 17), or
+/// `null` when non-finite.
+void append_number(std::string& out, double v);
+
+/// append_number into a fresh string.
 std::string render_number(double v);
 
 class JsonArray;
 
 class Json {
  public:
-  Json& set(const std::string& key, double v);
-  Json& set(const std::string& key, long long v);
-  Json& set(const std::string& key, int v);
-  Json& set(const std::string& key, bool v);
-  Json& set(const std::string& key, const std::string& v);
-  Json& set(const std::string& key, const char* v);
-  Json& set(const std::string& key, const Json& nested);
-  Json& set(const std::string& key, const JsonArray& arr);
-  Json& set(const std::string& key, const std::vector<Json>& arr);
+  Json& set(std::string_view key, double v);
+  Json& set(std::string_view key, long long v);
+  Json& set(std::string_view key, int v);
+  Json& set(std::string_view key, bool v);
+  Json& set(std::string_view key, std::string_view v);
+  Json& set(std::string_view key, const char* v);
+  Json& set(std::string_view key, const Json& nested);
+  Json& set(std::string_view key, const JsonArray& arr);
+  Json& set(std::string_view key, const std::vector<Json>& arr);
 
   std::string str() const;
 
  private:
-  Json& raw(const std::string& key, std::string rendered);
-  std::vector<std::pair<std::string, std::string>> fields_;
+  friend class JsonArray;
+  /// Open a member: separator, quoted key and colon; the caller appends
+  /// the value to the returned buffer.
+  std::string& member(std::string_view key);
+  void append_to(std::string& out) const;
+  std::string body_;  ///< the members, comma-separated, without braces
 };
 
 class JsonArray {
@@ -54,17 +64,21 @@ class JsonArray {
   JsonArray& push(long long v);
   JsonArray& push(int v);
   JsonArray& push(bool v);
-  JsonArray& push(const std::string& v);
+  JsonArray& push(std::string_view v);
   JsonArray& push(const char* v);
   JsonArray& push(const Json& obj);
   JsonArray& push(const JsonArray& arr);
 
-  std::size_t size() const { return items_.size(); }
+  std::size_t size() const { return size_; }
   std::string str() const;
 
  private:
-  JsonArray& raw(std::string rendered);
-  std::vector<std::string> items_;
+  friend class Json;
+  /// Open an element: the separator; the caller appends the value.
+  std::string& element();
+  void append_to(std::string& out) const;
+  std::string body_;  ///< the elements, comma-separated, without brackets
+  std::size_t size_ = 0;
 };
 
 /// Write a JSON document (plus trailing newline) to `path`; returns false

@@ -7,11 +7,16 @@
 /// pairs, booleans, null).  Used by the ScenarioSpec JSON round-trip, the
 /// rlc_run `--spec` path, and the artifact round-trip tests.
 ///
+/// Number tokens parse in place with std::from_chars; a token it refuses
+/// or reports out of range goes through strtod, so `+1` still reads as 1
+/// and `1e400` as infinity.  Either way a number gets strtod's bits.
+///
 /// Not a general-purpose parser: documents are expected to fit in memory
 /// and parse errors throw std::runtime_error with a byte offset.
 
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -34,16 +39,16 @@ class JsonValue {
   const std::vector<std::pair<std::string, JsonValue>>& members() const;
 
   /// Object lookup (first match); nullptr when absent or not an object.
-  const JsonValue* find(const std::string& key) const;
+  const JsonValue* find(std::string_view key) const;
 
   /// Lookup with defaults, for tolerant parsing of trusted documents.
   /// int_or truncates toward zero and gives the fallback for a number
   /// outside the long long range; an untrusted integer field goes through
   /// exact_int instead.
-  double number_or(const std::string& key, double fallback) const;
-  long long int_or(const std::string& key, long long fallback) const;
-  bool bool_or(const std::string& key, bool fallback) const;
-  std::string string_or(const std::string& key, std::string fallback) const;
+  double number_or(std::string_view key, double fallback) const;
+  long long int_or(std::string_view key, long long fallback) const;
+  bool bool_or(std::string_view key, bool fallback) const;
+  std::string string_or(std::string_view key, std::string fallback) const;
 
  private:
   friend class Parser;

@@ -1,14 +1,21 @@
 #include "rlc/io/json.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 
 namespace rlc::io {
 
-std::string json_escape(const std::string& v) {
-  std::string out;
-  out.reserve(v.size());
-  for (char c : v) {
+namespace {
+
+void append_escaped(std::string& out, std::string_view v) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::size_t run = 0;  // start of the pending unescaped bytes
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    const auto c = static_cast<unsigned char>(v[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(v.data() + run, i - run);
+    run = i + 1;
     switch (c) {
       case '"':  out += "\\\""; break;
       case '\\': out += "\\\\"; break;
@@ -18,106 +25,162 @@ std::string json_escape(const std::string& v) {
       case '\r': out += "\\r";  break;
       case '\t': out += "\\t";  break;
       default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
+        out += "\\u00";
+        out += kHex[c >> 4];
+        out += kHex[c & 0xF];
     }
   }
+  out.append(v.data() + run, v.size() - run);
+}
+
+void append_quoted(std::string& out, std::string_view v) {
+  out += '"';
+  append_escaped(out, v);
+  out += '"';
+}
+
+void append_int(std::string& out, long long v) {
+  char buf[24];
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+}
+
+}  // namespace
+
+std::string json_escape(std::string_view v) {
+  std::string out;
+  out.reserve(v.size());
+  append_escaped(out, v);
   return out;
 }
 
-std::string render_number(double v) {
-  if (!std::isfinite(v)) return "null";
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
+void append_number(std::string& out, double v) {
+  if (!std::isfinite(v)) {
+    out += "null";
+    return;
+  }
+  // The longest %.17g rendering is 24 bytes: -d.dddddddddddddddde-ddd.
+  char buf[32];
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, v,
+                                std::chars_format::general, 17)
+                      .ptr);
 }
 
-Json& Json::set(const std::string& key, double v) {
-  return raw(key, render_number(v));
+std::string render_number(double v) {
+  std::string out;
+  append_number(out, v);
+  return out;
 }
-Json& Json::set(const std::string& key, long long v) {
-  return raw(key, std::to_string(v));
+
+std::string& Json::member(std::string_view key) {
+  if (!body_.empty()) body_ += ", ";
+  append_quoted(body_, key);
+  body_ += ": ";
+  return body_;
 }
-Json& Json::set(const std::string& key, int v) {
-  return raw(key, std::to_string(v));
+
+void Json::append_to(std::string& out) const {
+  out += '{';
+  out += body_;
+  out += '}';
 }
-Json& Json::set(const std::string& key, bool v) {
-  return raw(key, v ? "true" : "false");
+
+Json& Json::set(std::string_view key, double v) {
+  append_number(member(key), v);
+  return *this;
 }
-Json& Json::set(const std::string& key, const std::string& v) {
-  std::string s = "\"";
-  s += json_escape(v);
-  s += '"';
-  return raw(key, std::move(s));
+Json& Json::set(std::string_view key, long long v) {
+  append_int(member(key), v);
+  return *this;
 }
-Json& Json::set(const std::string& key, const char* v) {
-  return set(key, std::string(v));
+Json& Json::set(std::string_view key, int v) {
+  append_int(member(key), v);
+  return *this;
 }
-Json& Json::set(const std::string& key, const Json& nested) {
-  return raw(key, nested.str());
+Json& Json::set(std::string_view key, bool v) {
+  member(key) += v ? "true" : "false";
+  return *this;
 }
-Json& Json::set(const std::string& key, const JsonArray& arr) {
-  return raw(key, arr.str());
+Json& Json::set(std::string_view key, std::string_view v) {
+  append_quoted(member(key), v);
+  return *this;
 }
-Json& Json::set(const std::string& key, const std::vector<Json>& arr) {
-  std::string s = "[";
+Json& Json::set(std::string_view key, const char* v) {
+  return set(key, std::string_view(v));
+}
+Json& Json::set(std::string_view key, const Json& nested) {
+  nested.append_to(member(key));
+  return *this;
+}
+Json& Json::set(std::string_view key, const JsonArray& arr) {
+  arr.append_to(member(key));
+  return *this;
+}
+Json& Json::set(std::string_view key, const std::vector<Json>& arr) {
+  std::string& out = member(key);
+  out += '[';
   for (std::size_t i = 0; i < arr.size(); ++i) {
-    if (i) s += ", ";
-    s += arr[i].str();
+    if (i) out += ", ";
+    arr[i].append_to(out);
   }
-  return raw(key, s + "]");
+  out += ']';
+  return *this;
 }
 
 std::string Json::str() const {
-  std::string s = "{";
-  for (std::size_t i = 0; i < fields_.size(); ++i) {
-    if (i) s += ", ";
-    s += '"';
-    s += json_escape(fields_[i].first);
-    s += "\": ";
-    s += fields_[i].second;
-  }
-  s += '}';
+  std::string s;
+  s.reserve(body_.size() + 2);
+  append_to(s);
   return s;
 }
 
-Json& Json::raw(const std::string& key, std::string rendered) {
-  fields_.emplace_back(key, std::move(rendered));
-  return *this;
+std::string& JsonArray::element() {
+  if (size_++) body_ += ", ";
+  return body_;
 }
 
-JsonArray& JsonArray::push(double v) { return raw(render_number(v)); }
-JsonArray& JsonArray::push(long long v) { return raw(std::to_string(v)); }
-JsonArray& JsonArray::push(int v) { return raw(std::to_string(v)); }
-JsonArray& JsonArray::push(bool v) { return raw(v ? "true" : "false"); }
-JsonArray& JsonArray::push(const std::string& v) {
-  std::string s = "\"";
-  s += json_escape(v);
-  s += '"';
-  return raw(std::move(s));
+void JsonArray::append_to(std::string& out) const {
+  out += '[';
+  out += body_;
+  out += ']';
 }
-JsonArray& JsonArray::push(const char* v) { return push(std::string(v)); }
-JsonArray& JsonArray::push(const Json& obj) { return raw(obj.str()); }
-JsonArray& JsonArray::push(const JsonArray& arr) { return raw(arr.str()); }
+
+JsonArray& JsonArray::push(double v) {
+  append_number(element(), v);
+  return *this;
+}
+JsonArray& JsonArray::push(long long v) {
+  append_int(element(), v);
+  return *this;
+}
+JsonArray& JsonArray::push(int v) {
+  append_int(element(), v);
+  return *this;
+}
+JsonArray& JsonArray::push(bool v) {
+  element() += v ? "true" : "false";
+  return *this;
+}
+JsonArray& JsonArray::push(std::string_view v) {
+  append_quoted(element(), v);
+  return *this;
+}
+JsonArray& JsonArray::push(const char* v) {
+  return push(std::string_view(v));
+}
+JsonArray& JsonArray::push(const Json& obj) {
+  obj.append_to(element());
+  return *this;
+}
+JsonArray& JsonArray::push(const JsonArray& arr) {
+  arr.append_to(element());
+  return *this;
+}
 
 std::string JsonArray::str() const {
-  std::string s = "[";
-  for (std::size_t i = 0; i < items_.size(); ++i) {
-    if (i) s += ", ";
-    s += items_[i];
-  }
-  return s + "]";
-}
-
-JsonArray& JsonArray::raw(std::string rendered) {
-  items_.push_back(std::move(rendered));
-  return *this;
+  std::string s;
+  s.reserve(body_.size() + 2);
+  append_to(s);
+  return s;
 }
 
 bool write_json_file(const std::string& path, const Json& j) {

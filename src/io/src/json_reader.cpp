@@ -1,11 +1,13 @@
 #include "rlc/io/json_reader.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
 #include <stdexcept>
+#include <system_error>
 
 namespace rlc::io {
 
@@ -40,7 +42,7 @@ const std::vector<std::pair<std::string, JsonValue>>& JsonValue::members()
   return members_;
 }
 
-const JsonValue* JsonValue::find(const std::string& key) const {
+const JsonValue* JsonValue::find(std::string_view key) const {
   if (kind_ != Kind::kObject) return nullptr;
   for (const auto& [k, v] : members_) {
     if (k == key) return &v;
@@ -48,11 +50,11 @@ const JsonValue* JsonValue::find(const std::string& key) const {
   return nullptr;
 }
 
-double JsonValue::number_or(const std::string& key, double fallback) const {
+double JsonValue::number_or(std::string_view key, double fallback) const {
   const JsonValue* v = find(key);
   return v && v->kind_ == Kind::kNumber ? v->number_ : fallback;
 }
-long long JsonValue::int_or(const std::string& key, long long fallback) const {
+long long JsonValue::int_or(std::string_view key, long long fallback) const {
   // [-2^63, 2^63) truncates into a long long; NaN fails both comparisons.
   constexpr double kLimit = 9223372036854775808.0;
   const JsonValue* v = find(key);
@@ -62,11 +64,11 @@ long long JsonValue::int_or(const std::string& key, long long fallback) const {
   }
   return static_cast<long long>(v->number_);
 }
-bool JsonValue::bool_or(const std::string& key, bool fallback) const {
+bool JsonValue::bool_or(std::string_view key, bool fallback) const {
   const JsonValue* v = find(key);
   return v && v->kind_ == Kind::kBool ? v->bool_ : fallback;
 }
-std::string JsonValue::string_or(const std::string& key,
+std::string JsonValue::string_or(std::string_view key,
                                  std::string fallback) const {
   const JsonValue* v = find(key);
   return v && v->kind_ == Kind::kString ? v->string_ : std::move(fallback);
@@ -285,13 +287,18 @@ class Parser {
       ++pos_;
     }
     if (pos_ == start) fail(start, "expected a value");
-    const std::string tok = text_.substr(start, pos_ - start);
-    char* end = nullptr;
-    const double v = std::strtod(tok.c_str(), &end);
-    if (end != tok.c_str() + tok.size()) fail(start, "malformed number");
     JsonValue out;
     out.kind_ = JsonValue::Kind::kNumber;
-    out.number_ = v;
+    const char* first = text_.data() + start;
+    const char* last = text_.data() + pos_;
+    const std::from_chars_result r = std::from_chars(first, last, out.number_);
+    if (r.ec == std::errc() && r.ptr == last) return out;
+    // Refused, partial or out of range: strtod decides, on a terminated
+    // copy of the token.
+    const std::string tok(first, last);
+    char* end = nullptr;
+    out.number_ = std::strtod(tok.c_str(), &end);
+    if (end != tok.c_str() + tok.size()) fail(start, "malformed number");
     return out;
   }
 

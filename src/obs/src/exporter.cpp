@@ -121,7 +121,7 @@ std::string Exporter::prometheus(const MetricsSnapshot& snap) {
     append_bucket(out, name, "+Inf", h.count);
     out += name;
     out += "_sum ";
-    out += io::render_number(h.sum);
+    io::append_number(out, h.sum);
     out += '\n';
     out += name;
     out += "_count ";

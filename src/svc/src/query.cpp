@@ -76,41 +76,39 @@ rlc::Status QueryRequest::validate() const {
 }
 
 std::string QueryRequest::cache_key() const {
-  // Fixed field order, exact double bits (%.17g via render_number), one
+  // Fixed field order, exact double bits (%.17g via append_number), one
   // canonical spelling per field.  deadline_seconds is deliberately absent.
+  // The reserve covers the longest key: 63 bytes of labels and flag, three
+  // ints of at most 11 characters and eight numbers of at most 24.
   std::string key;
-  key.reserve(160);
+  key.reserve(288 + technology.size() + objective.size());
+  const auto number = [&key](const char* label, double v) {
+    key += label;
+    io::append_number(key, v);
+  };
   key += "tech=";
   key += technology;
-  key += ";l=";
-  key += io::render_number(l);
-  key += ";f=";
-  key += io::render_number(threshold);
+  number(";l=", l);
+  number(";f=", threshold);
   key += ";it=";
   key += std::to_string(max_iterations);
-  key += ";tol=";
-  key += io::render_number(residual_tolerance);
+  number(";tol=", residual_tolerance);
   key += ";exact=";
   key += with_exact_delay ? '1' : '0';
   key += ";tp=";
   key += std::to_string(talbot_points);
-  key += ";L=";
-  key += io::render_number(line_length);
+  number(";L=", line_length);
   key += ";nc=";
   key += std::to_string(n_conductors);
-  key += ";cc=";
-  key += io::render_number(coupling_cc);
-  key += ";km=";
-  key += io::render_number(coupling_km);
-  key += ";vmax=";
-  key += io::render_number(noise_vmax);
+  number(";cc=", coupling_cc);
+  number(";km=", coupling_km);
+  number(";vmax=", noise_vmax);
   // Objective block only when non-default, so every pre-objective key (and
   // its FNV hash, pinned by tests) is preserved verbatim.
   if (objective != "delay") {
     key += ";obj=";
     key += objective;
-    key += ";eps=";
-    key += io::render_number(delay_slack_eps);
+    number(";eps=", delay_slack_eps);
   }
   return key;
 }

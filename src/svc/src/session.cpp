@@ -3,6 +3,7 @@
 #include <chrono>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 
@@ -110,10 +111,12 @@ struct Session::Impl {
   /// then the pre-flight deadline/cancel check, then the cache, then the
   /// solve — so an expired deadline does no work and writes nothing.
   ///
-  /// `received_ns` (Tracer::now_ns clock, 0 = unknown) is when the server
-  /// first read the request off the wire; the gap to pickup here is the
-  /// queue stage of the per-request attribution.
+  /// `key` is req.cache_key(), built once by the caller.  `received_ns`
+  /// (Tracer::now_ns clock, 0 = unknown) is when the server first read the
+  /// request off the wire; the gap to pickup here is the queue stage of the
+  /// per-request attribution.
   rlc::StatusOr<QueryResult> answer(const QueryRequest& req,
+                                    const std::string& key,
                                     const CancelToken& cancel,
                                     std::int64_t received_ns = 0) {
     auto& reg = obs::Registry::global();
@@ -146,7 +149,6 @@ struct Session::Impl {
           "deadline expired before the solve started");
     }
 
-    const std::string key = req.cache_key();
     const auto t_cache = std::chrono::steady_clock::now();
     std::optional<QueryResult> hit = cache.get(key);
     const double cache_us = seconds_since(t_cache) * 1e6;
@@ -333,7 +335,8 @@ rlc::StatusOr<QueryResult> Session::submit(const QueryRequest& req,
   const SvcMetrics& m = SvcMetrics::get();
   reg.gauge_add(m.queue_depth, 1);
   reg.gauge_max(m.queue_depth_max, 1);
-  rlc::StatusOr<QueryResult> out = impl_->answer(req, cancel);
+  rlc::StatusOr<QueryResult> out =
+      impl_->answer(req, req.cache_key(), cancel);
   reg.gauge_add(m.queue_depth, -1);
   return out;
 }
@@ -367,14 +370,17 @@ std::vector<rlc::StatusOr<QueryResult>> Session::submit_batch(
   // resolve from the cache the leaders just filled, which matches what
   // serial submission order would have produced (a leader whose solve
   // failed caches nothing, so its followers recompute — and fail — the
-  // same way).
+  // same way).  Each key is built once, here, and handed to answer().
+  std::vector<std::string> keys;
+  keys.reserve(n);  // no reallocation: first_of views the keys in place
   std::vector<std::size_t> leaders, followers;
   leaders.reserve(n);
   {
-    std::unordered_map<std::string, std::size_t> first_of;
+    std::unordered_map<std::string_view, std::size_t> first_of;
     first_of.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
-      const bool lead = first_of.emplace(reqs[i].cache_key(), i).second;
+      keys.push_back(reqs[i].cache_key());
+      const bool lead = first_of.emplace(keys.back(), i).second;
       (lead ? leaders : followers).push_back(i);
     }
   }
@@ -393,21 +399,14 @@ std::vector<rlc::StatusOr<QueryResult>> Session::submit_batch(
   const auto stamp_of = [&received_ns](std::size_t i) -> std::int64_t {
     return i < received_ns.size() ? received_ns[i] : 0;
   };
+  const auto run = [&](std::size_t i) {
+    slots[i] = impl_->answer(reqs[i], keys[i], cancel, stamp_of(i));
+  };
   impl_->pool.parallel_for(
-      leaders.size(),
-      [&](std::size_t j) {
-        slots[leaders[j]] = impl_->answer(reqs[leaders[j]], cancel,
-                                          stamp_of(leaders[j]));
-      },
-      1);
+      leaders.size(), [&](std::size_t j) { run(leaders[j]); }, 1);
   if (!followers.empty()) {
     impl_->pool.parallel_for(
-        followers.size(),
-        [&](std::size_t j) {
-          slots[followers[j]] = impl_->answer(reqs[followers[j]], cancel,
-                                              stamp_of(followers[j]));
-        },
-        1);
+        followers.size(), [&](std::size_t j) { run(followers[j]); }, 1);
   }
   reg.gauge_add(m.queue_depth, -static_cast<std::int64_t>(n));
 

@@ -1,17 +1,25 @@
 /// rlc::io unit tests: RFC 8259 string escaping in the writer, number
-/// rendering, the recursive-descent reader (escapes, surrogate pairs,
-/// error offsets), and a full writer -> reader round-trip.
+/// rendering (the bytes of printf's "%.17g"), the recursive-descent reader
+/// (escapes, surrogate pairs, error offsets, numbers read as strtod reads
+/// them), the pinned bytes of a nested document, and a full writer ->
+/// reader round-trip.
 
 #include "rlc/io/json.hpp"
 #include "rlc/io/json_reader.hpp"
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfloat>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <limits>
+#include <random>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 namespace {
 
@@ -49,10 +57,147 @@ TEST(JsonNumbers, RoundTripAndNonFinite) {
   EXPECT_EQ(render_number(std::nan("")), "null");
 }
 
+/// The finite doubles the number tests run over: the edge values, then
+/// seeded random bit patterns, subnormals and values across the l range.
+std::vector<double> number_samples() {
+  const double two53 = std::ldexp(1.0, 53);
+  std::vector<double> v = {0.0, -0.0, 1.0, -1.0, 0.1, 2.5e-6, 1e-9,
+                           two53 - 1.0, two53, two53 + 2.0,
+                           DBL_MAX, -DBL_MAX, DBL_MIN,
+                           std::numeric_limits<double>::denorm_min(),
+                           std::nextafter(DBL_MIN, 0.0)};
+  // The exponents where %g switches between fixed and scientific notation.
+  for (const double edge : {1e-5, 1e-4, 1e16, 1e17}) {
+    for (const double x : {std::nextafter(edge, 0.0), edge,
+                           std::nextafter(edge, DBL_MAX)}) {
+      v.push_back(x);
+      v.push_back(-x);
+    }
+  }
+  std::mt19937_64 rng(20261019);
+  while (v.size() < 100000) {
+    const double d = std::bit_cast<double>(rng());
+    if (std::isfinite(d)) v.push_back(d);
+  }
+  constexpr std::uint64_t kMantissa = (std::uint64_t{1} << 52) - 1;
+  for (int i = 0; i < 10000; ++i) {
+    v.push_back(std::bit_cast<double>((rng() & kMantissa) | (rng() << 63)));
+  }
+  std::uniform_real_distribution<double> l_range(0.0, 5e-6);
+  for (int i = 0; i < 10000; ++i) v.push_back(l_range(rng));
+  return v;
+}
+
+std::uint64_t bits(double d) { return std::bit_cast<std::uint64_t>(d); }
+
+// Every wire byte, cache key and cache hash was written with
+// snprintf("%.17g") before render_number moved to std::to_chars.
+TEST(JsonNumbers, RenderNumberIsPrintfG17) {
+  int mismatches = 0;
+  for (const double v : number_samples()) {
+    char want[40];
+    std::snprintf(want, sizeof want, "%.17g", v);
+    if (render_number(v) != want && ++mismatches <= 5) {
+      ADD_FAILURE() << "render_number gives " << render_number(v)
+                    << ", printf " << want;
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+  std::string out = "x";
+  rlc::io::append_number(out, -0.5);
+  rlc::io::append_number(out, std::nan(""));
+  EXPECT_EQ(out, "x-0.5null");
+}
+
+// The reader takes std::from_chars's value only when it accepts the whole
+// token in range; strtod reads every other token.  So each number gets
+// strtod's bits, and the tokens strtod accepted and refused before still
+// are (JSON would refuse "+1", ".5", "1." and "00").
+TEST(JsonReader, NumbersReadAsStrtodReadsThem) {
+  struct Case {
+    const char* token;
+    bool accepted;
+  };
+  for (const Case c : {Case{"+1", true}, Case{".5", true}, Case{"1.", true},
+                       Case{"-0", true}, Case{"00", true}, Case{"1e", false},
+                       Case{"--1", false}, Case{"1.2.3", false},
+                       Case{"1e400", true}, Case{"-1e400", true},
+                       Case{"1e-400", true},
+                       Case{"4.121477099825259e-06", true}}) {
+    char* end = nullptr;
+    const double want = std::strtod(c.token, &end);
+    ASSERT_EQ(*end == '\0', c.accepted) << c.token;
+    if (!c.accepted) {
+      EXPECT_THROW(parse_json(c.token), std::runtime_error) << c.token;
+      continue;
+    }
+    double got = 0.0;
+    ASSERT_NO_THROW(got = parse_json(c.token).as_number()) << c.token;
+    EXPECT_EQ(bits(got), bits(want)) << c.token;
+  }
+  int mismatches = 0;
+  for (const double v : number_samples()) {
+    const std::string text = render_number(v);
+    const double want = std::strtod(text.c_str(), nullptr);
+    const double got = parse_json(text).as_number();
+    if ((bits(got) != bits(want) || bits(got) != bits(v)) &&
+        ++mismatches <= 5) {
+      ADD_FAILURE() << text << " reads as " << got;
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+}
+
 TEST(JsonWriter, ObjectKeepsInsertionOrderAndEscapesStrings) {
   Json j;
   j.set("b", 1).set("a", "x\ny").set("flag", true);
   EXPECT_EQ(j.str(), "{\"b\": 1, \"a\": \"x\\ny\", \"flag\": true}");
+}
+
+// The bytes of a nested document, as the writer has always rendered it:
+// separators, escaped keys, non-finite numbers as null, empty containers.
+TEST(JsonWriter, NestedDocumentBytesArePinned) {
+  const double inf = std::numeric_limits<double>::infinity();
+  Json inner;
+  inner.set("tab\tkey", 0.1)
+      .set("nan", std::nan(""))
+      .set("-inf", -inf)
+      .set("tiny", 5e-324)
+      .set("neg_zero", -0.0);
+  JsonArray row;
+  row.push(Json())
+      .push(JsonArray())
+      .push(1e-5)
+      .push(1e16)
+      .push(2.5)
+      .push(inf)
+      .push("q\"\\\x01")
+      .push(false)
+      .push(-7LL)
+      .push(42);
+  EXPECT_EQ(row.size(), 10u);
+  Json doc;
+  doc.set("quote\"key", inner)
+      .set("rows", row)
+      .set("list", std::vector<Json>{Json(), inner})
+      .set("empty_object", Json())
+      .set("empty_array", JsonArray())
+      .set("empty_list", std::vector<Json>{})
+      .set("text", std::string("line\nnext"))
+      .set("flag", true)
+      .set("count", 3LL);
+  const std::string inner_text =
+      R"({"tab\tkey": 0.10000000000000001, "nan": null, "-inf": null, )"
+      R"("tiny": 4.9406564584124654e-324, "neg_zero": -0})";
+  EXPECT_EQ(doc.str(),
+            R"({"quote\"key": )" + inner_text +
+                R"(, "rows": [{}, [], 1.0000000000000001e-05, )"
+                R"(10000000000000000, 2.5, null, "q\"\\\u0001", false, )"
+                R"(-7, 42], "list": [{}, )" +
+                inner_text +
+                R"(], "empty_object": {}, "empty_array": [], )"
+                R"("empty_list": [], "text": "line\nnext", "flag": true, )"
+                R"("count": 3})");
 }
 
 TEST(JsonReader, ParsesScalarsArraysObjects) {

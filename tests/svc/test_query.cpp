@@ -169,6 +169,35 @@ TEST(QueryRequest, CacheKeyIgnoresDeadlineOnly) {
   }));
 }
 
+// Shard placement hashes the key and the slow-query log reports the hash,
+// so the bytes of both are pinned, number rendering included.
+TEST(QueryRequest, CacheKeyAndHashArePinned) {
+  QueryRequest q;
+  q.technology = "250nm";
+  q.l = 2.5e-6;
+  q.threshold = 0.4;
+  q.line_length = 0.01;
+  q.n_conductors = 2;
+  q.coupling_cc = 2.5e-11;
+  q.coupling_km = 0.3;
+  q.noise_vmax = 0.12;
+  EXPECT_EQ(q.cache_key(),
+            "tech=250nm;l=2.5000000000000002e-06;f=0.40000000000000002;it=80;"
+            "tol=1.0000000000000001e-09;exact=0;tp=48;L=0.01;nc=2;"
+            "cc=2.5000000000000001e-11;km=0.29999999999999999;vmax=0.12");
+  EXPECT_EQ(q.cache_hash(), 18115677291353557648ULL);
+
+  QueryRequest p;
+  p.l = 1e-6;
+  p.objective = "power";
+  p.delay_slack_eps = 0.1;
+  EXPECT_EQ(p.cache_key(),
+            "tech=100nm;l=9.9999999999999995e-07;f=0.5;it=80;"
+            "tol=1.0000000000000001e-09;exact=0;tp=48;L=0;nc=1;cc=0;km=0;"
+            "vmax=0;obj=power;eps=0.10000000000000001");
+  EXPECT_EQ(p.cache_hash(), 2202144102097708109ULL);
+}
+
 // The objective extension is schema-transparent: the default-objective key,
 // hash, and wire body are byte-identical to the pre-objective wire (old
 // cache entries and rlc_load replays stay valid), and only non-default
