@@ -6,7 +6,7 @@
       `rlc_serve --max-batch 8 --threads 4 < tests/svc/requests.ndjson`,
       with BASELINE line by line and byte for byte.  SERVE_BENCH is the
       BENCH_serve.json of `rlc_serve --bench` on the same build; its simd
-      level must equal the baseline's, since coupled and exact answers
+      level must equal the baseline's, since the coupled-bus answers
       differ under RLC_SIMD=off.
 
   serve_diff.py --record BASELINE RESPONSES SERVE_BENCH
