@@ -7,7 +7,9 @@
       with BASELINE line by line and byte for byte.  SERVE_BENCH is the
       BENCH_serve.json of `rlc_serve --bench` on the same build; its simd
       level must equal the baseline's, since the coupled-bus answers
-      differ under RLC_SIMD=off.
+      differ under RLC_SIMD=off: bench/serve_transcript.json holds the
+      avx2 transcript, bench/serve_transcript_scalar.json the one
+      recorded under RLC_SIMD=off.
 
   serve_diff.py --record BASELINE RESPONSES SERVE_BENCH
       Write BASELINE from RESPONSES.  A change that moves an answer or a
