@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <string_view>
 
 #include "rlc/base/status.hpp"
 #include "rlc/io/json.hpp"
@@ -80,7 +81,7 @@ struct QueryRequest {
   /// deadline changes whether you get an answer, never which answer.
   std::string cache_key() const;
 
-  /// FNV-1a 64 of cache_key(), for logs/metrics shards.
+  /// cache_hash_of(cache_key()), for logs/metrics shards.
   std::uint64_t cache_hash() const;
 
   io::Json to_json() const;
@@ -91,6 +92,10 @@ struct QueryRequest {
 
   bool operator==(const QueryRequest&) const = default;
 };
+
+/// FNV-1a 64 of a cache key: QueryRequest::cache_hash() of the request whose
+/// cache_key() it is, for a caller that already holds the key.
+std::uint64_t cache_hash_of(std::string_view key);
 
 /// Everything one query produced.  Numeric fields are bit-identical for a
 /// given request whether computed serially, in a batch on any thread

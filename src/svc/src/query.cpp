@@ -113,14 +113,18 @@ std::string QueryRequest::cache_key() const {
   return key;
 }
 
-std::uint64_t QueryRequest::cache_hash() const {
+std::uint64_t cache_hash_of(std::string_view key) {
   // FNV-1a 64.
   std::uint64_t h = 14695981039346656037ULL;
-  for (unsigned char c : cache_key()) {
+  for (unsigned char c : key) {
     h ^= c;
     h *= 1099511628211ULL;
   }
   return h;
+}
+
+std::uint64_t QueryRequest::cache_hash() const {
+  return cache_hash_of(cache_key());
 }
 
 io::Json QueryRequest::to_json() const {

@@ -70,10 +70,10 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 
 /// Record the per-stage histograms for every request and offer traced
 /// requests to the slow-query log.  Stage time is observation, never part
-/// of the answer.
-void account_stages(const QueryRequest& req, const char* status,
-                    bool from_cache, double queue_us, double cache_us,
-                    double solve_us) {
+/// of the answer.  `key` is req.cache_key().
+void account_stages(const QueryRequest& req, std::string_view key,
+                    const char* status, bool from_cache, double queue_us,
+                    double cache_us, double solve_us) {
   auto& reg = obs::Registry::global();
   const SvcMetrics& m = SvcMetrics::get();
   reg.record(m.stage_queue_us, queue_us);
@@ -85,7 +85,7 @@ void account_stages(const QueryRequest& req, const char* status,
   SlowQueryLog::Entry e;
   e.trace_id = req.trace_id;
   e.technology = req.technology;
-  e.cache_hash = req.cache_hash();
+  e.cache_hash = cache_hash_of(key);
   e.from_cache = from_cache;
   e.status = status;
   e.queue_us = queue_us;
@@ -138,13 +138,13 @@ struct Session::Impl {
     }
     if (cancel.cancel_requested()) {
       reg.add(m.cancelled);
-      account_stages(req, "cancelled", false, queue_us, 0.0, 0.0);
+      account_stages(req, key, "cancelled", false, queue_us, 0.0, 0.0);
       return rlc::Status::cancelled("request cancelled before start");
     }
     const Deadline deadline = Deadline::after(req.deadline_seconds);
     if (deadline.expired()) {
       reg.add(m.deadline_exceeded);
-      account_stages(req, "deadline_exceeded", false, queue_us, 0.0, 0.0);
+      account_stages(req, key, "deadline_exceeded", false, queue_us, 0.0, 0.0);
       return rlc::Status::deadline_exceeded(
           "deadline expired before the solve started");
     }
@@ -157,7 +157,7 @@ struct Session::Impl {
       hit->from_cache = true;
       hit->wall_seconds = seconds_since(t0);
       reg.record(m.latency_us, hit->wall_seconds * 1e6);
-      account_stages(req, "ok", true, queue_us, cache_us, 0.0);
+      account_stages(req, key, "ok", true, queue_us, cache_us, 0.0);
       hit->trace_id = req.trace_id;  // empty for untraced: nothing emitted
       hit->queue_us = queue_us;
       hit->cache_us = cache_us;
@@ -177,7 +177,7 @@ struct Session::Impl {
         // across clients and must stay trace-free.
         cache.put(key, *result);
         reg.record(m.latency_us, result->wall_seconds * 1e6);
-        account_stages(req, "ok", false, queue_us, cache_us, solve_us);
+        account_stages(req, key, "ok", false, queue_us, cache_us, solve_us);
         result->trace_id = req.trace_id;
         result->queue_us = queue_us;
         result->cache_us = cache_us;
@@ -200,24 +200,24 @@ struct Session::Impl {
           default:
             break;
         }
-        account_stages(req, result.status().code_name(), false, queue_us,
+        account_stages(req, key, result.status().code_name(), false, queue_us,
                        cache_us, solve_us);
       }
       return result;
     } catch (const CancelledError& e) {
       reg.add(e.code() == StatusCode::kDeadlineExceeded ? m.deadline_exceeded
                                                         : m.cancelled);
-      account_stages(req, e.to_status().code_name(), false, queue_us,
+      account_stages(req, key, e.to_status().code_name(), false, queue_us,
                      cache_us, seconds_since(t_solve) * 1e6);
       return e.to_status();
     } catch (const std::invalid_argument& e) {
       reg.add(m.errors);
-      account_stages(req, "invalid_argument", false, queue_us, cache_us,
+      account_stages(req, key, "invalid_argument", false, queue_us, cache_us,
                      seconds_since(t_solve) * 1e6);
       return rlc::Status::invalid_argument(e.what());
     } catch (const std::exception& e) {
       reg.add(m.errors);
-      account_stages(req, "internal", false, queue_us, cache_us,
+      account_stages(req, key, "internal", false, queue_us, cache_us,
                      seconds_since(t_solve) * 1e6);
       return rlc::Status::internal(std::string("query failed: ") + e.what());
     }

@@ -7,6 +7,7 @@
 
 #include "rlc/base/version.hpp"
 #include "rlc/io/json_reader.hpp"
+#include "rlc/svc/query.hpp"
 #include "rlc/svc/slowlog.hpp"
 
 namespace rlc::svc {
@@ -262,6 +263,16 @@ TEST_F(ServeTest, TracedColdCoupledQueryLandsInTheSlowLogWithStageTimes) {
   }
   ASSERT_NE(mine, nullptr) << "traced request missing from the slow log";
   EXPECT_EQ(mine->technology, "100nm");
+  // The logged hash, taken from the key the session already holds, is the
+  // request's own cache_hash().
+  QueryRequest req;
+  req.technology = "100nm";
+  req.l = 1.1e-6;
+  req.n_conductors = 2;
+  req.coupling_cc = 2.5e-11;
+  req.coupling_km = 0.25;
+  EXPECT_EQ(mine->cache_hash, req.cache_hash());
+  EXPECT_EQ(cache_hash_of(req.cache_key()), req.cache_hash());
   EXPECT_EQ(mine->status, "ok");
   EXPECT_FALSE(mine->from_cache);
   EXPECT_GT(mine->solve_us, 0.0);
