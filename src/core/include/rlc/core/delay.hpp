@@ -26,7 +26,12 @@ struct DelayResult {
 
 struct DelayOptions {
   double f = 0.5;  ///< threshold fraction, 0 < f < 1 (50% delay default)
-  double rel_tolerance = 1e-13;  ///< relative tolerance on tau
+  /// Despite its name, not relative to tau: the polish's x-tolerance, met
+  /// once its bracket satisfies (hi - lo) <= rel_tolerance (1 + |t|) with t
+  /// in seconds.  At the default that is about 1e-13 s absolute, about
+  /// 1e-3 relative at tau ~ 1e-10 s.  The polish also stops once
+  /// |v(t) - f| <= 1e-14.
+  double rel_tolerance = 1e-13;
   int max_iterations = 100;
   // The deprecated rel_tol accessor alias (one-release grace period, see
   // DESIGN.md "Options hygiene") has been removed.
@@ -36,12 +41,17 @@ struct DelayOptions {
 /// t_i = i dt, dt = t_char / 64 with t_char = max(b1, sqrt(b2)), i <= 200 *
 /// 64: the bracket is [t_{i-1}, t_i] for the first i with v(t_i) >= f.  v
 /// rises monotonically up to its first peak at pi / omega_d (real and
-/// confluent poles have none), where v = 1 + overshoot > f, so the
-/// predicate v(t_i) >= f is monotone in i up to that peak and the index is
-/// found by bisection (about 14 evaluations instead of one per grid step);
-/// past the peak the grid is walked forward.  Then polishes with
-/// bisection-guarded Newton on v(t) - f.  Adds its evaluations of v and v'
-/// to the `delay.step_evals` counter once per call.
+/// confluent poles have none), where v = 1 + overshoot > f, so up to that
+/// peak exactly one i has v(t_{i-1}) < f <= v(t_i), and the search returns
+/// it: it starts at the grid index of a closed-form estimate (the one-pole
+/// time b1 ln(1/(1 - f)) plus one Newton step), confirms v(t_{i-1}) < f <=
+/// v(t_i) there, and otherwise gallops to a bracket and bisects it (a
+/// non-finite estimate searches the whole range); past the peak the grid is
+/// walked forward.  Then polishes with bisection-guarded Newton on
+/// v(t) - f from the two end values the search holds.  The estimate and
+/// every Newton iterate take v and v' from one exponential.  Adds one
+/// `delay.step_evals` count per t at which the response is evaluated, once
+/// per call (about 10 per solve, against one per grid step for a walk).
 /// Throws std::domain_error for f outside (0, 1).
 DelayResult threshold_delay(const TwoPole& sys, const DelayOptions& opts = {});
 

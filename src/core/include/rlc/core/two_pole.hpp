@@ -9,6 +9,13 @@
 /// Works transparently for real (overdamped) and complex-conjugate
 /// (underdamped) poles; a series form handles the nearly-critically-damped
 /// case where the generic formula suffers catastrophic cancellation.
+///
+/// The two-exponential formula is evaluated in real arithmetic that
+/// replays, operation for operation, the IEEE steps of its complex form
+/// (complex products and libgcc's __divdc3 on the poles quadratic_roots
+/// returns), so v and v' carry the complex form's bits at the cost of two
+/// real exps or one complex exp and no complex division.
+/// tests/support/two_pole_reference.hpp keeps the complex form.
 
 #include <complex>
 
@@ -48,6 +55,15 @@ class TwoPole {
   /// dv/dt.
   double step_response_derivative(double t) const;
 
+  /// v(t) and v'(t) at one t >= 0 from one exponential, bit for bit
+  /// step_response(t) and step_response_derivative(t): what a Newton step
+  /// on Eq. (3) needs.
+  struct Point {
+    double v = 0.0;
+    double dv = 0.0;
+  };
+  Point step_point(double t) const;
+
   /// Peak overshoot above the final value: max_t v(t) - 1 (0 for
   /// non-underdamped systems).  For underdamped: exp(-zeta pi / sqrt(1-zeta^2)).
   double overshoot() const;
@@ -63,10 +79,17 @@ class TwoPole {
   double damped_frequency() const;
 
  private:
+  /// Which closed form step_point takes, decided once from the poles.
+  enum class Form {
+    kReal,       ///< distinct real poles, imaginary parts +0
+    kConjugate,  ///< s2 == conj(s1) exactly, Im s1 > 0
+    kConfluent,  ///< poles too close for the two-exponential formula
+  };
+
   double b1_, b2_;
   std::complex<double> s1_, s2_;
-  bool confluent_ = false;  ///< poles too close for the generic formula
-  bool conjugate_ = false;  ///< s2 == conj(s1) exactly, Im s1 != 0
+  Form form_ = Form::kReal;
+  double s_confluent_ = 0.0;  ///< (s1 + s2) / 2 for the confluent series
 };
 
 }  // namespace rlc::core

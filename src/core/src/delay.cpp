@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "rlc/math/constants.hpp"
@@ -17,16 +18,23 @@ DelayResult threshold_delay(const TwoPole& sys, const DelayOptions& opts) {
   static const int kStepEvals =
       obs::Registry::global().counter("delay.step_evals");
   DelayResult res;
-  // Evaluations of v and v', added to the registry once per solve.
+  // v and v' come from one exponential per t, and the polish asks for v'
+  // at the t whose v it has just taken, so one held point serves both.
+  // `evals` counts the t at which the response is evaluated; it reaches
+  // the registry once per solve.
   long evals = 0;
-  const auto v = [&sys, &opts, &evals](double t) {
-    ++evals;
-    return sys.step_response(t) - opts.f;
+  double held_t = std::numeric_limits<double>::quiet_NaN();
+  TwoPole::Point held;
+  const auto at = [&](double t) -> const TwoPole::Point& {
+    if (!(t == held_t)) {
+      held = sys.step_point(t);
+      held_t = t;
+      ++evals;
+    }
+    return held;
   };
-  const auto dv = [&sys, &evals](double t) {
-    ++evals;
-    return sys.step_response_derivative(t);
-  };
+  const auto v = [&](double t) { return at(t).v - opts.f; };
+  const auto dv = [&](double t) { return at(t).dv; };
 
   // Characteristic time: for overdamped systems b1 dominates, for
   // underdamped the rise happens within a fraction of the ring period.
@@ -39,14 +47,13 @@ DelayResult threshold_delay(const TwoPole& sys, const DelayOptions& opts) {
   // 200 characteristic times is far beyond any physical delay here; the
   // response has settled long before.
   const long max_steps = 200L * kStepsPerChar;
-  const auto reached = [&](long n) {
-    return v(dt * static_cast<double>(n)) >= 0.0;
-  };
+  // g(n) = v(t_n) - f; the bracket is the first n with g(n) >= 0.
+  const auto g = [&](long n) { return v(dt * static_cast<double>(n)); };
   // v rises monotonically up to its first peak at pi / omega_d (there is no
   // peak for real or confluent poles), and v there is 1 + overshoot > f.
-  // So "v(t_i) >= f" is monotone in i up to i_peak = floor(pi/(omega_d dt)),
-  // and bisecting over the index returns the same first i as walking the
-  // grid from i = 1, in O(log) evaluations.
+  // So "g(i) >= 0" is monotone in i up to i_peak = floor(pi/(omega_d dt)):
+  // there is exactly one i in (0, i_peak] with g(i - 1) < 0 <= g(i), and
+  // any search that finds such an i returns the first crossing.
   long last = max_steps;
   const double wd = sys.damped_frequency();
   if (wd > 0.0) {
@@ -55,27 +62,93 @@ DelayResult threshold_delay(const TwoPole& sys, const DelayOptions& opts) {
       last = static_cast<long>(i_peak);
     }
   }
+
+  // Start at a closed-form estimate of the crossing: the one-pole time
+  // b1 ln(1/(1 - f)), clamped into (0, t_last], plus one Newton step.
+  const double t0 = std::clamp(-sys.b1() * std::log1p(-opts.f), dt,
+                               dt * static_cast<double>(last));
+  const TwoPole::Point p0 = at(t0);
+  const double guess = std::ceil((t0 - (p0.v - opts.f) / p0.dv) / dt);
+
+  // Invariant once bracketed: g(below) < 0 <= g(i), with both values held
+  // for the polish (g(0) = -f).
+  long below = 0;
+  double g_below = -opts.f;
   long i = last;
-  if (reached(last)) {
-    long below = 0;  // v(t_0) = 0 < f
-    while (i - below > 1) {
-      const long mid = below + (i - below) / 2;
-      if (reached(mid)) {
-        i = mid;
-      } else {
-        below = mid;
+  double g_i = 0.0;
+  bool past_peak = false;  // no crossing up to `last`
+  if (std::isfinite(guess)) {
+    i = static_cast<long>(
+        std::clamp(guess, 1.0, static_cast<double>(last)));
+    g_i = g(i);
+    if (g_i >= 0.0) {
+      // Reached at the estimate: gallop down to an index that falls short.
+      for (long step = 1;; step *= 2) {
+        const long n = std::max(0L, i - step);
+        if (n == 0) break;
+        const double gn = g(n);
+        if (gn < 0.0) {
+          below = n;
+          g_below = gn;
+          break;
+        }
+        i = n;
+        g_i = gn;
+      }
+    } else {
+      // Short of f at the estimate: gallop up, at most to the peak's index.
+      below = i;
+      g_below = g_i;
+      for (long step = 1;; step *= 2) {
+        if (below == last) {
+          past_peak = true;
+          break;
+        }
+        const long n = std::min(last, below + step);
+        const double gn = g(n);
+        if (gn >= 0.0) {
+          i = n;
+          g_i = gn;
+          break;
+        }
+        below = n;
+        g_below = gn;
       }
     }
   } else {
-    // No crossing by the peak (not possible in exact arithmetic): keep
-    // walking the grid forward.
-    for (i = last + 1; i <= max_steps && !reached(i); ++i) {
+    // No usable estimate: the whole range (0, last].
+    g_i = g(last);
+    if (g_i < 0.0) {
+      below = last;
+      g_below = g_i;
+      past_peak = true;
     }
   }
-  if (i > max_steps) {
-    obs::Registry::global().add(kStepEvals, evals);
-    res.converged = false;
-    return res;
+  if (past_peak) {
+    // No crossing by the peak (not possible in exact arithmetic): walk the
+    // grid forward.
+    for (i = last + 1; i <= max_steps; ++i) {
+      g_i = g(i);
+      if (g_i >= 0.0) break;
+      below = i;
+      g_below = g_i;
+    }
+    if (i > max_steps) {
+      obs::Registry::global().add(kStepEvals, evals);
+      res.converged = false;
+      return res;
+    }
+  }
+  while (i - below > 1) {
+    const long mid = below + (i - below) / 2;
+    const double gm = g(mid);
+    if (gm >= 0.0) {
+      i = mid;
+      g_i = gm;
+    } else {
+      below = mid;
+      g_below = gm;
+    }
   }
   const double lo = dt * static_cast<double>(i - 1);
   const double hi = dt * static_cast<double>(i);
@@ -84,7 +157,8 @@ DelayResult threshold_delay(const TwoPole& sys, const DelayOptions& opts) {
   nopts.max_iterations = opts.max_iterations;
   nopts.f_tolerance = 1e-14;
   nopts.x_tolerance = opts.rel_tolerance;
-  const auto sol = rlc::math::newton_bisect_scalar(v, dv, lo, hi, nopts);
+  const auto sol =
+      rlc::math::newton_bisect_scalar(v, dv, lo, hi, g_below, g_i, nopts);
   obs::Registry::global().add(kStepEvals, evals);
   res.tau = sol.x;
   res.newton_iterations = sol.iterations;

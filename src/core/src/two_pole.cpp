@@ -28,14 +28,21 @@ TwoPole::TwoPole(const PadeCoeffs& pc) : b1_(pc.b1), b2_(pc.b2) {
   }
   s1_ = r1;
   s2_ = r2;
-  // Which form step_response uses depends only on the poles: decide once.
+  // Which form step_point uses depends only on the poles: decide once.
   const double sep = std::abs(s2_ - s1_);
   const double mag = 0.5 * (std::abs(s1_) + std::abs(s2_));
-  confluent_ = sep <= kConfluentTol * mag;
-  // quadratic_roots returns complex roots as re +/- i im, so the pair is an
-  // exact conjugate and exp(s2 t) == conj(exp(s1 t)) whenever the libm's
-  // cexp is conjugate-symmetric (pinned by tests/core/test_two_pole.cpp).
-  conjugate_ = s1_.imag() != 0.0 && s2_ == std::conj(s1_);
+  if (sep <= kConfluentTol * mag) {
+    form_ = Form::kConfluent;
+    s_confluent_ = 0.5 * (s1_ + s2_).real();
+  } else if (s1_.imag() != 0.0 && s2_ == std::conj(s1_)) {
+    // quadratic_roots returns complex roots as re +/- i im, so the pair is
+    // an exact conjugate and exp(s2 t) == conj(exp(s1 t)) whenever the
+    // libm's cexp is conjugate-symmetric (pinned by
+    // tests/core/test_two_pole.cpp).
+    form_ = Form::kConjugate;
+  } else {
+    form_ = Form::kReal;
+  }
 }
 
 Damping TwoPole::damping(double rel_tol) const {
@@ -51,30 +58,61 @@ double TwoPole::damping_ratio() const { return b1_ / (2.0 * std::sqrt(b2_)); }
 
 double TwoPole::step_response(double t) const {
   if (t <= 0.0) return 0.0;
-  if (confluent_) {
-    // Confluent double pole at s = (s1 + s2)/2: v = 1 - (1 - s t) e^{s t}.
-    const double s = 0.5 * (s1_ + s2_).real();
-    return 1.0 - (1.0 - s * t) * std::exp(s * t);
-  }
-  const std::complex<double> e1 = std::exp(s1_ * t);
-  const std::complex<double> e2 =
-      conjugate_ ? std::conj(e1) : std::exp(s2_ * t);
-  const std::complex<double> v = 1.0 - (s2_ * e1 - s1_ * e2) / (s2_ - s1_);
-  return v.real();
+  return step_point(t).v;
 }
 
 double TwoPole::step_response_derivative(double t) const {
   if (t < 0.0) return 0.0;
-  if (confluent_) {
-    const double s = 0.5 * (s1_ + s2_).real();
-    return s * s * t * std::exp(s * t);
+  return step_point(t).dv;
+}
+
+// The complex form is
+//
+//   v  = 1 - (s2 e1 - s1 e2) / (s2 - s1),  v' = s1 s2 (e2 - e1) / (s2 - s1),
+//
+// with e_k = exp(s_k t), GCC's inline complex products and libgcc's
+// __divdc3 for the division.  On the two pole forms quadratic_roots
+// returns, every product with an exact zero and every difference of equal
+// terms is known, so the complex steps reduce to the real ones below.
+// __divdc3 divides by the larger-magnitude part of the denominator after
+// scaling numerator and denominator by a power of two, which leaves the
+// quotient's bits unchanged; the "+ 0.0" terms keep the sign of zero the
+// complex form gives.
+TwoPole::Point TwoPole::step_point(double t) const {
+  Point p;
+  switch (form_) {
+    case Form::kConfluent: {
+      // Confluent double pole at s = (s1 + s2)/2: v = 1 - (1 - s t) e^{s t}.
+      const double s = s_confluent_;
+      const double e = std::exp(s * t);
+      p.v = 1.0 - (1.0 - s * t) * e;
+      p.dv = s * s * t * e;
+      break;
+    }
+    case Form::kReal: {
+      // s_k = x_k + 0i, so exp(s_k t) = exp(x_k t) + 0i, the numerators are
+      // real and __divdc3 divides the real parts.
+      const double x1 = s1_.real(), x2 = s2_.real();
+      const double e1 = std::exp(x1 * t);
+      const double e2 = std::exp(x2 * t);
+      p.v = 1.0 - (x2 * e1 - x1 * e2) / (x2 - x1);
+      p.dv = (x1 * x2 * (e2 - e1) + 0.0) / (x2 - x1);
+      break;
+    }
+    case Form::kConjugate: {
+      // s1 = a + ib, s2 = a - ib, e1 = c + id, e2 = c - id: the numerators
+      // are purely imaginary (2 beta, and -2 d (a^2 + b^2)) over -2ib, and
+      // __divdc3 divides the imaginary parts.
+      const double a = s1_.real(), b = s1_.imag();
+      const std::complex<double> e1 = std::exp(s1_ * t);
+      const double c = e1.real(), d = e1.imag();
+      const double beta = a * d - b * c;
+      p.v = 1.0 - (beta + beta) / (-b - b);
+      p.dv = ((a * a + b * b) * (-d - d) + 0.0) / (-b - b);
+      break;
+    }
   }
-  // v'(t) = s1 s2 (exp(s2 t) - exp(s1 t)) / (s2 - s1)
-  const std::complex<double> e1 = std::exp(s1_ * t);
-  const std::complex<double> e2 =
-      conjugate_ ? std::conj(e1) : std::exp(s2_ * t);
-  const std::complex<double> d = s1_ * s2_ * (e2 - e1) / (s2_ - s1_);
-  return d.real();
+  return p;
 }
 
 double TwoPole::damped_frequency() const {

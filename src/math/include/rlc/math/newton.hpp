@@ -47,6 +47,14 @@ SolveResult newton_bisect_scalar(rlc::FunctionRef<double(double)> f,
                                  double lo, double hi,
                                  const NewtonOptions& opts = {});
 
+/// The same solve for a caller that already holds flo = f(lo) and
+/// fhi = f(hi), e.g. from the search that found the bracket: f is not
+/// evaluated at the ends again.  Same iterations, result and counters.
+SolveResult newton_bisect_scalar(rlc::FunctionRef<double(double)> f,
+                                 rlc::FunctionRef<double(double)> fprime,
+                                 double lo, double hi, double flo, double fhi,
+                                 const NewtonOptions& opts = {});
+
 /// Result of a 2-dimensional solve.
 struct SolveResult2 {
   std::array<double, 2> x{0.0, 0.0};

@@ -36,6 +36,15 @@ SolveResult newton_bisect_scalar(rlc::FunctionRef<double(double)> f,
                                  rlc::FunctionRef<double(double)> fprime,
                                  double lo, double hi,
                                  const NewtonOptions& opts) {
+  const double flo = f(lo);
+  const double fhi = f(hi);
+  return newton_bisect_scalar(f, fprime, lo, hi, flo, fhi, opts);
+}
+
+SolveResult newton_bisect_scalar(rlc::FunctionRef<double(double)> f,
+                                 rlc::FunctionRef<double(double)> fprime,
+                                 double lo, double hi, double flo, double fhi,
+                                 const NewtonOptions& opts) {
   auto& reg = obs::Registry::global();
   static const int kIters =
       reg.histogram("newton.bisect.iterations", 1.0, 256.0, 16);
@@ -43,8 +52,6 @@ SolveResult newton_bisect_scalar(rlc::FunctionRef<double(double)> f,
   static const int kFailures = reg.counter("newton.bisect.failures");
   SolveResult r;
   SolveScope scope{kIters, kSolves, kFailures, &r.converged, &r.iterations};
-  double flo = f(lo);
-  double fhi = f(hi);
   if (flo == 0.0) {
     r = {lo, 0, true, 0.0};
     return r;

@@ -18,12 +18,25 @@
 ///   * makes no per-node calls: no allocation and no std::function
 ///     dispatch anywhere on the path.
 ///
+/// An evaluation runs in blocks of nodes, each in three stages: (1) the
+/// impedance products and the principal sqrt theta*h, (2) exp(theta*h)
+/// through rlc::simd::cexp_pd, (3) cosh, sinh/theta and the reciprocal of
+/// the dc-safe denominator.  At simd::Level::kAvx2, stages 1 and 3 run
+/// four nodes at a time (batch_evaluator_avx2.cpp), each lane doing the
+/// scalar stages' IEEE operations in the same order with no FMA; a group
+/// of four that holds a node needing the series guard, a non-finite
+/// exponential or denominator, or the unscaled reciprocal runs the scalar
+/// per-node code.  Without AVX2 or under RLC_SIMD=off the scalar stages
+/// are the only path.
+///
 /// Accuracy: the scalar level matches exact_transfer_dc_safe to ~1e-12
 /// relative (same denominator, one exp instead of cosh + sinh, different
-/// division/sqrt sequencing); the AVX2 level matches the scalar level to
-/// ~1 ulp.  The test suite pins both agreements at 1e-12 relative,
-/// including the theta*h -> 0 series guard, denormal and huge-|s| edge
-/// cases.
+/// division/sqrt sequencing).  The AVX2 stages give the scalar stages'
+/// bits; only stage 2's cexp differs by level (the AVX2 cexp matches libm
+/// to ~1 ulp).  The test suite pins the AVX2 stages bit for bit against
+/// the scalar stages on the same exponentials, and both levels against
+/// the per-point form at 1e-12 relative, including the theta*h -> 0
+/// series guard, denormal and huge-|s| edge cases.
 
 #include <complex>
 #include <cstddef>
@@ -33,6 +46,22 @@
 #include "rlc/tline/transfer.hpp"
 
 namespace rlc::tline {
+
+namespace detail {
+
+/// The s-independent invariants of the dc-safe denominator, hoisted once
+/// per (line, h, driver/load).
+struct TransferInvariants {
+  double rs_cp_cl = 0.0;   ///< Rs (Cp + Cl)
+  double rs_ch = 0.0;      ///< Rs c h
+  double cl = 0.0;         ///< Cl
+  double rs_cp_cl2 = 0.0;  ///< Rs Cp Cl
+  double ch = 0.0;         ///< c h
+  double lh = 0.0;         ///< l h
+  double rh = 0.0;         ///< r h
+};
+
+}  // namespace detail
 
 class BatchTransferEvaluator {
  public:
@@ -68,14 +97,7 @@ class BatchTransferEvaluator {
   void eval(const double* s_re, const double* s_im, double* out_re,
             double* out_im, std::size_t n, bool divide_by_s) const;
 
-  // Hoisted invariants of the dc-safe denominator.
-  double rs_cp_cl_ = 0.0;   ///< Rs (Cp + Cl)
-  double rs_ch_ = 0.0;      ///< Rs c h
-  double cl_ = 0.0;         ///< Cl
-  double rs_cp_cl2_ = 0.0;  ///< Rs Cp Cl
-  double ch_ = 0.0;         ///< c h
-  double lh_ = 0.0;         ///< l h
-  double rh_ = 0.0;         ///< r h
+  detail::TransferInvariants inv_;
 
   simd::Level level_;
   mutable std::size_t evaluations_ = 0;

@@ -6,12 +6,14 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <random>
 #include <string>
 #include <vector>
 
 #include "rlc/core/technology.hpp"
 #include "rlc/math/newton.hpp"
 #include "rlc/obs/metrics.hpp"
+#include "support/two_pole_reference.hpp"
 
 namespace rlc::core {
 namespace {
@@ -164,13 +166,6 @@ DelayResult walk_threshold_delay(const TwoPole& sys, const DelayOptions& opts,
   return res;
 }
 
-/// Same branch test as TwoPole's constructor (relative pole separation 1e-7).
-bool uses_confluent_series(const TwoPole& sys) {
-  const double sep = std::abs(sys.s2() - sys.s1());
-  const double mag = 0.5 * (std::abs(sys.s1()) + std::abs(sys.s2()));
-  return sep <= 1e-7 * mag;
-}
-
 TEST(DelayBracket, BisectionMatchesTheForwardWalkBitwise) {
   // zeta = b1 / (2 sqrt(b2)): log-spaced over 1e-4..1e4, plus points within
   // 1e-16..1e-1 of critical damping on both sides, reaching both sides of
@@ -231,6 +226,81 @@ TEST(DelayBracket, BisectionMatchesTheForwardWalkBitwise) {
   EXPECT_GT(near_critical, 0);
 }
 
+/// Same tau bits, iteration count and converged flag.
+bool same_result(const DelayResult& a, const DelayResult& b) {
+  return std::bit_cast<std::uint64_t>(a.tau) ==
+             std::bit_cast<std::uint64_t>(b.tau) &&
+         a.newton_iterations == b.newton_iterations &&
+         a.converged == b.converged;
+}
+
+TEST(DelayBracket, EstimateStartedSearchMatchesTheBisectionBitwise) {
+  // The search from the closed-form estimate must return the bracket, and
+  // so the tau, of the reference that bisects the whole index range with
+  // the complex-form step response.  First the extremes of
+  // BisectionMatchesTheForwardWalkBitwise: b1 over 1e-15..1e-6 s, zeta over
+  // 1e-4..1e4 and within 1e-16..1e-1 of critical damping, f from 1e-12 to
+  // 1 - 1e-12; then seeded random (b1, zeta, f) draws over the same ranges.
+  std::vector<double> zetas;
+  for (int e = -16; e <= 16; ++e) zetas.push_back(std::pow(10.0, e / 4.0));
+  zetas.push_back(1.0);
+  for (int e = -16; e <= -1; ++e) {
+    for (const double m : {1.0, 3.0}) {
+      const double d = m * std::pow(10.0, e);
+      if (d >= 0.2) continue;
+      zetas.push_back(1.0 - d);
+      zetas.push_back(1.0 + d);
+    }
+  }
+  const double fs[] = {1e-12, 1e-6, 0.1, 0.4, 0.5, 0.7, 0.9, 1.0 - 1e-6,
+                       1.0 - 1e-12};
+  int cases = 0, mismatches = 0, confluent = 0, underdamped = 0;
+  const auto check = [&](double b1, double zeta, double f) {
+    const double sb2 = b1 / (2.0 * zeta);
+    const TwoPole sys(PadeCoeffs{b1, sb2 * sb2});
+    if (uses_confluent_series(sys)) ++confluent;
+    if (sys.damped_frequency() > 0.0) ++underdamped;
+    DelayOptions opts;
+    opts.f = f;
+    const DelayResult want = reference_threshold_delay(sys, opts);
+    const DelayResult got = threshold_delay(sys, opts);
+    ++cases;
+    if (same_result(got, want)) return;
+    if (++mismatches <= 5) {
+      ADD_FAILURE() << "b1 " << b1 << " zeta " << zeta << " f " << f
+                    << ": tau " << got.tau << " vs " << want.tau
+                    << ", iterations " << got.newton_iterations << " vs "
+                    << want.newton_iterations << ", converged "
+                    << got.converged << " vs " << want.converged;
+    }
+  };
+  for (int eb = -15; eb <= -6; ++eb) {
+    for (const double mb : {1.0, 3.0}) {
+      const double b1 = mb * std::pow(10.0, eb);
+      if (b1 > 1e-6) continue;
+      for (const double zeta : zetas) {
+        for (const double f : fs) check(b1, zeta, f);
+      }
+    }
+  }
+  std::mt19937_64 rng(2024);
+  std::uniform_real_distribution<double> u(0.0, 1.0);
+  while (cases < 100000) {
+    const double b1 = std::pow(10.0, -15.0 + 9.0 * u(rng));
+    // Half log-uniform over 1e-4..1e4, half within 1e-16..1e-1 of 1.
+    const double zeta =
+        u(rng) < 0.5 ? std::pow(10.0, -4.0 + 8.0 * u(rng))
+                     : 1.0 + (u(rng) < 0.5 ? -1.0 : 1.0) *
+                                 std::pow(10.0, -16.0 + 15.0 * u(rng));
+    const double f = u(rng) < 0.9 ? u(rng) : std::pow(10.0, -12.0 * u(rng));
+    if (!(f > 0.0 && f < 1.0)) continue;
+    check(b1, zeta, f);
+  }
+  EXPECT_EQ(mismatches, 0) << "of " << cases << " cases";
+  EXPECT_GT(confluent, 0);
+  EXPECT_GT(underdamped, cases / 4);
+}
+
 /// delay.step_evals added by one threshold_delay call.
 std::int64_t step_evals_of(const TwoPole& sys, const DelayOptions& opts) {
   auto& reg = rlc::obs::Registry::global();
@@ -246,11 +316,14 @@ std::int64_t step_evals_of(const TwoPole& sys, const DelayOptions& opts) {
 }
 
 TEST(DelayBracket, StepEvaluationsPerSolveArePinned) {
-  // One probe at the top of the bisection range, the bisection steps
-  // (13-14 over the 12800-step grid; 8 for the underdamped case, whose
-  // range ends at its first peak, grid index 232), then the polish: v at
-  // both bracket ends and the midpoint, and v' + v per further Newton
-  // iteration (4 iterations each here).  The walk instead evaluates v once
+  // One count per t at which the response is evaluated: the estimate
+  // (v and v' at one t), the two bracket ends, the galloping and bisection
+  // steps if the estimate's grid index misses the crossing (the
+  // underdamped case here), then the polish: the midpoint and one t per
+  // further Newton iteration, whose v' comes with that t's v (4
+  // iterations each here).  The bisection reference evaluates v at the top
+  // of its range and at each of its 8-14 steps, then v at both bracket
+  // ends, and v and v' separately in the polish; the walk evaluates v once
   // per grid step up to the crossing.
   struct Case {
     const char* name;
@@ -259,15 +332,18 @@ TEST(DelayBracket, StepEvaluationsPerSolveArePinned) {
   };
   const double b1 = 2e-10;
   const Case cases[] = {
-      {"overdamped", PadeCoeffs{b1, 0.1 * b1 * b1 / 4.0}, 24},
-      {"underdamped", PadeCoeffs{b1, b1 * b1}, 18},
-      {"confluent", PadeCoeffs{b1, b1 * b1 / 4.0}, 23},
+      {"overdamped", PadeCoeffs{b1, 0.1 * b1 * b1 / 4.0}, 7},
+      {"underdamped", PadeCoeffs{b1, b1 * b1}, 11},
+      {"confluent", PadeCoeffs{b1, b1 * b1 / 4.0}, 7},
   };
   for (const Case& c : cases) {
     const TwoPole sys(c.pc);
     ASSERT_EQ(uses_confluent_series(sys), std::string(c.name) == "confluent");
     DelayOptions opts;
     EXPECT_EQ(step_evals_of(sys, opts), c.evals) << c.name;
+    long bisection = 0;
+    (void)reference_threshold_delay(sys, opts, &bisection);
+    EXPECT_LT(c.evals, bisection) << c.name;
     long walk = 0;
     (void)walk_threshold_delay(sys, opts, &walk);
     EXPECT_LT(c.evals, walk) << c.name;

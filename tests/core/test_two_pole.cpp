@@ -7,8 +7,11 @@
 #include <cmath>
 #include <complex>
 #include <cstdint>
+#include <limits>
+#include <random>
 
 #include "rlc/math/constants.hpp"
+#include "support/two_pole_reference.hpp"
 
 namespace rlc::core {
 namespace {
@@ -166,6 +169,72 @@ TEST(TwoPole, StepResponseIsTheTwoExponentialFormulaBitwise) {
     }
   }
   EXPECT_GE(complex_systems, 4);
+}
+
+TEST(TwoPole, StepPointReplaysTheComplexFormBitwise) {
+  // step_point's real arithmetic against the complex two-exponential form
+  // (and the confluent series) kept in tests/support: seeded (b1, zeta)
+  // systems covering real, conjugate and confluent poles, each at t = 0 and
+  // 2000 log-spaced times over 1e-3..2e2 characteristic times.  v, v' and
+  // the two one-value accessors must all give the reference's bits.
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  std::mt19937_64 rng(17);
+  std::uniform_real_distribution<double> u(0.0, 1.0);
+  long cases = 0, mismatches = 0;
+  int real = 0, conjugate = 0, confluent = 0;
+  for (int system = 0; system < 500; ++system) {
+    const double b1 = std::pow(10.0, -15.0 + 9.0 * u(rng));
+    double zeta;
+    switch (system % 4) {
+      case 0:  // log-uniform over 1e-4..1e4
+        zeta = std::pow(10.0, -4.0 + 8.0 * u(rng));
+        break;
+      case 1:  // near critical damping, both sides
+        zeta = 1.0 + (u(rng) < 0.5 ? -1.0 : 1.0) *
+                         std::pow(10.0, -14.0 + 13.0 * u(rng));
+        break;
+      case 2:  // within a few ulps of 1: the confluent series
+        zeta = 1.0 + static_cast<double>(static_cast<int>(u(rng) * 9.0) - 4) *
+                         std::numeric_limits<double>::epsilon();
+        break;
+      default:  // underdamped
+        zeta = 0.999 * u(rng) + 1e-4;
+        break;
+    }
+    const double sb2 = b1 / (2.0 * zeta);
+    const TwoPole sys(PadeCoeffs{b1, sb2 * sb2});
+    if (uses_confluent_series(sys)) {
+      ++confluent;
+    } else if (sys.s1().imag() != 0.0) {
+      ++conjugate;
+    } else {
+      ++real;
+    }
+    const double t_char = std::max(sys.b1(), std::sqrt(sys.b2()));
+    for (int i = -1; i < 2000; ++i) {
+      const double t =
+          i < 0 ? 0.0 : t_char * 1e-3 * std::pow(2e5, i / 1999.0);
+      const TwoPole::Point p = sys.step_point(t);
+      const double v = reference_step_response(sys, t);
+      const double dv = reference_step_response_derivative(sys, t);
+      ++cases;
+      if (bits(p.v) == bits(v) && bits(p.dv) == bits(dv) &&
+          bits(sys.step_response(t)) == bits(v) &&
+          bits(sys.step_response_derivative(t)) == bits(dv)) {
+        continue;
+      }
+      if (++mismatches <= 5) {
+        ADD_FAILURE() << "b1 " << b1 << " zeta " << zeta << " t " << t
+                      << ": v " << p.v << " vs " << v << ", v' " << p.dv
+                      << " vs " << dv;
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0) << "of " << cases << " cases";
+  EXPECT_GE(cases, 1000000);
+  EXPECT_GT(real, 50);
+  EXPECT_GT(conjugate, 50);
+  EXPECT_GT(confluent, 50);
 }
 
 }  // namespace

@@ -2,15 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <complex>
+#include <cstdint>
 #include <limits>
 #include <random>
 #include <vector>
 
 #include "rlc/base/simd.hpp"
 #include "rlc/core/technology.hpp"
+#include "rlc/tline/coupled_line.hpp"
 #include "rlc/tline/transfer.hpp"
+#include "support/batch_evaluator_reference.hpp"
 
 namespace rlc::tline {
 namespace {
@@ -229,6 +233,150 @@ TEST(BatchTransferEvaluator, BlockBoundariesAreInvisible) {
   for (std::size_t i = 0; i < n; ++i) {
     EXPECT_EQ(ar[i], br[i]) << i;
     EXPECT_EQ(ai[i], bi[i]) << i;
+  }
+}
+
+/// Levels the host can run: the scalar stages always, the AVX2 ones when
+/// cpuid reports them.
+std::vector<simd::Level> runnable_levels() {
+  std::vector<simd::Level> levels{simd::Level::kScalar};
+  if (simd::detected_level() == simd::Level::kAvx2) {
+    levels.push_back(simd::Level::kAvx2);
+  }
+  return levels;
+}
+
+/// Both outputs (transfer and step) of the evaluator at `level` against
+/// the scalar-stage reference with the same level's cexp, bit for bit (two
+/// NaNs count as equal).  Returns the number of differing values.
+int bit_mismatches(const Case& c, simd::Level level,
+                   const std::vector<double>& sr,
+                   const std::vector<double>& si) {
+  const auto same = [](double a, double b) {
+    return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b) ||
+           (std::isnan(a) && std::isnan(b));
+  };
+  const BatchTransferEvaluator batch(c.line, c.h, c.dl, level);
+  const std::size_t n = sr.size();
+  int bad = 0;
+  for (const bool divide_by_s : {false, true}) {
+    std::vector<double> gr(n), gi(n), wr(n), wi(n);
+    if (divide_by_s) {
+      batch.step(sr.data(), si.data(), gr.data(), gi.data(), n);
+    } else {
+      batch.transfer(sr.data(), si.data(), gr.data(), gi.data(), n);
+    }
+    reference_batch_eval(c.line, c.h, c.dl, level, sr.data(), si.data(),
+                         wr.data(), wi.data(), n, divide_by_s);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (same(gr[i], wr[i]) && same(gi[i], wi[i])) continue;
+      if (++bad <= 3) {
+        ADD_FAILURE() << simd::level_name(level) << " node " << i << " of "
+                      << n << " s = " << sr[i] << " + " << si[i] << "i"
+                      << (divide_by_s ? " (step)" : " (transfer)") << ": "
+                      << gr[i] << " + " << gi[i] << "i vs " << wr[i] << " + "
+                      << wi[i] << "i";
+      }
+    }
+  }
+  return bad;
+}
+
+TEST(BatchTransferEvaluator, StagesMatchTheScalarReferenceOnNoiseScanNodes) {
+  // The exact coupled-noise check's Euler scan: 400 geometric times over
+  // [0.02, 8] tau, 47 nodes (decay/2 + i pi j)/t each, on every mode of the
+  // 2- and 3-conductor buses at both nodes over l = 0-5 nH/mm.
+  const double kDecay = 18.4;
+  const int kNodes = 47;
+  int modes = 0;
+  for (const auto& tech : {rlc::core::Technology::nm100(),
+                           rlc::core::Technology::nm250()}) {
+    for (const double l : {0.0, 0.5e-6, 1.5e-6, 3e-6, 5e-6}) {
+      for (const std::size_t conductors : {2u, 3u}) {
+        const CoupledLine bus =
+            symmetric_bus(tech.line(l), 2.5e-11, 0.2, conductors);
+        for (const LineParams& mode : modal_decomposition(bus).modes) {
+          Case c{mode, 0.012, tech.rep.scaled(500.0)};
+          const double tau = 2e-10;
+          const double lo = 0.02 * tau, hi = 8.0 * tau;
+          std::vector<double> sr, si;
+          for (int i = 0; i < 400; ++i) {
+            const double t = lo * std::pow(hi / lo, i / 399.0);
+            for (int j = 0; j < kNodes; ++j) {
+              sr.push_back(0.5 * kDecay / t);
+              si.push_back(M_PI / t * j);
+            }
+          }
+          for (const simd::Level level : runnable_levels()) {
+            EXPECT_EQ(bit_mismatches(c, level, sr, si), 0)
+                << tech.name << " l " << l << " conductors " << conductors;
+          }
+          ++modes;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(modes, 50);
+}
+
+TEST(BatchTransferEvaluator, StagesMatchTheScalarReferenceOnEdgeNodes) {
+  std::vector<double> sr, si;
+  // Talbot contour nodes over a spread of anchor times.
+  std::mt19937_64 rng(29);
+  std::uniform_real_distribution<double> u(0.0, 1.0);
+  for (int contour = 0; contour < 8; ++contour) {
+    const double r = std::pow(10.0, 8.0 + 5.0 * u(rng));
+    for (int k = 0; k < 48; ++k) {
+      const double theta = (k + 0.5) * M_PI / 48.0 - M_PI / 2.0;
+      sr.push_back(r * theta / std::tan(theta));
+      si.push_back(r * theta);
+    }
+  }
+  // theta h -> 0 through the series guard, on and off the axes.
+  for (int e = -60; e <= 100; ++e) {
+    const double mag = std::pow(10.0, e / 10.0);
+    for (const double ang : {0.0, 0.5, 1.2, M_PI / 2, 2.5, -0.9}) {
+      sr.push_back(mag * std::cos(ang));
+      si.push_back(mag * std::sin(ang));
+    }
+  }
+  // Denormal, zero and huge |s|; exp(theta h) and the denominator
+  // overflowing; a non-finite node.
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  const double edge_re[] = {tiny, 1e-300, 0.0, 0.0, -3.4e13, 1e15, 1e18,
+                            1e300, -1e300, 5e16, 1e30, 3e12};
+  const double edge_im[] = {0.0, 1e-300, tiny, 0.0, 2.2e12, -1e15, 1e18,
+                            0.0, 1e300, 5e16, -1e30, HUGE_VAL};
+  for (std::size_t i = 0; i < std::size(edge_re); ++i) {
+    sr.push_back(edge_re[i]);
+    si.push_back(edge_im[i]);
+  }
+  // Random magnitudes and angles, a group of four mixing guard and
+  // exponential nodes at every offset.
+  for (int i = 0; i < 600; ++i) {
+    const double mag = std::pow(10.0, -2.0 + 19.0 * u(rng));
+    const double ang = M_PI * (u(rng) - 0.5);
+    sr.push_back(mag * std::cos(ang));
+    si.push_back(mag * std::sin(ang));
+  }
+  for (const double l : {0.0, 1e-6, 5e-6}) {
+    const Case c = paper_case(l);
+    for (const simd::Level level : runnable_levels()) {
+      EXPECT_EQ(bit_mismatches(c, level, sr, si), 0) << "l = " << l;
+      // Spans whose length is not a multiple of four, across and inside
+      // block boundaries, starting at every offset of a group.
+      for (const std::size_t n : {1u, 2u, 3u, 5u, 7u, 126u, 127u, 129u, 131u,
+                                  255u, 257u, 389u}) {
+        for (const std::size_t first : {0u, 1u, 2u, 3u}) {
+          const std::vector<double> a(sr.begin() + first,
+                                      sr.begin() + first + n);
+          const std::vector<double> b(si.begin() + first,
+                                      si.begin() + first + n);
+          EXPECT_EQ(bit_mismatches(c, level, a, b), 0)
+              << "l = " << l << " n = " << n << " first = " << first;
+        }
+      }
+    }
   }
 }
 
