@@ -45,9 +45,9 @@ struct DelayOptions {
 /// peak exactly one i has v(t_{i-1}) < f <= v(t_i), and the search returns
 /// it: it starts at the grid index of a closed-form estimate (the one-pole
 /// time b1 ln(1/(1 - f)) plus one Newton step), confirms v(t_{i-1}) < f <=
-/// v(t_i) there, and otherwise gallops to a bracket and bisects it (a
-/// non-finite estimate searches the whole range); past the peak the grid is
-/// walked forward.  Then polishes with bisection-guarded Newton on
+/// v(t_i) there, and otherwise gallops to a bracket and bisects it (without
+/// a finite estimate it starts at the top of the range); past the peak the
+/// grid is walked forward.  Then polishes with bisection-guarded Newton on
 /// v(t) - f from the two end values the search holds.  The estimate and
 /// every Newton iterate take v and v' from one exponential.  Adds one
 /// `delay.step_evals` count per t at which the response is evaluated, once

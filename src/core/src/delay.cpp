@@ -63,80 +63,65 @@ DelayResult threshold_delay(const TwoPole& sys, const DelayOptions& opts) {
     }
   }
 
-  // Start at a closed-form estimate of the crossing: the one-pole time
-  // b1 ln(1/(1 - f)), clamped into (0, t_last], plus one Newton step.
+  // Start at the grid index of a closed-form estimate of the crossing: the
+  // one-pole time b1 ln(1/(1 - f)), clamped into (0, t_last], plus one
+  // Newton step.  Without a finite estimate, start at the top of the range.
   const double t0 = std::clamp(-sys.b1() * std::log1p(-opts.f), dt,
                                dt * static_cast<double>(last));
   const TwoPole::Point p0 = at(t0);
   const double guess = std::ceil((t0 - (p0.v - opts.f) / p0.dv) / dt);
-
+  long i = std::isfinite(guess)
+               ? static_cast<long>(
+                     std::clamp(guess, 1.0, static_cast<double>(last)))
+               : last;
+  double g_i = g(i);
   // Invariant once bracketed: g(below) < 0 <= g(i), with both values held
   // for the polish (g(0) = -f).
   long below = 0;
   double g_below = -opts.f;
-  long i = last;
-  double g_i = 0.0;
-  bool past_peak = false;  // no crossing up to `last`
-  if (std::isfinite(guess)) {
-    i = static_cast<long>(
-        std::clamp(guess, 1.0, static_cast<double>(last)));
-    g_i = g(i);
-    if (g_i >= 0.0) {
-      // Reached at the estimate: gallop down to an index that falls short.
-      for (long step = 1;; step *= 2) {
-        const long n = std::max(0L, i - step);
-        if (n == 0) break;
-        const double gn = g(n);
-        if (gn < 0.0) {
-          below = n;
-          g_below = gn;
-          break;
-        }
-        i = n;
-        g_i = gn;
-      }
-    } else {
-      // Short of f at the estimate: gallop up, at most to the peak's index.
-      below = i;
-      g_below = g_i;
-      for (long step = 1;; step *= 2) {
-        if (below == last) {
-          past_peak = true;
-          break;
-        }
-        const long n = std::min(last, below + step);
-        const double gn = g(n);
-        if (gn >= 0.0) {
-          i = n;
-          g_i = gn;
-          break;
-        }
+  if (g_i >= 0.0) {
+    // Reached at the start: gallop down to an index that falls short.
+    for (long step = 1;; step *= 2) {
+      const long n = std::max(0L, i - step);
+      if (n == 0) break;
+      const double gn = g(n);
+      if (gn < 0.0) {
         below = n;
         g_below = gn;
+        break;
       }
+      i = n;
+      g_i = gn;
     }
   } else {
-    // No usable estimate: the whole range (0, last].
-    g_i = g(last);
-    if (g_i < 0.0) {
-      below = last;
-      g_below = g_i;
-      past_peak = true;
+    // Short of f at the start: gallop up, at most to the peak's index.
+    below = i;
+    g_below = g_i;
+    for (long step = 1; below < last; step *= 2) {
+      const long n = std::min(last, below + step);
+      const double gn = g(n);
+      if (gn >= 0.0) {
+        i = n;
+        g_i = gn;
+        break;
+      }
+      below = n;
+      g_below = gn;
     }
-  }
-  if (past_peak) {
-    // No crossing by the peak (not possible in exact arithmetic): walk the
-    // grid forward.
-    for (i = last + 1; i <= max_steps; ++i) {
-      g_i = g(i);
-      if (g_i >= 0.0) break;
-      below = i;
-      g_below = g_i;
-    }
-    if (i > max_steps) {
-      obs::Registry::global().add(kStepEvals, evals);
-      res.converged = false;
-      return res;
+    if (below == last) {
+      // No crossing by the peak (not possible in exact arithmetic): walk
+      // the grid forward.
+      for (i = last + 1; i <= max_steps; ++i) {
+        g_i = g(i);
+        if (g_i >= 0.0) break;
+        below = i;
+        g_below = g_i;
+      }
+      if (i > max_steps) {
+        obs::Registry::global().add(kStepEvals, evals);
+        res.converged = false;
+        return res;
+      }
     }
   }
   while (i - below > 1) {

@@ -166,10 +166,26 @@ DelayResult walk_threshold_delay(const TwoPole& sys, const DelayOptions& opts,
   return res;
 }
 
-TEST(DelayBracket, BisectionMatchesTheForwardWalkBitwise) {
-  // zeta = b1 / (2 sqrt(b2)): log-spaced over 1e-4..1e4, plus points within
-  // 1e-16..1e-1 of critical damping on both sides, reaching both sides of
-  // the confluent-series switch (|zeta - 1| of about 1e-15).
+/// The extremes both bracket tests sweep: b1 over 1e-15..1e-6 s; zeta =
+/// b1 / (2 sqrt(b2)) log-spaced over 1e-4..1e4 plus points within
+/// 1e-16..1e-1 of critical damping on both sides, reaching both sides of
+/// the confluent-series switch (|zeta - 1| of about 1e-15); f from 1e-12
+/// to 1 - 1e-12.
+const double kExtremeFs[] = {1e-12, 1e-6, 0.1, 0.4, 0.5, 0.7, 0.9,
+                             1.0 - 1e-6, 1.0 - 1e-12};
+
+std::vector<double> extreme_b1s() {
+  std::vector<double> b1s;
+  for (int eb = -15; eb <= -6; ++eb) {
+    for (const double mb : {1.0, 3.0}) {
+      const double b1 = mb * std::pow(10.0, eb);
+      if (b1 <= 1e-6) b1s.push_back(b1);
+    }
+  }
+  return b1s;
+}
+
+std::vector<double> extreme_zetas() {
   std::vector<double> zetas;
   for (int e = -16; e <= 16; ++e) zetas.push_back(std::pow(10.0, e / 4.0));
   zetas.push_back(1.0);
@@ -181,49 +197,7 @@ TEST(DelayBracket, BisectionMatchesTheForwardWalkBitwise) {
       zetas.push_back(1.0 + d);
     }
   }
-  const double fs[] = {1e-12, 1e-6, 0.1, 0.4, 0.5, 0.7, 0.9, 1.0 - 1e-6,
-                       1.0 - 1e-12};
-  int cases = 0, mismatches = 0, confluent = 0, near_critical = 0;
-  for (int eb = -15; eb <= -6; ++eb) {
-    for (const double mb : {1.0, 3.0}) {
-      const double b1 = mb * std::pow(10.0, eb);
-      if (b1 > 1e-6) continue;
-      for (const double zeta : zetas) {
-        const double sb2 = b1 / (2.0 * zeta);
-        const TwoPole sys(PadeCoeffs{b1, sb2 * sb2});
-        if (uses_confluent_series(sys)) {
-          ++confluent;
-        } else if (std::abs(zeta - 1.0) < 1e-12) {
-          ++near_critical;
-        }
-        for (const double f : fs) {
-          DelayOptions opts;
-          opts.f = f;
-          const DelayResult want = walk_threshold_delay(sys, opts);
-          const DelayResult got = threshold_delay(sys, opts);
-          ++cases;
-          if (std::bit_cast<std::uint64_t>(got.tau) ==
-                  std::bit_cast<std::uint64_t>(want.tau) &&
-              got.newton_iterations == want.newton_iterations &&
-              got.converged == want.converged) {
-            continue;
-          }
-          if (++mismatches <= 5) {
-            ADD_FAILURE() << "b1 " << b1 << " zeta " << zeta << " f " << f
-                          << ": tau " << got.tau << " vs walk " << want.tau
-                          << ", iterations " << got.newton_iterations
-                          << " vs " << want.newton_iterations
-                          << ", converged " << got.converged << " vs "
-                          << want.converged;
-          }
-        }
-      }
-    }
-  }
-  EXPECT_EQ(mismatches, 0) << "of " << cases << " cases";
-  // Both branches of the step response near critical damping were swept.
-  EXPECT_GT(confluent, 0);
-  EXPECT_GT(near_critical, 0);
+  return zetas;
 }
 
 /// Same tau bits, iteration count and converged flag.
@@ -234,26 +208,46 @@ bool same_result(const DelayResult& a, const DelayResult& b) {
          a.converged == b.converged;
 }
 
+TEST(DelayBracket, BisectionMatchesTheForwardWalkBitwise) {
+  int cases = 0, mismatches = 0, confluent = 0, near_critical = 0;
+  const std::vector<double> zetas = extreme_zetas();
+  for (const double b1 : extreme_b1s()) {
+    for (const double zeta : zetas) {
+      const double sb2 = b1 / (2.0 * zeta);
+      const TwoPole sys(PadeCoeffs{b1, sb2 * sb2});
+      if (uses_confluent_series(sys)) {
+        ++confluent;
+      } else if (std::abs(zeta - 1.0) < 1e-12) {
+        ++near_critical;
+      }
+      for (const double f : kExtremeFs) {
+        DelayOptions opts;
+        opts.f = f;
+        const DelayResult want = walk_threshold_delay(sys, opts);
+        const DelayResult got = threshold_delay(sys, opts);
+        ++cases;
+        if (same_result(got, want)) continue;
+        if (++mismatches <= 5) {
+          ADD_FAILURE() << "b1 " << b1 << " zeta " << zeta << " f " << f
+                        << ": tau " << got.tau << " vs walk " << want.tau
+                        << ", iterations " << got.newton_iterations << " vs "
+                        << want.newton_iterations << ", converged "
+                        << got.converged << " vs " << want.converged;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0) << "of " << cases << " cases";
+  // Both branches of the step response near critical damping were swept.
+  EXPECT_GT(confluent, 0);
+  EXPECT_GT(near_critical, 0);
+}
+
 TEST(DelayBracket, EstimateStartedSearchMatchesTheBisectionBitwise) {
   // The search from the closed-form estimate must return the bracket, and
   // so the tau, of the reference that bisects the whole index range with
-  // the complex-form step response.  First the extremes of
-  // BisectionMatchesTheForwardWalkBitwise: b1 over 1e-15..1e-6 s, zeta over
-  // 1e-4..1e4 and within 1e-16..1e-1 of critical damping, f from 1e-12 to
-  // 1 - 1e-12; then seeded random (b1, zeta, f) draws over the same ranges.
-  std::vector<double> zetas;
-  for (int e = -16; e <= 16; ++e) zetas.push_back(std::pow(10.0, e / 4.0));
-  zetas.push_back(1.0);
-  for (int e = -16; e <= -1; ++e) {
-    for (const double m : {1.0, 3.0}) {
-      const double d = m * std::pow(10.0, e);
-      if (d >= 0.2) continue;
-      zetas.push_back(1.0 - d);
-      zetas.push_back(1.0 + d);
-    }
-  }
-  const double fs[] = {1e-12, 1e-6, 0.1, 0.4, 0.5, 0.7, 0.9, 1.0 - 1e-6,
-                       1.0 - 1e-12};
+  // the complex-form step response: on the extremes, then on seeded random
+  // (b1, zeta, f) draws over the same ranges.
   int cases = 0, mismatches = 0, confluent = 0, underdamped = 0;
   const auto check = [&](double b1, double zeta, double f) {
     const double sb2 = b1 / (2.0 * zeta);
@@ -274,13 +268,10 @@ TEST(DelayBracket, EstimateStartedSearchMatchesTheBisectionBitwise) {
                     << got.converged << " vs " << want.converged;
     }
   };
-  for (int eb = -15; eb <= -6; ++eb) {
-    for (const double mb : {1.0, 3.0}) {
-      const double b1 = mb * std::pow(10.0, eb);
-      if (b1 > 1e-6) continue;
-      for (const double zeta : zetas) {
-        for (const double f : fs) check(b1, zeta, f);
-      }
+  const std::vector<double> zetas = extreme_zetas();
+  for (const double b1 : extreme_b1s()) {
+    for (const double zeta : zetas) {
+      for (const double f : kExtremeFs) check(b1, zeta, f);
     }
   }
   std::mt19937_64 rng(2024);

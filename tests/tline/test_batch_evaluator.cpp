@@ -291,7 +291,7 @@ TEST(BatchTransferEvaluator, StagesMatchTheScalarReferenceOnNoiseScanNodes) {
   int modes = 0;
   for (const auto& tech : {rlc::core::Technology::nm100(),
                            rlc::core::Technology::nm250()}) {
-    for (const double l : {0.0, 0.5e-6, 1.5e-6, 3e-6, 5e-6}) {
+    for (const double l : {0.0, 1.5e-6, 5e-6}) {
       for (const std::size_t conductors : {2u, 3u}) {
         const CoupledLine bus =
             symmetric_bus(tech.line(l), 2.5e-11, 0.2, conductors);
@@ -316,7 +316,7 @@ TEST(BatchTransferEvaluator, StagesMatchTheScalarReferenceOnNoiseScanNodes) {
       }
     }
   }
-  EXPECT_EQ(modes, 50);
+  EXPECT_EQ(modes, 30);
 }
 
 TEST(BatchTransferEvaluator, StagesMatchTheScalarReferenceOnEdgeNodes) {
