@@ -1,19 +1,24 @@
 #!/usr/bin/env python3
-"""Hold the deterministic counts of a quick benchmark run to a baseline.
+"""Hold the deterministic counts and answers of a quick run to a baseline.
 
   bench_diff.py BASELINE ARTIFACT_DIR
       Compare the `observability.metrics.counters` of every
       BENCH_<name>.json in ARTIFACT_DIR (written by
       `rlc_run --all --quick --serial --threads 4 --json ARTIFACT_DIR`)
-      with BASELINE.
+      with BASELINE, and the SHA-256 of each scenario's `tables` and
+      `metrics` (canonical JSON: sorted keys, no spaces) with the digest
+      BASELINE holds for it.
       Any count that differs, appears or disappears fails the run, as does
-      a missing or extra scenario or a different simd level.  Timings
-      (counters named *_ns, and each scenario's wall_seconds) are printed
-      as advisory ratios and never fail.
+      a digest that differs (the scenario's answers moved), a missing or
+      extra scenario or a different simd level.  Timings (counters named
+      *_ns, and each scenario's wall_seconds) are printed as advisory
+      ratios and never fail; perf_solvers and perf_exact, whose tables are
+      timings, carry no digest.
 
   bench_diff.py --record BASELINE ARTIFACT_DIR
-      Write BASELINE from ARTIFACT_DIR.  A change that moves a count
-      re-records the baseline and gives the reason in CHANGES.md.
+      Write BASELINE (counts and digests) from ARTIFACT_DIR.  A change
+      that moves a count or an answer re-records the baseline and gives
+      the reason in CHANGES.md.
 
 Counts are exact only when one scenario runs at a time (--serial): the
 registry is process-wide, so concurrent scenarios would share deltas.  They
@@ -23,15 +28,25 @@ depend on the simd level (the batch kernels' pass counts), which the
 baseline records.
 """
 
+import hashlib
 import json
 import sys
 from pathlib import Path
 
-BASELINE_VERSION = 1
+BASELINE_VERSION = 2
+# Scenarios whose tables and metrics are timings: no answer digest.
+TIMED_SCENARIOS = ("perf_exact", "perf_solvers")
 
 
 def is_timing(name):
     return name.endswith("_ns")
+
+
+def answer_digest(envelope):
+    """SHA-256 of the scenario's tables and metrics as canonical JSON."""
+    answers = {"tables": envelope["tables"], "metrics": envelope["metrics"]}
+    text = json.dumps(answers, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def load_artifacts(art_dir):
@@ -53,6 +68,8 @@ def summarize(artifacts):
     for name, d in sorted(artifacts.items()):
         counters = d["observability"]["metrics"]["counters"]
         scenarios[name] = {
+            "digest": (None if name in TIMED_SCENARIOS
+                       else answer_digest(d)),
             "counts": {k: v for k, v in sorted(counters.items())
                        if not is_timing(k)},
             "timings": dict(sorted(
@@ -67,6 +84,10 @@ def summarize(artifacts):
 def diff(base, cur):
     """Count failures (strings); prints the advisory timing ratios."""
     failures = []
+    if base.get("version") != BASELINE_VERSION:
+        failures.append(f"baseline version {base.get('version')} (want "
+                        f"{BASELINE_VERSION}): re-record it with --record")
+        return failures
     if base["simd"] != cur["simd"]:
         failures.append(f"simd level {cur['simd']} (baseline "
                         f"{base['simd']}): counts are not comparable")
@@ -77,6 +98,9 @@ def diff(base, cur):
             failures.append(f"{name}: scenario "
                             f"{'missing' if c is None else 'not in baseline'}")
             continue
+        if b["digest"] != c["digest"]:
+            failures.append(f"{name}: answer digest {b['digest']} -> "
+                            f"{c['digest']} (tables or metrics moved)")
         for k in sorted(set(b["counts"]) | set(c["counts"])):
             bv, cv = b["counts"].get(k), c["counts"].get(k)
             if bv != cv:
@@ -108,14 +132,16 @@ def main(argv):
         return 0
     failures = diff(json.loads(Path(baseline).read_text()), cur)
     for f in failures:
-        print(f"COUNT {f}", file=sys.stderr)
+        print(f"DIFF {f}", file=sys.stderr)
     n = sum(len(s["counts"]) for s in cur["scenarios"].values())
+    n_digests = sum(s["digest"] is not None
+                    for s in cur["scenarios"].values())
     if failures:
-        print(f"bench_diff: {len(failures)} count(s) differ from {baseline}",
-              file=sys.stderr)
+        print(f"bench_diff: {len(failures)} count(s) or digest(s) differ "
+              f"from {baseline}", file=sys.stderr)
         return 1
-    print(f"bench_diff: {n} counts in {len(cur['scenarios'])} scenarios "
-          f"match {baseline}")
+    print(f"bench_diff: {n} counts and {n_digests} answer digests in "
+          f"{len(cur['scenarios'])} scenarios match {baseline}")
     return 0
 
 
