@@ -128,6 +128,8 @@ class Device {
   /// `true`: stamp() adds the same (row, col) sequence at every iterate and
   /// writes the right-hand side only on those rows, so the bordered Newton
   /// solve can find the rows and columns these devices touch from one stamp.
+  /// The stamp reads only the unknowns whose columns it stamps, so the
+  /// bordered Newton loop leaves the rest of the iterate unformed.
   virtual bool nonlinear() const { return false; }
 
   /// Contribute to the MNA system for the given context.

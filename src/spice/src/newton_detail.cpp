@@ -81,6 +81,7 @@ void setup_bordered(const Circuit& ckt, const StampContext& ctx,
   BorderedSolve& bs = ws.bordered;
   bs.key = key;
   bs.usable = false;
+  bs.have_conv = false;
   const int n = ckt.unknown_count();
   bs.linear.clear();
   bs.nonlinear.clear();
@@ -138,6 +139,10 @@ void setup_bordered(const Circuit& ckt, const StampContext& ctx,
   }
   const int nb = static_cast<int>(bs.border.size());
   const int ni = static_cast<int>(bs.interior.size());
+  bs.interior_nodes = static_cast<int>(
+      std::lower_bound(bs.interior.begin(), bs.interior.end(),
+                       ckt.node_count() - 1) -
+      bs.interior.begin());
   if (nb == 0 || ni == 0 ||
       static_cast<double>(nb) * nb * nb > kMaxBorderCubePerUnknown * n) {
     return;
@@ -197,6 +202,20 @@ void setup_bordered(const Circuit& ckt, const StampContext& ctx,
       s_row[j] -= t.value * bs.w[static_cast<std::size_t>(j) * ni + t.col];
     }
   }
+  bs.w_row_sum.assign(static_cast<std::size_t>(ni), 0.0);
+  for (int j = 0; j < nb; ++j) {
+    const double* wj = &bs.w[static_cast<std::size_t>(j) * ni];
+    for (int i = bs.w_lo[j]; i < bs.w_hi[j]; ++i) {
+      bs.w_row_sum[i] += std::abs(wj[i]);
+    }
+  }
+  const auto node_rows_end = bs.w_row_sum.begin() + bs.interior_nodes;
+  bs.w_node_row_sum =
+      bs.interior_nodes > 0
+          ? *std::max_element(bs.w_row_sum.begin(), node_rows_end)
+          : 0.0;
+  bs.w_max_row_sum =
+      *std::max_element(bs.w_row_sum.begin(), bs.w_row_sum.end());
   bs.usable = true;
 }
 
@@ -240,8 +259,19 @@ double scaled_backward_error(const rlc::linalg::CscMatrix& A,
 
 }  // namespace
 
-std::vector<double> solve_full(const Circuit& ckt, const StampContext& ctx,
-                               double gshunt, SolveWorkspace& ws) {
+void BorderedSolve::form_interior(const std::vector<double>& xb_in,
+                                  std::vector<double>& xi_out) const {
+  const int ni = static_cast<int>(interior.size());
+  xi_out.assign(y.begin(), y.end());
+  for (std::size_t j = 0; j < border.size(); ++j) {
+    const double xj = xb_in[j];
+    const double* wj = &w[j * static_cast<std::size_t>(ni)];
+    for (int i = w_lo[j]; i < w_hi[j]; ++i) xi_out[i] -= wj[i] * xj;
+  }
+}
+
+std::vector<double>& solve_full(const Circuit& ckt, const StampContext& ctx,
+                                double gshunt, SolveWorkspace& ws) {
   const int n = ckt.unknown_count();
   // Robustness shunt on every node voltage unknown (not branch rows), plus
   // the DC gmin convergence aid.
@@ -254,7 +284,10 @@ std::vector<double> solve_full(const Circuit& ckt, const StampContext& ctx,
   ws.rhs.assign(n, 0.0);
   Stamper st(ws.triplets, ws.rhs, !reuse);
   for (const auto& dev : ckt.devices()) dev->stamp(ctx, st);
-  if (reuse) return ws.lu->solve(ws.rhs);
+  if (reuse) {
+    ws.lu->solve(ws.rhs, ws.x);
+    return ws.x;
+  }
   ws.key.reset();
   if (gdiag > 0.0) {
     const int n_nodes = ckt.node_count() - 1;
@@ -269,28 +302,26 @@ std::vector<double> solve_full(const Circuit& ckt, const StampContext& ctx,
   // branch then gives the same x.
   if (ws.lu != nullptr && ws.compressor.reused() && ws.lu->size() == n &&
       ws.lu->refactor(A)) {
-    std::vector<double> x = ws.lu->solve(ws.rhs);
-    if (scaled_backward_error(A, ws.rhs, x, ws.residual) <=
+    ws.lu->solve(ws.rhs, ws.x);
+    if (scaled_backward_error(A, ws.rhs, ws.x, ws.residual) <=
         kMaxRefactorBackwardError) {
       ++ws.refactorizations;
       ws.key = key;
-      return x;
+      return ws.x;
     }
   }
   ws.lu = std::make_unique<rlc::linalg::SparseLU>(A);
   ++ws.full_factorizations;
   ws.factor_nonzeros += ws.lu->l_nnz() + ws.lu->u_nnz();
   ws.key = key;
-  return ws.lu->solve(ws.rhs);
+  ws.lu->solve(ws.rhs, ws.x);
+  return ws.x;
 }
 
-std::optional<std::vector<double>> solve_bordered(const Circuit& ckt,
-                                                  const StampContext& ctx,
-                                                  double gshunt,
-                                                  SolveWorkspace& ws,
-                                                  bool new_step) {
+bool solve_border(const Circuit& ckt, const StampContext& ctx, double gshunt,
+                  SolveWorkspace& ws, bool new_step) {
   if (ctx.analysis != Analysis::kTransient || !ckt.has_nonlinear()) {
-    return std::nullopt;
+    return false;
   }
   BorderedSolve& bs = ws.bordered;
   const FactorKey key{ctx.analysis, ctx.method, ctx.dt, gshunt + ctx.gmin};
@@ -298,7 +329,7 @@ std::optional<std::vector<double>> solve_bordered(const Circuit& ckt,
     setup_bordered(ckt, ctx, key, ws);
     new_step = true;
   }
-  if (!bs.usable) return std::nullopt;
+  if (!bs.usable) return false;
   const int nb = static_cast<int>(bs.border.size());
   const int ni = static_cast<int>(bs.interior.size());
 
@@ -310,6 +341,13 @@ std::optional<std::vector<double>> solve_bordered(const Circuit& ckt,
     bs.z.resize(static_cast<std::size_t>(ni));
     for (int k = 0; k < ni; ++k) bs.z[k] = bs.rhs[bs.interior[k]];
     bs.lu->solve(bs.z, bs.y);
+    bs.y_max = 0.0;
+    bool finite = true;
+    for (const double v : bs.y) {
+      finite = finite && std::isfinite(v);
+      bs.y_max = std::max(bs.y_max, std::abs(v));
+    }
+    if (!finite) bs.y_max = std::numeric_limits<double>::infinity();
     bs.r.resize(static_cast<std::size_t>(nb));
     for (int k = 0; k < nb; ++k) bs.r[k] = bs.rhs[bs.border[k]];
     for (const Triplet& t : bs.a_bi) bs.r[t.row] -= t.value * bs.y[t.col];
@@ -325,78 +363,284 @@ std::optional<std::vector<double>> solve_bordered(const Circuit& ckt,
   for (const Device* dev : bs.nonlinear) dev->stamp(ctx, st);
   for (const Triplet& t : bs.triplets) {
     // A device off its promised pattern gets the full path, not a wrong x.
-    if (!bs.in_border[t.row] || !bs.in_border[t.col]) return std::nullopt;
+    if (!bs.in_border[t.row] || !bs.in_border[t.col]) return false;
     bs.s[static_cast<std::size_t>(bs.pos[t.row]) * nb + bs.pos[t.col]] +=
         t.value;
   }
   for (int k = 0; k < nb; ++k) bs.xb[k] += bs.rhs[bs.border[k]];
   ++ws.border_factorizations;
-  if (!dense_solve(bs.s, bs.xb, nb)) return std::nullopt;
-  // x_I = y_I - W x_B, contiguous, then both blocks scatter into x.
-  bs.xi.assign(bs.y.begin(), bs.y.end());
-  for (int j = 0; j < nb; ++j) {
-    const double xj = bs.xb[j];
-    const double* wj = &bs.w[static_cast<std::size_t>(j) * ni];
-    for (int i = bs.w_lo[j]; i < bs.w_hi[j]; ++i) bs.xi[i] -= wj[i] * xj;
-  }
-  std::vector<double> x(static_cast<std::size_t>(ckt.unknown_count()));
-  for (int k = 0; k < ni; ++k) x[bs.interior[k]] = bs.xi[k];
-  for (int k = 0; k < nb; ++k) x[bs.border[k]] = bs.xb[k];
-  return x;
+  return dense_solve(bs.s, bs.xb, nb);
 }
+
+namespace {
+
+enum class Outcome { kContinue, kConverged, kDiverged };
+
+/// The update x_new - x of unknown `u` passes the convergence test.
+bool within_tolerance(double x_new, double x, bool is_node,
+                      const NewtonSettings& st) {
+  const double abstol = is_node ? st.abstol_v : st.abstol_i;
+  return !(std::abs(x_new - x) > abstol + st.reltol * std::abs(x_new));
+}
+
+/// x += the update to x_new, node voltages clamped to max_voltage_step.
+void damped_update(double x_new, double& x, bool is_node,
+                   const NewtonSettings& st) {
+  double delta = x_new - x;
+  if (is_node) {
+    delta = std::clamp(delta, -st.max_voltage_step, st.max_voltage_step);
+  }
+  x += delta;
+}
+
+/// One iteration on the full path: every unknown is tested and updated.
+Outcome full_iteration(const Circuit& ckt, const StampContext& ctx,
+                       const NewtonSettings& st, int n_node_unknowns,
+                       std::vector<double>& x, SolveWorkspace& ws) {
+  std::vector<double>& x_new = solve_full(ckt, ctx, st.gshunt, ws);
+  for (const double v : x_new) {
+    if (!std::isfinite(v)) return Outcome::kDiverged;
+  }
+  if (!ckt.has_nonlinear()) {
+    // Linear system: one solve is exact.
+    x.swap(x_new);
+    return Outcome::kConverged;
+  }
+  bool converged = true;
+  const int n = static_cast<int>(x.size());
+  for (int i = 0; i < n; ++i) {
+    converged = within_tolerance(x_new[i], x[i], i < n_node_unknowns, st) &&
+                converged;
+  }
+  if (converged) {
+    x.swap(x_new);
+    return Outcome::kConverged;
+  }
+  for (int i = 0; i < n; ++i) {
+    damped_update(x_new[i], x[i], i < n_node_unknowns, st);
+  }
+  return Outcome::kContinue;
+}
+
+/// The bordered Newton iteration on x_B alone.  `x` always holds the
+/// iterate's border; its interior too while `materialized`, and otherwise
+/// the full-vector loop's interior is y_I - W xb_gen, up to the rounding
+/// of its update x_I + (x_I,new - x_I).
+class BorderLoop {
+ public:
+  BorderLoop(const NewtonSettings& st, int n_node_unknowns,
+             std::vector<double>& x, SolveWorkspace& ws)
+      : st_(st), n_nodes_(n_node_unknowns), x_(x), ws_(ws),
+        bs_(ws.bordered) {}
+
+  /// One iteration on the border ws.bordered.xb just solved for;
+  /// `first` marks the first iteration of the solve.
+  Outcome iterate(bool first) {
+    const std::vector<double>& xb = bs_.xb;
+    const int nb = static_cast<int>(xb.size());
+    formed_ = false;
+    have_prev_ = false;
+    double xb_max = 0.0;
+    for (const double v : xb) {
+      if (!std::isfinite(v)) return Outcome::kDiverged;
+      xb_max = std::max(xb_max, std::abs(v));
+    }
+    // Below this bound no partial sum of y_I - W x_B can overflow.
+    if (!(bs_.y_max + bs_.w_max_row_sum * xb_max <=
+          0.5 * std::numeric_limits<double>::max())) {
+      form();
+      for (const double v : bs_.xi) {
+        if (!std::isfinite(v)) return Outcome::kDiverged;
+      }
+    }
+    bool converged = true;
+    for (int k = 0; k < nb; ++k) {
+      const int u = bs_.border[k];
+      converged = within_tolerance(xb[k], x_[u], u < n_nodes_, st_) &&
+                  converged;
+    }
+    if (converged && interior_converged()) {
+      const int ni = static_cast<int>(bs_.interior.size());
+      for (int k = 0; k < ni; ++k) x_[bs_.interior[k]] = bs_.xi[k];
+      for (int k = 0; k < nb; ++k) x_[bs_.border[k]] = xb[k];
+      materialized_ = true;
+      bs_.x_conv.assign(x_.begin(), x_.end());
+      bs_.y_conv.assign(bs_.y.begin(), bs_.y.end());
+      bs_.have_conv = true;
+      return Outcome::kConverged;
+    }
+    update_interior(first);
+    for (int k = 0; k < nb; ++k) {
+      const int u = bs_.border[k];
+      damped_update(xb[k], x_[u], u < n_nodes_, st_);
+    }
+    return Outcome::kContinue;
+  }
+
+  /// Puts the full-vector loop's interior into x.
+  void materialize() {
+    if (materialized_) return;
+    bs_.form_interior(bs_.xb_gen, bs_.xi_prev);
+    ++ws_.interior_updates;
+    const int ni = static_cast<int>(bs_.interior.size());
+    for (int k = 0; k < ni; ++k) x_[bs_.interior[k]] = bs_.xi_prev[k];
+    materialized_ = true;
+  }
+
+ private:
+  bool is_node(int k) const { return k < bs_.interior_nodes; }
+
+  /// x_I = y_I - W x_B of this iteration, into bs.xi.
+  void form() {
+    if (formed_) return;
+    bs_.form_interior(bs_.xb, bs_.xi);
+    ++ws_.interior_updates;
+    formed_ = true;
+  }
+
+  /// The previous iterate's interior, into bs.xi_prev.
+  void previous_interior() {
+    if (have_prev_) return;
+    if (materialized_) {
+      const int ni = static_cast<int>(bs_.interior.size());
+      bs_.xi_prev.resize(static_cast<std::size_t>(ni));
+      for (int k = 0; k < ni; ++k) bs_.xi_prev[k] = x_[bs_.interior[k]];
+    } else {
+      bs_.form_interior(bs_.xb_gen, bs_.xi_prev);
+      ++ws_.interior_updates;
+    }
+    have_prev_ = true;
+  }
+
+  /// max_j |xb_j - from_j|.
+  double border_step(const double* from) const {
+    double m = 0.0;
+    for (std::size_t j = 0; j < bs_.xb.size(); ++j) {
+      m = std::max(m, std::abs(bs_.xb[j] - from[j]));
+    }
+    return m;
+  }
+
+  /// The interior test, once the border has passed.
+  bool interior_converged() {
+    form();
+    const int ni = static_cast<int>(bs_.interior.size());
+    if (!materialized_) {
+      // |x_I,new - x_I| <= sum_j |W_ij| max_j |x_B,j - xb_gen_j|: settled
+      // when that is at most half the tolerance, which leaves the rounding
+      // of both interiors far inside it.
+      const double step = border_step(bs_.xb_gen.data());
+      bool settled = true;
+      for (int k = 0; k < ni && settled; ++k) {
+        const double abstol = is_node(k) ? st_.abstol_v : st_.abstol_i;
+        settled = bs_.w_row_sum[k] * step <=
+                  0.5 * (abstol + st_.reltol * std::abs(bs_.xi[k]));
+      }
+      if (settled) {
+        ++ws_.interior_bound_passes;
+        return true;
+      }
+    }
+    previous_interior();
+    for (int k = 0; k < ni; ++k) {
+      if (!within_tolerance(bs_.xi[k], bs_.xi_prev[k], is_node(k), st_)) {
+        ++ws_.interior_fails;
+        return false;
+      }
+    }
+    ++ws_.interior_exact_passes;
+    return true;
+  }
+
+  /// Moves the interior iterate as the full-vector loop would.  Unformed
+  /// while no interior node update can exceed max_voltage_step: the bound
+  /// is sum_j |W_ij| times the border's step, plus, on the first iteration
+  /// from the last solution converged on this key (whose interior is
+  /// y_conv - W x_B), the drift of y_I since.  Otherwise the update is
+  /// formed and, when a node update does exceed the step, clamped into x.
+  void update_interior(bool first) {
+    const int ni = static_cast<int>(bs_.interior.size());
+    if (!have_prev_) {
+      double bound = std::numeric_limits<double>::infinity();
+      if (!materialized_) {
+        bound = bs_.w_node_row_sum * border_step(bs_.xb_gen.data());
+      } else if (first && bs_.have_conv &&
+                 std::equal(x_.begin(), x_.end(), bs_.x_conv.begin(),
+                            bs_.x_conv.end())) {
+        // x's border is the border x_conv's interior came from.
+        double step = 0.0;
+        for (std::size_t j = 0; j < bs_.xb.size(); ++j) {
+          step = std::max(step, std::abs(bs_.xb[j] - x_[bs_.border[j]]));
+        }
+        bound = 0.0;
+        for (int k = 0; k < bs_.interior_nodes; ++k) {
+          bound = std::max(bound, std::abs(bs_.y[k] - bs_.y_conv[k]) +
+                                      bs_.w_row_sum[k] * step);
+        }
+      }
+      if (bound <= 0.5 * st_.max_voltage_step) {
+        keep_unformed();
+        return;
+      }
+      form();
+      previous_interior();
+    }
+    bool clamps = false;
+    for (int k = 0; k < bs_.interior_nodes && !clamps; ++k) {
+      clamps = std::abs(bs_.xi[k] - bs_.xi_prev[k]) > st_.max_voltage_step;
+    }
+    if (!clamps) {
+      keep_unformed();
+      return;
+    }
+    ++ws_.interior_clamps;
+    for (int k = 0; k < ni; ++k) {
+      double& xk = x_[bs_.interior[k]];
+      xk = bs_.xi_prev[k];
+      damped_update(bs_.xi[k], xk, is_node(k), st_);
+    }
+    materialized_ = true;
+  }
+
+  void keep_unformed() {
+    bs_.xb_gen.assign(bs_.xb.begin(), bs_.xb.end());
+    materialized_ = false;
+  }
+
+  const NewtonSettings& st_;
+  const int n_nodes_;
+  std::vector<double>& x_;
+  SolveWorkspace& ws_;
+  BorderedSolve& bs_;
+  bool materialized_ = true;
+  bool formed_ = false;     ///< bs.xi holds this iteration's interior
+  bool have_prev_ = false;  ///< bs.xi_prev holds the previous iterate's
+};
+
+}  // namespace
 
 NewtonOutcome newton_solve(const Circuit& ckt, StampContext ctx,
                            const NewtonSettings& st, int n_node_unknowns,
                            std::vector<double>& x, SolveWorkspace& ws) {
   NewtonOutcome out;
-  const bool nonlinear = ckt.has_nonlinear();
-  std::vector<double> x_new;
+  ctx.x = &x;
+  BorderLoop border(st, n_node_unknowns, x, ws);
   for (int it = 0; it < st.max_iterations; ++it) {
     out.iterations = it + 1;
-    ctx.x = &x;
-    if (auto xb = solve_bordered(ckt, ctx, st.gshunt, ws, it == 0)) {
-      x_new = std::move(*xb);
+    Outcome step;
+    if (solve_border(ckt, ctx, st.gshunt, ws, it == 0)) {
+      step = border.iterate(it == 0);
     } else {
-      x_new = solve_full(ckt, ctx, st.gshunt, ws);
+      border.materialize();  // the full path tests every unknown
+      step = full_iteration(ckt, ctx, st, n_node_unknowns, x, ws);
     }
-    bool finite = true;
-    for (double v : x_new) {
-      if (!std::isfinite(v)) {
-        finite = false;
-        break;
-      }
-    }
-    if (!finite) return out;  // diverged
-    if (!nonlinear) {
-      // Linear system: one solve is exact.
-      x = std::move(x_new);
+    if (step == Outcome::kConverged) {
       out.converged = true;
       return out;
     }
-    // Convergence test on the update, then damp (clamp) node voltages.
-    bool converged = true;
-    const std::size_t n = x.size();
-    for (std::size_t i = 0; i < n; ++i) {
-      const double delta = x_new[i] - x[i];
-      const bool is_node = static_cast<int>(i) < n_node_unknowns;
-      const double abstol = is_node ? st.abstol_v : st.abstol_i;
-      if (std::abs(delta) > abstol + st.reltol * std::abs(x_new[i])) {
-        converged = false;
-      }
-    }
-    if (converged) {
-      x = std::move(x_new);
-      out.converged = true;
-      return out;
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      double delta = x_new[i] - x[i];
-      if (static_cast<int>(i) < n_node_unknowns) {
-        delta = std::clamp(delta, -st.max_voltage_step, st.max_voltage_step);
-      }
-      x[i] += delta;
-    }
+    if (step == Outcome::kDiverged) break;
   }
+  border.materialize();
   return out;
 }
 

@@ -54,12 +54,15 @@ struct TransientScope {
         reg.counter("spice.transient.border_factorizations");
     static const int kFactorNonzeros =
         reg.counter("spice.transient.factor_nonzeros");
+    static const int kInteriorUpdates =
+        reg.counter("spice.transient.interior_updates");
     reg.add(kRuns);
     reg.add(kSteps, *steps);
     reg.add(kNewton, *newton_iterations);
     reg.add(kFactorizations, ws->full_factorizations + ws->refactorizations);
     reg.add(kBorderFactorizations, ws->border_factorizations);
     reg.add(kFactorNonzeros, ws->factor_nonzeros);
+    reg.add(kInteriorUpdates, ws->interior_updates);
   }
 };
 

@@ -6,12 +6,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <functional>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "../../src/spice/src/newton_detail.hpp"
+#include "support/newton_reference.hpp"
 #include "rlc/analysis/signal_metrics.hpp"
 #include "rlc/core/delay.hpp"
 #include "rlc/core/elmore.hpp"
@@ -91,6 +96,69 @@ TEST(NonlinearDeviceContract, MosfetStampPatternIsFixed) {
   }
 }
 
+TEST(NonlinearDeviceContract, MosfetStampReadsOnlyItsOwnColumns) {
+  // The border-only Newton loop leaves the interior of the iterate unformed
+  // between iterations, so a nonlinear device's stamp may read only the
+  // unknowns whose columns it stamps.  The MOSFETs of the test above, in
+  // each region, in a circuit with more unknowns (a node pair, a resistor,
+  // an inductor's and a source's branch): every other unknown set to NaN
+  // or +-1e3 leaves the triplets and the right-hand side bit for bit.
+  Circuit c;
+  const NodeId d = c.node("d"), g = c.node("g"), s = c.node("s");
+  const NodeId a = c.node("a"), b = c.node("b");
+  const Mosfet& nmos =
+      c.add_mosfet("MN", d, g, s, MosParams{MosType::kNmos, 0.5, 2e-3, 0.05});
+  const Mosfet& pmos =
+      c.add_mosfet("MP", d, g, s, MosParams{MosType::kPmos, 0.5, 2e-3, 0.05});
+  c.add_resistor("R", a, b, 1e3);
+  c.add_inductor("L", b, c.ground(), 1e-9);
+  c.add_vsource("V", a, c.ground(), DcSpec{1.0});
+  c.finalize();
+  const int n = c.unknown_count();
+  ASSERT_EQ(n, 7);
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  const std::vector<std::vector<double>> nmos_biases = {
+      {1.0, 0.2, 0.0}, {0.2, 2.0, 0.0}, {2.0, 1.2, 0.0}, {0.0, 2.0, 0.6}};
+  int checked = 0;
+  for (const Mosfet* m : {&nmos, &pmos}) {
+    const double sign = m == &nmos ? 1.0 : -1.0;
+    for (const auto& bias : nmos_biases) {
+      std::vector<double> x(static_cast<std::size_t>(n), 0.0);
+      for (int t = 0; t < 3; ++t) x[t] = sign * bias[t];
+      StampContext ctx;
+      ctx.analysis = Analysis::kTransient;
+      ctx.dt = 1e-12;
+      ctx.x = &x;
+      const StampRecord want = stamp_at(*m, ctx, n);
+      std::vector<char> stamped(static_cast<std::size_t>(n), 0);
+      for (const auto& t : want.triplets) stamped[t.col] = 1;
+      for (const double filler :
+           {std::numeric_limits<double>::quiet_NaN(), 1e3, -1e3}) {
+        std::vector<double> other = x;
+        for (int u = 0; u < n; ++u) {
+          if (!stamped[u]) other[u] = filler;
+        }
+        EXPECT_EQ(std::count(stamped.begin(), stamped.end(), 0), 4);
+        ctx.x = &other;
+        const StampRecord got = stamp_at(*m, ctx, n);
+        ASSERT_EQ(got.triplets.size(), want.triplets.size()) << m->name();
+        for (std::size_t i = 0; i < got.triplets.size(); ++i) {
+          EXPECT_EQ(got.triplets[i].row, want.triplets[i].row);
+          EXPECT_EQ(got.triplets[i].col, want.triplets[i].col);
+          EXPECT_EQ(bits(got.triplets[i].value), bits(want.triplets[i].value))
+              << m->name() << " triplet " << i << " filler " << filler;
+        }
+        for (int r = 0; r < n; ++r) {
+          EXPECT_EQ(bits(got.rhs[r]), bits(want.rhs[r]))
+              << m->name() << " row " << r << " filler " << filler;
+        }
+        ++checked;
+      }
+    }
+  }
+  EXPECT_EQ(checked, 24);
+}
+
 /// The repository benchmark's ring shape (perfbench's RING_CONFIGS): five
 /// stages of RC-optimal inverters, each driving a 6-segment RLC ladder, 250
 /// steps per estimated period, 2 settling and 5 measured periods.
@@ -111,17 +179,21 @@ struct Ring {
   Circuit ckt;
   TransientOptions opts;
   double vdd = 0.0;
+  double t_est = 0.0;  ///< estimated period
 };
 
 /// Stage i is a size-k inverter in[i] -> out[i] driving a length-h ladder
 /// of `nseg` segments to in[i + 1], started with one logic clash so it
-/// settles into the fundamental mode.
+/// settles into the fundamental mode.  h and k are the RC optimum's times
+/// `size`.
 void build_ring(const RingCase& rc_case, Ring& ring, int stages = 5,
-                int nseg = 6) {
+                int nseg = 6, double size = 1.0) {
   const core::Technology tech =
       rc_case.nm250 ? core::Technology::nm250() : core::Technology::nm100();
   const double l = rc_case.l_nh_per_mm * 1e-9 / 1e-3;
-  const auto rc = core::rc_optimum(tech.rep, tech.r, tech.c);
+  auto rc = core::rc_optimum(tech.rep, tech.r, tech.c);
+  rc.h *= size;
+  rc.k *= size;
   const auto delay = core::segment_delay(tech.rep, tech.line(l), rc.h, rc.k);
   const double tau = delay.converged ? delay.tau : rc.tau;
   Circuit& ckt = ring.ckt;
@@ -142,6 +214,7 @@ void build_ring(const RingCase& rc_case, Ring& ring, int stages = 5,
         tech.line(l), rc.h, nseg));
   }
   const double t_est = 2.0 * stages * tau;
+  ring.t_est = t_est;
   TransientOptions& o = ring.opts;
   o.tstop = (2 + 5) * t_est;
   o.dt = t_est / 250;
@@ -184,7 +257,7 @@ TEST(Bordered, PartitionOfTheBenchmarkRing) {
   ctx.time = ctx.dt;
   ctx.x = &x;
   detail::SolveWorkspace ws;
-  ASSERT_TRUE(detail::solve_bordered(ring.ckt, ctx, 1e-12, ws, true));
+  ASSERT_TRUE(detail::solve_border(ring.ckt, ctx, 1e-12, ws, true));
   std::vector<std::string> border;
   const int n_nodes = ring.ckt.node_count() - 1;
   for (const int u : ws.bordered.border) {
@@ -249,15 +322,25 @@ void expect_close(const std::vector<double>& got,
 
 TEST(Bordered, EachIterationMatchesTheFullSparseLu) {
   // One Newton iteration through either path, at the start state and along
-  // the iterates and steps that follow: the same solution up to round-off.
+  // the iterates and steps that follow: the same solution up to round-off,
+  // x_B from the border solve and x_I = y_I - W x_B formed from it.
   for (const std::size_t which : {std::size_t{0}, std::size_t{3}, std::size_t{9}}) {
     detail::SolveWorkspace bordered;
+    const detail::BorderedSolve& bs = bordered.bordered;
+    std::vector<double> xi;
     int compared = 0;
     walk_iterates(which, [&](const Circuit& ckt, const StampContext& ctx,
                              int it, const std::vector<double>& ref) {
-      const auto got = detail::solve_bordered(ckt, ctx, 1e-12, bordered, it == 0);
-      ASSERT_TRUE(got.has_value());
-      expect_close(*got, ref);
+      ASSERT_TRUE(detail::solve_border(ckt, ctx, 1e-12, bordered, it == 0));
+      bs.form_interior(bs.xb, xi);
+      std::vector<double> got(ref.size());
+      for (std::size_t k = 0; k < bs.interior.size(); ++k) {
+        got[bs.interior[k]] = xi[k];
+      }
+      for (std::size_t k = 0; k < bs.border.size(); ++k) {
+        got[bs.border[k]] = bs.xb[k];
+      }
+      expect_close(got, ref);
       ++compared;
     });
     EXPECT_EQ(compared, 240);
@@ -429,6 +512,11 @@ TEST(Bordered, CountsReachTheRegistryOncePerTransient) {
   EXPECT_EQ(counter(delta, "spice.transient.border_factorizations"), 5249);
   // The 85-unknown interior, factored afresh for each of the two keys.
   EXPECT_EQ(counter(delta, "spice.transient.factor_nonzeros"), 2 * 330);
+  // x_I formed once per step when the border converges, plus the 5 exact
+  // interior tests' recomputations of the previous iterate's and the first
+  // iteration of each key's first step, whose update no bound covers.
+  EXPECT_EQ(counter(delta, "spice.transient.interior_updates"),
+            1750 + 5 + 2);
 
   before = reg.snapshot();
   const auto inv = run_lone_inverter();
@@ -437,6 +525,7 @@ TEST(Bordered, CountsReachTheRegistryOncePerTransient) {
   EXPECT_EQ(counter(delta, "spice.transient.factorizations"),
             inv.newton_iterations);
   EXPECT_EQ(counter(delta, "spice.transient.border_factorizations"), 0);
+  EXPECT_EQ(counter(delta, "spice.transient.interior_updates"), 0);
   // Five unknowns, factored afresh once; every later iteration refactors.
   EXPECT_EQ(counter(delta, "spice.transient.factor_nonzeros"), 16);
 }
@@ -471,7 +560,7 @@ TEST(Bordered, SingularSystemsFallBackAndThrowAsTheFullPathDoes) {
     ctx.time = ctx.dt;
     ctx.x = &x;
     detail::SolveWorkspace ws;
-    EXPECT_FALSE(detail::solve_bordered(ring.ckt, ctx, 1e-12, ws, true));
+    EXPECT_FALSE(detail::solve_border(ring.ckt, ctx, 1e-12, ws, true));
     // A singular interior retires the key; a singular border only the
     // iteration, after its dense LU.
     EXPECT_EQ(ws.bordered.usable, on_border);
@@ -480,6 +569,244 @@ TEST(Bordered, SingularSystemsFallBackAndThrowAsTheFullPathDoes) {
                  std::runtime_error);
     Ring again = singular_ring(on_border);
     EXPECT_THROW(run_transient(again.ckt, again.opts), std::runtime_error);
+  }
+}
+
+/// What a lockstep transient saw.
+struct Lockstep {
+  long accepted = 0, rejected = 0, newton = 0;
+  bool completed = false;
+  long mismatches = 0;      ///< Newton solves the two loops ended apart
+  std::string first_mismatch;
+  detail::SolveWorkspace ws;  ///< the library loop's
+};
+
+/// Runs `ckt` as run_transient does with its fixed-step control (a UIC
+/// start, backward-Euler start-up steps, a step halved on a failed Newton
+/// solve and doubled back after two successes), solving every step twice
+/// from the same state and device history: with detail::newton_solve and
+/// with the full-vector reference loop.  Each pair of solves must end the
+/// same way after as many iterations and, when converged, at the same x
+/// bit for bit; the run goes on with the library loop's outcome.
+Lockstep run_lockstep(Circuit& ckt, const TransientOptions& opts) {
+  EXPECT_FALSE(opts.start_from_dc);
+  EXPECT_FALSE(opts.adaptive_lte);
+  ckt.finalize();
+  const int n = ckt.unknown_count();
+  const int n_nodes = ckt.node_count() - 1;
+  std::vector<double> x(static_cast<std::size_t>(n), 0.0);
+  for (const auto& [node, v] : opts.initial_voltages) {
+    if (node > 0) x[node - 1] = v;
+  }
+  for (const auto& dev : ckt.devices()) {
+    if (const auto* ind = dynamic_cast<const Inductor*>(dev.get())) {
+      x[ind->branch_base()] = ind->initial_current();
+    }
+  }
+  StampContext ctx;
+  ctx.analysis = Analysis::kTransient;
+  ctx.method = opts.method;
+  ctx.dt = opts.dt;
+  ctx.x = &x;
+  for (const auto& dev : ckt.devices()) dev->init_history(ctx);
+  detail::NewtonSettings ns;
+  ns.max_iterations = opts.max_newton;
+  ns.reltol = opts.reltol;
+  ns.abstol_v = opts.abstol_v;
+  ns.abstol_i = opts.abstol_i;
+  ns.max_voltage_step = opts.max_voltage_step;
+
+  Lockstep run;
+  detail::SolveWorkspace ref_ws;
+  std::vector<double> x_try, x_ref;
+  double t = 0.0, dt_cur = opts.dt;
+  const double dt_min = opts.dt / std::pow(2.0, opts.max_step_halvings);
+  int successes_at_reduced_dt = 0;
+  const double t_end = opts.tstop - 1e-9 * opts.dt;
+  while (t < t_end) {
+    dt_cur = std::min(dt_cur, opts.tstop - t);
+    ctx.method = run.accepted < opts.be_startup_steps
+                     ? Integrator::kBackwardEuler
+                     : opts.method;
+    ctx.time = t + dt_cur;
+    ctx.dt = dt_cur;
+    x_try = x;
+    x_ref = x;
+    const auto out = detail::newton_solve(ckt, ctx, ns, n_nodes, x_try, run.ws);
+    const auto ref =
+        reference_newton_solve(ckt, ctx, ns, n_nodes, x_ref, ref_ws);
+    const bool same =
+        out.converged == ref.converged && out.iterations == ref.iterations &&
+        (!out.converged ||
+         std::memcmp(x_try.data(), x_ref.data(), x.size() * sizeof(double)) ==
+             0);
+    if (!same && run.mismatches++ == 0) {
+      run.first_mismatch = "step " + std::to_string(run.accepted + 1) +
+                           ": " + std::to_string(out.iterations) + " vs " +
+                           std::to_string(ref.iterations) + " iterations";
+    }
+    run.newton += out.iterations;
+    if (!out.converged) {
+      ++run.rejected;
+      dt_cur *= 0.5;
+      successes_at_reduced_dt = 0;
+      if (dt_cur < dt_min) return run;
+      continue;
+    }
+    x.swap(x_try);
+    ctx.x = &x;
+    for (const auto& dev : ckt.devices()) dev->commit_step(ctx);
+    t = ctx.time;
+    ++run.accepted;
+    if (dt_cur < opts.dt && ++successes_at_reduced_dt >= 2) {
+      dt_cur = std::min(2.0 * dt_cur, opts.dt);
+      successes_at_reduced_dt = 0;
+    }
+  }
+  run.completed = true;
+  return run;
+}
+
+/// Pins detail::newton_solve to the reference loop on the circuit
+/// `build` makes, and the lockstep driver to run_transient on a second
+/// copy: same completion, steps and Newton iterations.
+Lockstep expect_lockstep(const std::function<void(Ring&)>& build) {
+  Ring ring;
+  build(ring);
+  Lockstep run = run_lockstep(ring.ckt, ring.opts);
+  EXPECT_EQ(run.mismatches, 0) << run.first_mismatch;
+  Ring again;
+  build(again);
+  const auto r = run_transient(again.ckt, again.opts);
+  EXPECT_EQ(run.completed, r.completed);
+  EXPECT_EQ(run.accepted, r.steps_accepted);
+  EXPECT_EQ(run.rejected, r.steps_rejected);
+  EXPECT_EQ(run.newton, r.newton_iterations);
+  EXPECT_EQ(run.ws.border_factorizations, r.border_factorizations);
+  return run;
+}
+
+/// An open chain of `stages` inverters driven by a pulse, each output
+/// loaded with 2 fF, ending in a 6-segment RC ladder; `stub` adds to every
+/// output one RC section to ground.
+void build_chain(Ring& chain, int stages, bool stub) {
+  const core::Technology tech = core::Technology::nm100();
+  Circuit& c = chain.ckt;
+  chain.vdd = tech.vdd;
+  const NodeId vdd = c.node("vdd");
+  c.add_vsource("vsupply", vdd, c.ground(), DcSpec{tech.vdd});
+  NodeId prev = c.node("drive");
+  PulseSpec pulse;
+  pulse.v2 = tech.vdd;
+  pulse.delay = 20e-12;
+  pulse.rise = pulse.fall = 10e-12;
+  pulse.width = 150e-12;
+  pulse.period = 400e-12;
+  c.add_vsource("vdrive", prev, c.ground(), pulse);
+  for (int i = 0; i < stages; ++i) {
+    const std::string id = std::to_string(i);
+    const NodeId out = c.node("o" + id);
+    ringosc::add_inverter(c, "inv" + id, prev, out, vdd, tech, 1.0);
+    c.add_capacitor("cl" + id, out, c.ground(), 2e-15);
+    if (stub) {
+      const NodeId side = c.node("s" + id);
+      c.add_resistor("rs" + id, out, side, 500.0);
+      c.add_capacitor("cs" + id, side, c.ground(), 1e-15);
+    }
+    prev = out;
+  }
+  ringosc::add_rlc_ladder(c, "line", prev, c.node("end"),
+                          tline::LineParams{1e5, 0.0, 2e-10}, 1e-3, 6);
+  chain.opts.tstop = 400e-12;
+  chain.opts.dt = 2e-12;
+}
+
+/// simulate_buffered_line's circuit for the test_ringosc configuration:
+/// a pulse through three half-RC-optimal inverters, each driving an
+/// 8-segment ladder, into a last inverter; 4000 steps per drive period.
+void build_buffered_line(Ring& line, int cycles) {
+  const core::Technology tech = core::Technology::nm100();
+  const auto rc = core::rc_optimum(tech);
+  const double h = 0.5 * rc.h, k = 0.5 * rc.k;
+  const double period = 24.0 * 3 * rc.tau;
+  Circuit& c = line.ckt;
+  line.vdd = tech.vdd;
+  const NodeId vdd = c.node("vdd");
+  c.add_vsource("vsupply", vdd, c.ground(), DcSpec{tech.vdd});
+  NodeId prev = c.node("drive");
+  PulseSpec pulse;
+  pulse.v2 = tech.vdd;
+  pulse.delay = 0.05 * period;
+  pulse.rise = pulse.fall = 0.01 * period;
+  pulse.width = 0.5 * period - pulse.rise;
+  pulse.period = period;
+  c.add_vsource("vdrive", prev, c.ground(), pulse);
+  for (int i = 0; i < 3; ++i) {
+    const std::string id = std::to_string(i);
+    const NodeId out = c.node("o" + id), far = c.node("n" + id);
+    ringosc::add_inverter(c, "inv" + id, prev, out, vdd, tech, k);
+    ringosc::add_rlc_ladder(c, "line" + id, out, far, tech.line(0.2e-6), h, 8);
+    prev = far;
+  }
+  ringosc::add_inverter(c, "invL", prev, c.node("sink"), vdd, tech, k);
+  line.opts.tstop = cycles * period;
+  line.opts.dt = period / 4000.0;
+}
+
+TEST(Bordered, BorderOnlyLoopRepeatsTheFullVectorLoop) {
+  // detail::newton_solve iterates on x_B alone and forms the interior only
+  // to test or clamp it; the reference forms it and sweeps every unknown at
+  // every iteration.  Both take the same decisions and end every step at
+  // the same x, on circuits that exercise each branch of the interior
+  // test: the bound, the exact difference, and a failed interior that
+  // takes one more iteration.
+  long exact = 0, fails = 0;
+  for (std::size_t i = 0; i < benchmark_rings().size(); ++i) {
+    SCOPED_TRACE("benchmark ring " + std::to_string(i));
+    const Lockstep run = expect_lockstep(
+        [&](Ring& ring) { build_ring(benchmark_rings()[i], ring); });
+    EXPECT_EQ(run.accepted, 1750);
+    EXPECT_GT(run.ws.interior_bound_passes, 1500);
+    EXPECT_EQ(run.ws.interior_clamps, 0);
+    exact += run.ws.interior_exact_passes;
+    fails += run.ws.interior_fails;
+  }
+  EXPECT_GT(exact, 0);
+  EXPECT_GT(fails, 0);
+  // The border-limit table's 9-stage one-segment ring (|B|^3 / n = 211)
+  // and chain of 16 with one-section stubs (190), both bordered.
+  for (const bool ring_case : {true, false}) {
+    SCOPED_TRACE(ring_case ? "ring, 9 x 1" : "chain of 16, stubs");
+    const Lockstep run = expect_lockstep([&](Ring& c) {
+      if (ring_case) {
+        build_ring(benchmark_rings()[2], c, 9, 1);
+      } else {
+        build_chain(c, 16, true);
+      }
+      c.ckt.finalize();
+      EXPECT_EQ(c.ckt.unknown_count(), ring_case ? 38 : 42);
+    });
+    EXPECT_EQ(run.ws.border_factorizations, run.newton);
+    EXPECT_GT(run.ws.interior_exact_passes, 0);
+  }
+  {
+    // test_ringosc's buffered line, where the interior test decides most
+    // often: one drive period of the four it runs there.
+    SCOPED_TRACE("buffered line");
+    const Lockstep run =
+        expect_lockstep([](Ring& c) { build_buffered_line(c, 1); });
+    EXPECT_EQ(run.accepted, 4000);
+    EXPECT_GT(run.ws.interior_fails, 100);
+  }
+  {
+    // A voltage step of 50 mV makes interior node updates exceed it, and
+    // the border-only loop clamps them into x as the reference does.
+    SCOPED_TRACE("max_voltage_step 0.05");
+    const Lockstep run = expect_lockstep([](Ring& ring) {
+      build_ring(benchmark_rings()[0], ring);
+      ring.opts.max_voltage_step = 0.05;
+    });
+    EXPECT_GT(run.ws.interior_clamps, 1000);
   }
 }
 
