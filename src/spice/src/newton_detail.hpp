@@ -54,7 +54,7 @@ struct BorderedSolve {
   bool usable = false;  ///< false: the full path serves this key
   std::vector<const Device*> linear, nonlinear;
   std::vector<int> border, interior;  ///< unknown indices, ascending
-  int interior_nodes = 0;  ///< interior node voltages: interior's prefix
+  int interior_nodes = 0;  ///< node voltages in `interior`, its first entries
   std::vector<int> pos;  ///< unknown -> its index within its own block
   std::vector<char> in_border;
   std::unique_ptr<rlc::linalg::SparseLU> lu;  ///< factors A_II
