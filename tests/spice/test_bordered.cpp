@@ -766,7 +766,7 @@ TEST(Bordered, BorderOnlyLoopRepeatsTheFullVectorLoop) {
     const Lockstep run = expect_lockstep(
         [&](Ring& ring) { build_ring(benchmark_rings()[i], ring); });
     EXPECT_EQ(run.accepted, 1750);
-    EXPECT_GT(run.ws.interior_bound_passes, 1500);
+    EXPECT_GT(2 * run.ws.interior_bound_passes, run.accepted);
     EXPECT_EQ(run.ws.interior_clamps, 0);
     exact += run.ws.interior_exact_passes;
     fails += run.ws.interior_fails;
@@ -796,7 +796,7 @@ TEST(Bordered, BorderOnlyLoopRepeatsTheFullVectorLoop) {
     const Lockstep run =
         expect_lockstep([](Ring& c) { build_buffered_line(c, 1); });
     EXPECT_EQ(run.accepted, 4000);
-    EXPECT_GT(run.ws.interior_fails, 100);
+    EXPECT_GT(run.ws.interior_fails, 0);  // 210
   }
   {
     // A voltage step of 50 mV makes interior node updates exceed it, and
@@ -806,7 +806,7 @@ TEST(Bordered, BorderOnlyLoopRepeatsTheFullVectorLoop) {
       build_ring(benchmark_rings()[0], ring);
       ring.opts.max_voltage_step = 0.05;
     });
-    EXPECT_GT(run.ws.interior_clamps, 1000);
+    EXPECT_GT(run.ws.interior_clamps, 0);  // 1,060
   }
 }
 
