@@ -512,9 +512,10 @@ TEST(Bordered, CountsReachTheRegistryOncePerTransient) {
   EXPECT_EQ(counter(delta, "spice.transient.border_factorizations"), 5249);
   // The 85-unknown interior, factored afresh for each of the two keys.
   EXPECT_EQ(counter(delta, "spice.transient.factor_nonzeros"), 2 * 330);
-  // x_I formed once per step when the border converges, plus the 5 exact
-  // interior tests' recomputations of the previous iterate's and the first
-  // iteration of each key's first step, whose update no bound covers.
+  // x_I is formed once per step when the border converges, once more for
+  // each of the 5 exact interior tests (the previous iterate's interior),
+  // and once at the first iteration of each key's first step, which has
+  // no converged solution of that key to bound its update.
   EXPECT_EQ(counter(delta, "spice.transient.interior_updates"),
             1750 + 5 + 2);
 
