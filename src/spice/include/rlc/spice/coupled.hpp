@@ -21,16 +21,13 @@ class MutualInductance : public Device {
                    double coupling);
   void stamp(const StampContext& ctx, Stamper& st) const override;
   void stamp_ac(const AcContext& ctx, AcStamper& st) const override;
-  void commit_step(const StampContext& ctx) override;
-  void init_history(const StampContext& ctx) override;
+  std::optional<Companion> companion() const override;
   double mutual() const { return m_; }
 
  private:
   const Inductor* l1_;
   const Inductor* l2_;
   double m_;  ///< mutual inductance [H]
-  double i1_prev_ = 0.0;
-  double i2_prev_ = 0.0;
 };
 
 /// Voltage-controlled voltage source: v(p) - v(n) = gain * (v(cp) - v(cn)).

@@ -7,6 +7,9 @@
 ///   capacitor (BE):    i = (C/dt)(v - v_prev)
 ///   inductor (trap):   v - (2L/dt) i = -(v_prev + (2L/dt) i_prev)
 ///   inductor (BE):     v - (L/dt) i  = -(L/dt) i_prev
+/// stamp() adds the left-hand sides' matrix entries only.  The right-hand
+/// sides and the history (v_prev, i_prev) live in the analysis' companion
+/// table, which each device's companion() seeds (see Companion).
 
 #include <optional>
 
@@ -37,18 +40,13 @@ class Capacitor : public Device {
             std::optional<double> ic = std::nullopt);
   void stamp(const StampContext& ctx, Stamper& st) const override;
   void stamp_ac(const AcContext& ctx, AcStamper& st) const override;
-  void commit_step(const StampContext& ctx) override;
-  void init_history(const StampContext& ctx) override;
+  std::optional<Companion> companion() const override;
   double capacitance() const { return farads_; }
 
  private:
-  double geq(const StampContext& ctx) const;
-  double ieq_hist(const StampContext& ctx) const;
   NodeId a_, b_;
   double farads_;
   std::optional<double> ic_;
-  double v_prev_ = 0.0;
-  double i_prev_ = 0.0;
 };
 
 class Inductor : public Device {
@@ -58,8 +56,7 @@ class Inductor : public Device {
   int branch_count() const override { return 1; }
   void stamp(const StampContext& ctx, Stamper& st) const override;
   void stamp_ac(const AcContext& ctx, AcStamper& st) const override;
-  void commit_step(const StampContext& ctx) override;
-  void init_history(const StampContext& ctx) override;
+  std::optional<Companion> companion() const override;
   double inductance() const { return henries_; }
   /// Initial branch current for UIC starts.
   double initial_current() const { return ic_.value_or(0.0); }
@@ -68,8 +65,6 @@ class Inductor : public Device {
   NodeId a_, b_;
   double henries_;
   std::optional<double> ic_;
-  double v_prev_ = 0.0;
-  double i_prev_ = 0.0;
 };
 
 /// Independent voltage source; positive branch current flows from node p
@@ -83,6 +78,7 @@ class VSource : public Device {
   int branch_count() const override { return 1; }
   void stamp(const StampContext& ctx, Stamper& st) const override;
   void stamp_ac(const AcContext& ctx, AcStamper& st) const override;
+  std::optional<Companion> companion() const override;
   double value_at(double t) const { return waveform_value(waveform_, t); }
   double ac_magnitude() const { return ac_magnitude_; }
 
@@ -98,8 +94,10 @@ class ISource : public Device {
  public:
   ISource(std::string name, NodeId p, NodeId n, Waveform w,
           double ac_magnitude = 0.0);
+  /// No matrix entries: the source drives the right-hand side alone.
   void stamp(const StampContext& ctx, Stamper& st) const override;
   void stamp_ac(const AcContext& ctx, AcStamper& st) const override;
+  std::optional<Companion> companion() const override;
 
  private:
   NodeId p_, n_;

@@ -24,12 +24,10 @@ void MutualInductance::stamp(const StampContext& ctx, Stamper& st) const {
   const bool trap = ctx.method == Integrator::kTrapezoidal;
   const double rm = (trap ? 2.0 : 1.0) * m_ / ctx.dt;
   // Each inductor's branch row gains a -rm * i_other term on the left and
-  // the matching history on the right (see Inductor::stamp for the
-  // companion derivation; the mutual terms discretize identically).
+  // the matching history on the right (the companion table's; the mutual
+  // terms discretize as the inductor's own do).
   st.add(br1, br2, -rm);
   st.add(br2, br1, -rm);
-  st.add_rhs(br1, -rm * i2_prev_);
-  st.add_rhs(br2, -rm * i1_prev_);
 }
 
 void MutualInductance::stamp_ac(const AcContext& ctx, AcStamper& st) const {
@@ -40,14 +38,13 @@ void MutualInductance::stamp_ac(const AcContext& ctx, AcStamper& st) const {
   st.add(br2, br1, z);
 }
 
-void MutualInductance::commit_step(const StampContext& ctx) {
-  i1_prev_ = ctx.unknown(l1_->branch_base());
-  i2_prev_ = ctx.unknown(l2_->branch_base());
-}
-
-void MutualInductance::init_history(const StampContext& ctx) {
-  i1_prev_ = ctx.unknown(l1_->branch_base());
-  i2_prev_ = ctx.unknown(l2_->branch_base());
+std::optional<Companion> MutualInductance::companion() const {
+  Companion c;
+  c.kind = Companion::Kind::kMutual;
+  c.a = l1_->branch_base();
+  c.b = l2_->branch_base();
+  c.value = m_;
+  return c;
 }
 
 // -------------------------------------------------------------------- Vcvs

@@ -22,6 +22,7 @@ DcResult dc_operating_point(Circuit& ckt, const DcOptions& opts) {
   ctx.source_scale = 1.0;
 
   detail::SolveWorkspace ws;
+  ws.companions.build(ckt);
 
   DcResult res;
   res.x.assign(n, 0.0);

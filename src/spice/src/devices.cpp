@@ -45,28 +45,15 @@ Capacitor::Capacitor(std::string name, NodeId a, NodeId b, double farads,
   if (!(farads > 0.0)) throw std::domain_error("Capacitor: capacitance must be > 0");
 }
 
-double Capacitor::geq(const StampContext& ctx) const {
-  return (ctx.method == Integrator::kTrapezoidal ? 2.0 : 1.0) * farads_ / ctx.dt;
-}
-
-double Capacitor::ieq_hist(const StampContext& ctx) const {
-  const double g = geq(ctx);
-  if (ctx.method == Integrator::kTrapezoidal) return g * v_prev_ + i_prev_;
-  return g * v_prev_;
-}
-
 void Capacitor::stamp(const StampContext& ctx, Stamper& st) const {
   if (ctx.analysis == Analysis::kDc) return;  // open at DC
-  const double g = geq(ctx);
-  const double ieq = ieq_hist(ctx);
+  const double g =
+      (ctx.method == Integrator::kTrapezoidal ? 2.0 : 1.0) * farads_ / ctx.dt;
   const int ia = Stamper::unk(a_), ib = Stamper::unk(b_);
   st.add(ia, ia, g);
   st.add(ib, ib, g);
   st.add(ia, ib, -g);
   st.add(ib, ia, -g);
-  // Companion current source: i(a->b) = g*v - ieq, so +ieq injects into a.
-  st.add_rhs(ia, ieq);
-  st.add_rhs(ib, -ieq);
 }
 
 void Capacitor::stamp_ac(const AcContext& ctx, AcStamper& st) const {
@@ -78,15 +65,14 @@ void Capacitor::stamp_ac(const AcContext& ctx, AcStamper& st) const {
   st.add(ib, ia, -y);
 }
 
-void Capacitor::commit_step(const StampContext& ctx) {
-  const double v_new = ctx.v(a_) - ctx.v(b_);
-  i_prev_ = geq(ctx) * v_new - ieq_hist(ctx);
-  v_prev_ = v_new;
-}
-
-void Capacitor::init_history(const StampContext& ctx) {
-  v_prev_ = ic_ ? *ic_ : (ctx.v(a_) - ctx.v(b_));
-  i_prev_ = 0.0;
+std::optional<Companion> Capacitor::companion() const {
+  Companion c;
+  c.kind = Companion::Kind::kCapacitor;
+  c.a = Stamper::unk(a_);
+  c.b = Stamper::unk(b_);
+  c.value = farads_;
+  c.ic = ic_;
+  return c;
 }
 
 // ---------------------------------------------------------------- Inductor
@@ -113,8 +99,6 @@ void Inductor::stamp(const StampContext& ctx, Stamper& st) const {
   const bool trap = ctx.method == Integrator::kTrapezoidal;
   const double req = (trap ? 2.0 : 1.0) * henries_ / ctx.dt;
   st.add(br, br, -req);
-  const double rhs = trap ? -(v_prev_ + req * i_prev_) : -req * i_prev_;
-  st.add_rhs(br, rhs);
 }
 
 void Inductor::stamp_ac(const AcContext& ctx, AcStamper& st) const {
@@ -127,14 +111,15 @@ void Inductor::stamp_ac(const AcContext& ctx, AcStamper& st) const {
   st.add(br, br, std::complex<double>{0.0, -ctx.omega * henries_});
 }
 
-void Inductor::commit_step(const StampContext& ctx) {
-  v_prev_ = ctx.v(a_) - ctx.v(b_);
-  i_prev_ = ctx.unknown(branch_base());
-}
-
-void Inductor::init_history(const StampContext& ctx) {
-  v_prev_ = ctx.v(a_) - ctx.v(b_);
-  i_prev_ = ic_ ? *ic_ : ctx.unknown(branch_base());
+std::optional<Companion> Inductor::companion() const {
+  Companion c;
+  c.kind = Companion::Kind::kInductor;
+  c.a = Stamper::unk(a_);
+  c.b = Stamper::unk(b_);
+  c.branch = branch_base();
+  c.value = henries_;
+  c.ic = ic_;
+  return c;
 }
 
 // ----------------------------------------------------------------- VSource
@@ -145,16 +130,21 @@ VSource::VSource(std::string name, NodeId p, NodeId n, Waveform w,
       ac_magnitude_(ac_magnitude) {}
 
 void VSource::stamp(const StampContext& ctx, Stamper& st) const {
+  (void)ctx;
   const int ip = Stamper::unk(p_), in = Stamper::unk(n_);
   const int br = branch_base();
   st.add(ip, br, 1.0);
   st.add(in, br, -1.0);
   st.add(br, ip, 1.0);
   st.add(br, in, -1.0);
-  const double v = (ctx.analysis == Analysis::kDc)
-                       ? waveform_dc_value(waveform_)
-                       : waveform_value(waveform_, ctx.time);
-  st.add_rhs(br, v * ctx.source_scale);
+}
+
+std::optional<Companion> VSource::companion() const {
+  Companion c;
+  c.kind = Companion::Kind::kVoltageSource;
+  c.branch = branch_base();
+  c.waveform = &waveform_;
+  return c;
 }
 
 void VSource::stamp_ac(const AcContext& ctx, AcStamper& st) const {
@@ -176,13 +166,18 @@ ISource::ISource(std::string name, NodeId p, NodeId n, Waveform w,
       ac_magnitude_(ac_magnitude) {}
 
 void ISource::stamp(const StampContext& ctx, Stamper& st) const {
-  const double i = ((ctx.analysis == Analysis::kDc)
-                        ? waveform_dc_value(waveform_)
-                        : waveform_value(waveform_, ctx.time)) *
-                   ctx.source_scale;
+  (void)ctx;
+  (void)st;
+}
+
+std::optional<Companion> ISource::companion() const {
   // Current flows p -> n through the source: leaves p, enters n.
-  st.add_rhs(Stamper::unk(p_), -i);
-  st.add_rhs(Stamper::unk(n_), i);
+  Companion c;
+  c.kind = Companion::Kind::kCurrentSource;
+  c.a = Stamper::unk(p_);
+  c.b = Stamper::unk(n_);
+  c.waveform = &waveform_;
+  return c;
 }
 
 void ISource::stamp_ac(const AcContext& ctx, AcStamper& st) const {

@@ -257,6 +257,15 @@ double scaled_backward_error(const rlc::linalg::CscMatrix& A,
   return num / den;
 }
 
+/// Throws unless ws.companions was built for ckt.
+void check_companions(const Circuit& ckt, const SolveWorkspace& ws) {
+  if (!ws.companions.built_for(ckt)) {
+    throw std::logic_error(
+        "spice: the workspace's companion table was not built for this "
+        "circuit");
+  }
+}
+
 }  // namespace
 
 void BorderedSolve::form_interior(const std::vector<double>& xb_in,
@@ -272,23 +281,34 @@ void BorderedSolve::form_interior(const std::vector<double>& xb_in,
 
 std::vector<double>& solve_full(const Circuit& ckt, const StampContext& ctx,
                                 double gshunt, SolveWorkspace& ws) {
+  check_companions(ckt, ws);
   const int n = ckt.unknown_count();
   // Robustness shunt on every node voltage unknown (not branch rows), plus
   // the DC gmin convergence aid.
   const double gdiag = gshunt + ctx.gmin;
   const FactorKey key{ctx.analysis, ctx.method, ctx.dt, gdiag};
+  ws.rhs.assign(n, 0.0);
   // A linear circuit under the kept factors' key has their matrix, bit for
   // bit: only the sources and the companion history in the RHS move.
-  const bool reuse = !ckt.has_nonlinear() && ws.key == key;
-  ws.triplets.clear();
-  ws.rhs.assign(n, 0.0);
-  Stamper st(ws.triplets, ws.rhs, !reuse);
-  for (const auto& dev : ckt.devices()) dev->stamp(ctx, st);
-  if (reuse) {
+  if (!ckt.has_nonlinear() && ws.key == key) {
+    ws.companions.fill(ctx, ws.rhs);
     ws.lu->solve(ws.rhs, ws.x);
     return ws.x;
   }
   ws.key.reset();
+  ws.triplets.clear();
+  Stamper st(ws.triplets, ws.rhs);
+  // The table's records enter z at their devices' places, between the
+  // nonlinear devices' stamps, so every row sums in device order.
+  const auto& devices = ckt.devices();
+  std::size_t next = 0;
+  for (std::size_t i = 0; i < devices.size(); ++i) {
+    if (devices[i]->nonlinear()) {
+      next = ws.companions.fill_until(ctx, ws.rhs, next, i);
+    }
+    devices[i]->stamp(ctx, st);
+  }
+  ws.companions.fill_until(ctx, ws.rhs, next, devices.size());
   if (gdiag > 0.0) {
     const int n_nodes = ckt.node_count() - 1;
     for (int i = 0; i < n_nodes; ++i) ws.triplets.push_back({i, i, gdiag});
@@ -323,6 +343,7 @@ bool solve_border(const Circuit& ckt, const StampContext& ctx, double gshunt,
   if (ctx.analysis != Analysis::kTransient || !ckt.has_nonlinear()) {
     return false;
   }
+  check_companions(ckt, ws);
   BorderedSolve& bs = ws.bordered;
   const FactorKey key{ctx.analysis, ctx.method, ctx.dt, gshunt + ctx.gmin};
   if (bs.key != key) {
@@ -336,8 +357,7 @@ bool solve_border(const Circuit& ckt, const StampContext& ctx, double gshunt,
   // Once per step: the linear right-hand side, y_I and r_B.
   if (new_step) {
     bs.rhs.assign(static_cast<std::size_t>(ckt.unknown_count()), 0.0);
-    Stamper st(bs.triplets, bs.rhs, false);
-    for (const Device* dev : bs.linear) dev->stamp(ctx, st);
+    ws.companions.fill(ctx, bs.rhs);
     bs.z.resize(static_cast<std::size_t>(ni));
     for (int k = 0; k < ni; ++k) bs.z[k] = bs.rhs[bs.interior[k]];
     bs.lu->solve(bs.z, bs.y);

@@ -6,6 +6,7 @@
 #include <optional>
 #include <vector>
 
+#include "companion_table.hpp"
 #include "rlc/linalg/sparse.hpp"
 #include "rlc/linalg/sparse_lu.hpp"
 #include "rlc/spice/circuit.hpp"
@@ -40,15 +41,15 @@ struct FactorKey {
 /// device stamps plus any unknown whose row or column has no entry in the
 /// rest, and the interior I, which only linear devices touch.  Per key the
 /// constant interior block is factored once, with W = A_II^-1 A_IB and the
-/// dense base S0 = A_BB,lin - A_BI W; per step the linear right-hand side
-/// gives y_I = A_II^-1 z_I and r_B = z_B - A_BI y_I; per Newton iteration
-/// the nonlinear devices stamp into a copy of S0 and r_B and a dense
-/// |B| x |B| solve gives x_B.  Nothing in the next iteration reads the
-/// interior (a nonlinear device reads only the unknowns it stamps, a linear
-/// one's right-hand side ignores the iterate), so newton_solve forms
-/// x_I = y_I - W x_B only when the border has converged, when a bound from
-/// the row sums of |W| cannot rule out a clamped interior update, and
-/// before the full path takes an iteration.
+/// dense base S0 = A_BB,lin - A_BI W; per step the linear right-hand side,
+/// filled from the companion table, gives y_I = A_II^-1 z_I and r_B = z_B -
+/// A_BI y_I; per Newton iteration the nonlinear devices stamp into a copy
+/// of S0 and r_B and a dense |B| x |B| solve gives x_B.  Nothing in the
+/// next iteration reads the interior (a nonlinear device reads only the
+/// unknowns it stamps, the table's right-hand side ignores the iterate),
+/// so newton_solve forms x_I = y_I - W x_B only when the border has
+/// converged, when a bound from the row sums of |W| cannot rule out a
+/// clamped interior update, and before the full path takes an iteration.
 struct BorderedSolve {
   std::optional<FactorKey> key;  ///< the key the members below were set for
   bool usable = false;  ///< false: the full path serves this key
@@ -86,13 +87,17 @@ struct BorderedSolve {
 };
 
 /// Reusable state across Newton iterations and time steps of one analysis:
-/// the cached triplet-to-CSC mapping and the last LU factors of the full
-/// path, and the bordered solve.  A linear circuit reuses the full path's
-/// factors as they are while `key` holds (set only while `lu` factors the
-/// matrix of that key); otherwise the factors serve numeric-only
-/// refactorization, keyed on the MNA sparsity pattern, which is stable
-/// within an analysis.
+/// the linear devices' right-hand side and history, the cached
+/// triplet-to-CSC mapping and the last LU factors of the full path, and the
+/// bordered solve.  A linear circuit reuses the full path's factors as they
+/// are while `key` holds (set only while `lu` factors the matrix of that
+/// key); otherwise the factors serve numeric-only refactorization, keyed on
+/// the MNA sparsity pattern, which is stable within an analysis.
 struct SolveWorkspace {
+  /// Built from the circuit (and, for a transient, started from its t = 0
+  /// state) before the first solve; the solves throw std::logic_error
+  /// otherwise.  The caller commits each accepted step to it.
+  CompanionTable companions;
   rlc::linalg::TripletCompressor compressor;
   std::unique_ptr<rlc::linalg::SparseLU> lu;
   std::optional<FactorKey> key;
@@ -120,10 +125,12 @@ struct SolveWorkspace {
 /// storage, so neither allocates once the workspace has grown.
 ///
 /// The full path: a linear circuit whose key matches the kept factors
-/// stamps only the right-hand side and solves with them; any other call
-/// restamps every device and refactors, reusing the workspace's symbolic
-/// information when the pattern allows and the refactored solve passes a
-/// backward-error check, and factoring afresh otherwise.  Returns ws.x.
+/// fills the right-hand side from the companion table and solves with
+/// them; any other call restamps every device, adds each record of the
+/// table at its device's place between the nonlinear devices' stamps, and
+/// refactors, reusing the workspace's symbolic information when the pattern
+/// allows and the refactored solve passes a backward-error check, and
+/// factoring afresh otherwise.  Returns ws.x.
 std::vector<double>& solve_full(const Circuit& ckt, const StampContext& ctx,
                                 double gshunt, SolveWorkspace& ws);
 
@@ -134,8 +141,8 @@ std::vector<double>& solve_full(const Circuit& ckt, const StampContext& ctx,
 /// of the unknown count), or a singular interior (for the whole key) or
 /// border (for this iteration).  The caller then takes solve_full.
 /// `new_step` is true on the first Newton iteration of a solve; false
-/// reuses the linear right-hand side of the previous call, which
-/// Device::nonlinear() promises does not depend on the iterate.
+/// reuses the linear right-hand side of the previous call, which the
+/// companion table fills without reading the iterate.
 bool solve_border(const Circuit& ckt, const StampContext& ctx, double gshunt,
                   SolveWorkspace& ws, bool new_step);
 

@@ -101,14 +101,15 @@ TransientResult run_transient(Circuit& ckt, const TransientOptions& opts) {
       }
     }
   }
+  detail::SolveWorkspace ws;
+  ws.companions.build(ckt);
+  ws.companions.start(x);
 
   StampContext ctx;
   ctx.analysis = Analysis::kTransient;
   ctx.method = opts.method;
   ctx.time = 0.0;
   ctx.dt = opts.dt;
-  ctx.x = &x;
-  for (const auto& dev : ckt.devices()) dev->init_history(ctx);
 
   // ---- Probes. ----
   std::vector<Probe> probes = opts.probes;
@@ -139,7 +140,6 @@ TransientResult run_transient(Circuit& ckt, const TransientOptions& opts) {
   ns.abstol_i = opts.abstol_i;
   ns.max_voltage_step = opts.max_voltage_step;
 
-  detail::SolveWorkspace ws;
   double t = 0.0;
   double dt_cur = opts.dt;
   const double dt_min = opts.dt / std::pow(2.0, opts.max_step_halvings);
@@ -213,8 +213,7 @@ TransientResult run_transient(Circuit& ckt, const TransientOptions& opts) {
     }
     dt_prev = dt_cur;
     x.swap(x_try);
-    ctx.x = &x;
-    for (const auto& dev : ckt.devices()) dev->commit_step(ctx);
+    ws.companions.commit(ctx, x);
     t = ctx.time;
     ++accepted;
     record(t, x);

@@ -232,15 +232,14 @@ void build_ring(const RingCase& rc_case, Ring& ring, int stages = 5,
               Probe::node_voltage(out[1], "v_out")};
 }
 
-/// The state run_transient starts a UIC run from, with device history.
-std::vector<double> initial_state(Ring& ring) {
+/// The state run_transient starts a UIC run from, with the companion
+/// history of `ws` built and started from it.
+std::vector<double> initial_state(Ring& ring, detail::SolveWorkspace& ws) {
   ring.ckt.finalize();
   std::vector<double> x(static_cast<std::size_t>(ring.ckt.unknown_count()));
   for (const auto& [node, v] : ring.opts.initial_voltages) x[node - 1] = v;
-  StampContext ctx;
-  ctx.analysis = Analysis::kTransient;
-  ctx.x = &x;
-  for (const auto& dev : ring.ckt.devices()) dev->init_history(ctx);
+  ws.companions.build(ring.ckt);
+  ws.companions.start(x);
   return x;
 }
 
@@ -249,14 +248,14 @@ TEST(Bordered, PartitionOfTheBenchmarkRing) {
   // the supply's branch current, whose row and column touch only vdd.
   Ring ring;
   build_ring(benchmark_rings()[0], ring);
-  std::vector<double> x = initial_state(ring);
+  detail::SolveWorkspace ws;
+  std::vector<double> x = initial_state(ring, ws);
   StampContext ctx;
   ctx.analysis = Analysis::kTransient;
   ctx.method = Integrator::kBackwardEuler;
   ctx.dt = ring.opts.dt;
   ctx.time = ctx.dt;
   ctx.x = &x;
-  detail::SolveWorkspace ws;
   ASSERT_TRUE(detail::solve_border(ring.ckt, ctx, 1e-12, ws, true));
   std::vector<std::string> border;
   const int n_nodes = ring.ckt.node_count() - 1;
@@ -277,12 +276,13 @@ TEST(Bordered, PartitionOfTheBenchmarkRing) {
 /// trapezoidal) and 6 iterates each, calling `visit(ckt, ctx, it, ref)` at
 /// every iterate with the full path's answer `ref` from a fresh
 /// factorization, with fresh pivoting.  The walk follows newton_solve's
-/// damped update of `ref`.
+/// damped update of `ref` and commits each step to the companion table of
+/// `ws`, the workspace `visit` solves with.
 template <class Visit>
-void walk_iterates(std::size_t which, Visit visit) {
+void walk_iterates(std::size_t which, detail::SolveWorkspace& ws, Visit visit) {
   Ring ring;
   build_ring(benchmark_rings()[which], ring);
-  std::vector<double> x = initial_state(ring);
+  std::vector<double> x = initial_state(ring, ws);
   const int n_nodes = ring.ckt.node_count() - 1;
   StampContext ctx;
   ctx.analysis = Analysis::kTransient;
@@ -295,6 +295,7 @@ void walk_iterates(std::size_t which, Visit visit) {
     ctx.x = &x_try;
     for (int it = 0; it < 6; ++it) {
       detail::SolveWorkspace fresh;
+      fresh.companions = ws.companions;
       const auto ref = detail::solve_full(ring.ckt, ctx, 1e-12, fresh);
       SCOPED_TRACE("config " + std::to_string(which) + " step " +
                    std::to_string(step) + " it " + std::to_string(it));
@@ -306,8 +307,7 @@ void walk_iterates(std::size_t which, Visit visit) {
       }
     }
     x = x_try;
-    ctx.x = &x;
-    for (const auto& dev : ring.ckt.devices()) dev->commit_step(ctx);
+    ws.companions.commit(ctx, x);
   }
 }
 
@@ -329,8 +329,9 @@ TEST(Bordered, EachIterationMatchesTheFullSparseLu) {
     const detail::BorderedSolve& bs = bordered.bordered;
     std::vector<double> xi;
     int compared = 0;
-    walk_iterates(which, [&](const Circuit& ckt, const StampContext& ctx,
-                             int it, const std::vector<double>& ref) {
+    walk_iterates(which, bordered, [&](const Circuit& ckt,
+                                       const StampContext& ctx, int it,
+                                       const std::vector<double>& ref) {
       ASSERT_TRUE(detail::solve_border(ckt, ctx, 1e-12, bordered, it == 0));
       bs.form_interior(bs.xb, xi);
       std::vector<double> got(ref.size());
@@ -359,8 +360,9 @@ TEST(Bordered, FullPathRefactorKeepsItsDigits) {
   // whose solve fails the check is replaced by a fresh factorization.
   for (const std::size_t which : {std::size_t{0}, std::size_t{3}, std::size_t{9}}) {
     detail::SolveWorkspace kept;
-    walk_iterates(which, [&](const Circuit& ckt, const StampContext& ctx,
-                             int, const std::vector<double>& ref) {
+    walk_iterates(which, kept, [&](const Circuit& ckt,
+                                   const StampContext& ctx, int,
+                                   const std::vector<double>& ref) {
       expect_close(detail::solve_full(ckt, ctx, 1e-12, kept), ref);
     });
     EXPECT_EQ(kept.full_factorizations + kept.refactorizations, 240);
@@ -415,14 +417,14 @@ TEST(Bordered, LongRingFullPathFactorsWithLittleFill) {
   // under 4 times.
   Ring ring;
   build_ring(benchmark_rings()[0], ring, 121, 6);
-  std::vector<double> x = initial_state(ring);
+  detail::SolveWorkspace ws;
+  std::vector<double> x = initial_state(ring, ws);
   StampContext ctx;
   ctx.analysis = Analysis::kTransient;
   ctx.method = Integrator::kBackwardEuler;
   ctx.dt = ring.opts.dt;
   ctx.time = ctx.dt;
   ctx.x = &x;
-  detail::SolveWorkspace ws;
   detail::solve_full(ring.ckt, ctx, 1e-12, ws);
   const int n = ring.ckt.unknown_count();
   ASSERT_EQ(n, 2301);
@@ -553,14 +555,14 @@ TEST(Bordered, SingularSystemsFallBackAndThrowAsTheFullPathDoes) {
   for (const bool on_border : {true, false}) {
     SCOPED_TRACE(on_border ? "singular border" : "singular interior");
     Ring ring = singular_ring(on_border);
-    std::vector<double> x = initial_state(ring);
+    detail::SolveWorkspace ws;
+    std::vector<double> x = initial_state(ring, ws);
     StampContext ctx;
     ctx.analysis = Analysis::kTransient;
     ctx.method = Integrator::kBackwardEuler;
     ctx.dt = ring.opts.dt;
     ctx.time = ctx.dt;
     ctx.x = &x;
-    detail::SolveWorkspace ws;
     EXPECT_FALSE(detail::solve_border(ring.ckt, ctx, 1e-12, ws, true));
     // A singular interior retires the key; a singular border only the
     // iteration, after its dense LU.
@@ -585,10 +587,11 @@ struct Lockstep {
 /// Runs `ckt` as run_transient does with its fixed-step control (a UIC
 /// start, backward-Euler start-up steps, a step halved on a failed Newton
 /// solve and doubled back after two successes), solving every step twice
-/// from the same state and device history: with detail::newton_solve and
-/// with the full-vector reference loop.  Each pair of solves must end the
-/// same way after as many iterations and, when converged, at the same x
-/// bit for bit; the run goes on with the library loop's outcome.
+/// from the same state and companion history: with detail::newton_solve and
+/// with the full-vector reference loop, each on its own workspace.  Each
+/// pair of solves must end the same way after as many iterations and, when
+/// converged, at the same x bit for bit; the run goes on with the library
+/// loop's outcome.
 Lockstep run_lockstep(Circuit& ckt, const TransientOptions& opts) {
   EXPECT_FALSE(opts.start_from_dc);
   EXPECT_FALSE(opts.adaptive_lte);
@@ -604,12 +607,16 @@ Lockstep run_lockstep(Circuit& ckt, const TransientOptions& opts) {
       x[ind->branch_base()] = ind->initial_current();
     }
   }
+  Lockstep run;
+  detail::SolveWorkspace ref_ws;
+  for (detail::SolveWorkspace* ws : {&run.ws, &ref_ws}) {
+    ws->companions.build(ckt);
+    ws->companions.start(x);
+  }
   StampContext ctx;
   ctx.analysis = Analysis::kTransient;
   ctx.method = opts.method;
   ctx.dt = opts.dt;
-  ctx.x = &x;
-  for (const auto& dev : ckt.devices()) dev->init_history(ctx);
   detail::NewtonSettings ns;
   ns.max_iterations = opts.max_newton;
   ns.reltol = opts.reltol;
@@ -617,8 +624,6 @@ Lockstep run_lockstep(Circuit& ckt, const TransientOptions& opts) {
   ns.abstol_i = opts.abstol_i;
   ns.max_voltage_step = opts.max_voltage_step;
 
-  Lockstep run;
-  detail::SolveWorkspace ref_ws;
   std::vector<double> x_try, x_ref;
   double t = 0.0, dt_cur = opts.dt;
   const double dt_min = opts.dt / std::pow(2.0, opts.max_step_halvings);
@@ -655,8 +660,8 @@ Lockstep run_lockstep(Circuit& ckt, const TransientOptions& opts) {
       continue;
     }
     x.swap(x_try);
-    ctx.x = &x;
-    for (const auto& dev : ckt.devices()) dev->commit_step(ctx);
+    run.ws.companions.commit(ctx, x);
+    ref_ws.companions.commit(ctx, x);
     t = ctx.time;
     ++run.accepted;
     if (dt_cur < opts.dt && ++successes_at_reduced_dt >= 2) {

@@ -8,6 +8,8 @@
 #include <string>
 #include <vector>
 
+#include "../../src/spice/src/companion_table.hpp"
+#include "support/companion_reference.hpp"
 #include "rlc/core/delay.hpp"
 #include "rlc/core/elmore.hpp"
 #include "rlc/core/technology.hpp"
@@ -37,9 +39,8 @@ std::vector<linalg::Triplet> matrix_stamp(const Device& dev,
   return triplets;
 }
 
-/// One of each linear device, eleven in all; returns the pulsed voltage
-/// source, whose right-hand side moves with time.
-const VSource& add_linear_devices(Circuit& c) {
+/// One of each linear device, eleven in all.
+void add_linear_devices(Circuit& c) {
   const NodeId a = c.node("a"), b = c.node("b"), d = c.node("d");
   const NodeId p = c.node("p"), q = c.node("q");
   const PulseSpec pulse{0.0, 1.0, 1e-10, 2e-11, 2e-11, 1e-10, 5e-10};
@@ -51,24 +52,43 @@ const VSource& add_linear_devices(Circuit& c) {
   c.add_vcvs("E", d, c.ground(), a, b, 2.0);
   c.add_vccs("G", a, d, b, c.ground(), 1e-3);
   c.add_vsource("Vdc", p, c.ground(), DcSpec{1.0});
-  const VSource& vpulse = c.add_vsource("Vpulse", q, p, pulse);
+  c.add_vsource("Vpulse", q, p, pulse);
   c.add_isource("Idc", a, c.ground(), DcSpec{1e-3});
   c.add_isource("Ipulse", b, d, pulse);
   c.finalize();
-  return vpulse;
+}
+
+/// The first and second contexts the contract tests compare: the second
+/// differs in time (mid-edge of the pulse), iterate and source scale.
+void contract_contexts(Analysis an, Integrator m, double dt,
+                       const std::vector<double>& x1,
+                       const std::vector<double>& x2, StampContext& first,
+                       StampContext& second) {
+  first = StampContext{};
+  first.analysis = an;
+  first.method = m;
+  first.dt = dt;
+  first.time = 0.0;
+  first.x = &x1;
+  second = first;
+  second.time = 1.3e-10;
+  second.x = &x2;
+  second.source_scale = 0.5;
 }
 
 TEST(LinearDeviceContract, MatrixStampDependsOnlyOnAnalysisIntegratorAndDt) {
   // The factor-once key is (analysis, integrator, dt, gmin): every device
   // whose nonlinear() is false must stamp the same matrix at any time,
-  // iterate, source scale and companion history.  A time-varying linear
-  // device added later fails here instead of reusing stale factors.
+  // iterate and source scale, and no right-hand side at all; its sources
+  // and companion history are the companion table's.  A time-varying
+  // linear device added later fails here instead of reusing stale factors.
   Circuit c;
-  const VSource& vpulse = add_linear_devices(c);
+  add_linear_devices(c);
   const int n = c.unknown_count();
 
   std::vector<double> x1(static_cast<std::size_t>(n), 0.0), x2(x1.size());
   for (std::size_t i = 0; i < x2.size(); ++i) x2[i] = 0.1 + 0.37 * i;
+  const std::vector<double> zero(x1.size(), 0.0);
   std::vector<double> rhs1(x1.size()), rhs2(x1.size());
 
   int checked = 0;
@@ -77,19 +97,9 @@ TEST(LinearDeviceContract, MatrixStampDependsOnlyOnAnalysisIntegratorAndDt) {
     for (Analysis an : {Analysis::kDc, Analysis::kTransient}) {
       for (Integrator m : {Integrator::kTrapezoidal, Integrator::kBackwardEuler}) {
         for (double dt : {1e-12, 3e-12}) {
-          StampContext first;
-          first.analysis = an;
-          first.method = m;
-          first.dt = dt;
-          first.time = 0.0;
-          first.x = &x1;
-          StampContext second = first;
-          second.time = 1.3e-10;  // mid-edge of the pulse
-          second.x = &x2;
-          second.source_scale = 0.5;
-          dev->init_history(first);
+          StampContext first, second;
+          contract_contexts(an, m, dt, x1, x2, first, second);
           const auto t1 = matrix_stamp(*dev, first, rhs1);
-          dev->commit_step(second);  // new companion history
           const auto t2 = matrix_stamp(*dev, second, rhs2);
           ASSERT_EQ(t1.size(), t2.size()) << dev->name();
           for (std::size_t i = 0; i < t1.size(); ++i) {
@@ -97,22 +107,39 @@ TEST(LinearDeviceContract, MatrixStampDependsOnlyOnAnalysisIntegratorAndDt) {
             EXPECT_EQ(t1[i].col, t2[i].col) << dev->name() << " #" << i;
             EXPECT_EQ(t1[i].value, t2[i].value) << dev->name() << " #" << i;
           }
-          if (dev.get() == &vpulse && an == Analysis::kTransient) {
-            EXPECT_NE(rhs1, rhs2);  // the two contexts really differ
-          }
+          EXPECT_EQ(rhs1, zero) << dev->name();
+          EXPECT_EQ(rhs2, zero) << dev->name();
           ++checked;
         }
       }
     }
   }
   EXPECT_EQ(checked, 11 * 8);
+
+  // The table's terms do move between the two contexts: the pulse, the
+  // source scale and, after a committed step, the companion history.
+  for (Integrator m : {Integrator::kTrapezoidal, Integrator::kBackwardEuler}) {
+    for (double dt : {1e-12, 3e-12}) {
+      StampContext first, second;
+      contract_contexts(Analysis::kTransient, m, dt, x1, x2, first, second);
+      detail::CompanionTable table;
+      table.build(c);
+      table.start(x1);
+      std::vector<double> z1(x1.size(), 0.0), z2(x1.size(), 0.0);
+      table.fill(first, z1);
+      table.commit(first, x2);
+      table.fill(second, z2);
+      EXPECT_NE(z1, z2);
+    }
+  }
 }
 
 TEST(LinearDeviceContract, RightHandSideIgnoresTheIterate) {
-  // The bordered Newton solve stamps the linear devices' right-hand side
+  // The bordered Newton solve fills the linear devices' right-hand side
   // once per step and keeps it across the step's iterations: at a fixed
   // time, history and source scale, two different iterates must give the
-  // same right-hand side, bit for bit.
+  // same right-hand side, bit for bit, and it is the one the former
+  // per-device stamps gave.
   Circuit c;
   add_linear_devices(c);
   const int n = c.unknown_count();
@@ -121,35 +148,38 @@ TEST(LinearDeviceContract, RightHandSideIgnoresTheIterate) {
   for (std::size_t i = 0; i < x2.size(); ++i) x2[i] = 0.1 + 0.37 * i;
   std::vector<double> history(x1.size());
   for (std::size_t i = 0; i < history.size(); ++i) history[i] = 0.05 * i - 0.2;
-  std::vector<double> rhs1(x1.size()), rhs2(x1.size());
 
   int checked = 0;
-  for (const auto& dev : c.devices()) {
-    ASSERT_FALSE(dev->nonlinear()) << dev->name();
-    for (Analysis an : {Analysis::kDc, Analysis::kTransient}) {
-      for (Integrator m : {Integrator::kTrapezoidal, Integrator::kBackwardEuler}) {
-        for (double dt : {1e-12, 3e-12}) {
-          StampContext first;
-          first.analysis = an;
-          first.method = m;
-          first.dt = dt;
-          first.time = 1.3e-10;  // mid-edge of the pulse
-          first.source_scale = 0.5;
-          first.x = &history;
-          dev->init_history(first);
-          dev->commit_step(first);  // nonzero companion history
-          first.x = &x1;
-          StampContext second = first;
-          second.x = &x2;
-          matrix_stamp(*dev, first, rhs1);
-          matrix_stamp(*dev, second, rhs2);
-          EXPECT_EQ(rhs1, rhs2) << dev->name();  // bitwise
-          ++checked;
-        }
+  for (Analysis an : {Analysis::kDc, Analysis::kTransient}) {
+    for (Integrator m : {Integrator::kTrapezoidal, Integrator::kBackwardEuler}) {
+      for (double dt : {1e-12, 3e-12}) {
+        StampContext first;
+        first.analysis = an;
+        first.method = m;
+        first.dt = dt;
+        first.time = 1.3e-10;  // mid-edge of the pulse
+        first.source_scale = 0.5;
+        first.x = &history;
+        detail::CompanionTable table;
+        table.build(c);
+        table.start(history);
+        table.commit(first, history);  // nonzero companion history
+        ReferenceCompanions ref(c);
+        ref.init_history(history);
+        ref.commit_step(first);
+        first.x = &x1;
+        StampContext second = first;
+        second.x = &x2;
+        std::vector<double> z1(x1.size(), 0.0), z2(x1.size(), 0.0);
+        table.fill(first, z1);
+        table.fill(second, z2);
+        EXPECT_EQ(z1, z2);  // bitwise
+        EXPECT_EQ(z1, ref.rhs(first));
+        ++checked;
       }
     }
   }
-  EXPECT_EQ(checked, 11 * 8);
+  EXPECT_EQ(checked, 8);
 }
 
 /// A series RLC driven by a step: linear, with both companion models.

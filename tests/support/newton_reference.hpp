@@ -14,7 +14,9 @@
 namespace rlc::spice {
 
 /// detail::newton_solve's contract, with every iteration on the full
-/// vector: solve_border's x_B with its interior, or solve_full's x.
+/// vector: solve_border's x_B with its interior, or solve_full's x.  Both
+/// take the linear right-hand side from ws.companions, which the caller
+/// builds, starts and commits as run_transient does.
 detail::NewtonOutcome reference_newton_solve(
     const Circuit& ckt, StampContext ctx, const detail::NewtonSettings& st,
     int n_node_unknowns, std::vector<double>& x, detail::SolveWorkspace& ws);
