@@ -39,7 +39,8 @@ std::vector<double> log_frequencies(double f_start, double f_stop,
                                     int points_per_decade);
 
 /// Run the AC sweep.  Throws std::invalid_argument on an empty/invalid
-/// frequency list and std::runtime_error if the DC solve fails.
+/// frequency list or a probe the circuit cannot answer (as run_transient
+/// checks them) and std::runtime_error if the DC solve fails.
 AcResult run_ac(Circuit& ckt, const AcOptions& opts);
 
 }  // namespace rlc::spice

@@ -91,8 +91,12 @@ struct TransientResult {
   const std::vector<double>& signal(const std::string& label) const;
 };
 
-/// Run a transient analysis.  Throws std::invalid_argument on bad options
-/// and std::runtime_error if the initial DC solve (when requested) fails.
+/// Run a transient analysis.  Throws std::invalid_argument on bad options,
+/// checked before any solve: among them a probe the circuit cannot answer
+/// (a node it does not have, a device not in it, the branch current of a
+/// device without a branch, a resistor current of a non-resistor) and an
+/// initial voltage on a node it does not have.  Throws std::runtime_error
+/// if the initial DC solve (when requested) fails.
 TransientResult run_transient(Circuit& ckt, const TransientOptions& opts);
 
 }  // namespace rlc::spice

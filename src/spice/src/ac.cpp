@@ -3,6 +3,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "probe_check.hpp"
 #include "rlc/linalg/lu.hpp"
 #include "rlc/math/constants.hpp"
 #include "rlc/spice/dcop.hpp"
@@ -62,6 +63,7 @@ AcResult run_ac(Circuit& ckt, const AcOptions& opts) {
   }
   ckt.finalize();
   const int n = ckt.unknown_count();
+  detail::check_probes(ckt, opts.probes, "run_ac");
 
   AcContext ctx;
   std::vector<double> op;

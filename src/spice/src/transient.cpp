@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "newton_detail.hpp"
+#include "probe_check.hpp"
 #include "rlc/obs/metrics.hpp"
 #include "rlc/obs/trace.hpp"
 #include "rlc/spice/dcop.hpp"
@@ -20,6 +21,48 @@ const std::vector<double>& TransientResult::signal(
   throw std::out_of_range("TransientResult::signal: no probe labelled '" +
                           label + "'");
 }
+
+namespace detail {
+
+void check_probes(const Circuit& ckt, const std::vector<Probe>& probes,
+                  const std::string& analysis) {
+  const auto& devices = ckt.devices();
+  for (const Probe& p : probes) {
+    const auto reject = [&](const std::string& why) {
+      throw std::invalid_argument(analysis + ": probe '" + p.label + "' " +
+                                  why);
+    };
+    switch (p.kind) {
+      case Probe::Kind::kNodeVoltage:
+        if (p.node < 0 || p.node >= ckt.node_count()) {
+          reject("names node " + std::to_string(p.node) +
+                 ", which the circuit does not have");
+        }
+        continue;
+      case Probe::Kind::kBranchCurrent:
+      case Probe::Kind::kResistorCurrent:
+        break;
+      default:
+        reject("has a kind the recorder does not know");
+    }
+    if (std::none_of(devices.begin(), devices.end(),
+                     [&p](const auto& d) { return d.get() == p.device; })) {
+      reject("names a device the circuit does not have");
+    }
+    if (p.kind == Probe::Kind::kBranchCurrent &&
+        p.device->branch_count() == 0) {
+      reject("asks for the branch current of '" + p.device->name() +
+             "', which has no branch");
+    }
+    if (p.kind == Probe::Kind::kResistorCurrent &&
+        dynamic_cast<const Resistor*>(p.device) == nullptr) {
+      reject("asks for a resistor current of '" + p.device->name() +
+             "', which is not a resistor");
+    }
+  }
+}
+
+}  // namespace detail
 
 namespace {
 
@@ -82,6 +125,14 @@ TransientResult run_transient(Circuit& ckt, const TransientOptions& opts) {
   ckt.finalize();
   const int n = ckt.unknown_count();
   const int n_nodes = ckt.node_count() - 1;
+  detail::check_probes(ckt, opts.probes, "run_transient");
+  for (const auto& [node, v] : opts.initial_voltages) {
+    if (node < 0 || node > n_nodes) {
+      throw std::invalid_argument("run_transient: initial voltage on node " +
+                                  std::to_string(node) +
+                                  ", which the circuit does not have");
+    }
+  }
 
   // ---- Initial state. ----
   std::vector<double> x(n, 0.0);

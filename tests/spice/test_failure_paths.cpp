@@ -4,6 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <stdexcept>
+#include <string>
+
+#include "rlc/spice/ac.hpp"
 #include "rlc/spice/dcop.hpp"
 #include "rlc/spice/transient.hpp"
 
@@ -112,9 +117,9 @@ TEST(FailurePaths, SingularTopologyThrowsCleanly) {
 }
 
 TEST(FailurePaths, UnknownProbeKindThrowsInsteadOfRecordingZeros) {
-  // The probe recorder's switch is exhaustive over Probe::Kind; a kind it
-  // does not understand (e.g. from a future enum grown without updating
-  // eval_probe) must fail loudly, not silently log zeros.
+  // The up-front probe check and the recorder's switch are exhaustive over
+  // Probe::Kind; a kind they do not understand (e.g. from a future enum
+  // grown without updating them) must fail loudly, not silently log zeros.
   Circuit c;
   const auto in = c.node("in"), out = c.node("out");
   c.add_vsource("Vin", in, c.ground(), DcSpec{1.0});
@@ -128,6 +133,106 @@ TEST(FailurePaths, UnknownProbeKindThrowsInsteadOfRecordingZeros) {
   bad.label = "bogus";
   o.probes = {bad};
   EXPECT_THROW(run_transient(c, o), std::logic_error);
+}
+
+/// An RC low-pass driven by a step, with `probe` as its only probe.
+struct ProbedRc {
+  Circuit c;
+  NodeId out = 0;
+  const Device* source = nullptr;
+  const Device* cap = nullptr;
+  const Resistor* res = nullptr;
+
+  ProbedRc() {
+    const NodeId in = c.node("in");
+    out = c.node("out");
+    source = &c.add_vsource("Vin", in, c.ground(), DcSpec{1.0}, 1.0);
+    res = &c.add_resistor("R1", in, out, 1e3);
+    cap = &c.add_capacitor("C1", out, c.ground(), 1e-12);
+  }
+
+  TransientOptions transient(const Probe& probe) const {
+    TransientOptions o;
+    o.tstop = 1e-9;
+    o.dt = 1e-10;
+    o.probes = {probe};
+    return o;
+  }
+  AcOptions ac(const Probe& probe) const {
+    AcOptions o;
+    o.frequencies = {1e9};
+    o.compute_dc_op = false;
+    o.probes = {probe};
+    return o;
+  }
+};
+
+/// `run` throws std::invalid_argument whose message contains `needle`.
+void expect_rejected(const std::function<void()>& run,
+                     const std::string& needle) {
+  try {
+    run();
+    ADD_FAILURE() << "not rejected; expected a message with " << needle;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(FailurePaths, BranchProbeOnADeviceWithoutABranchIsRejected) {
+  // A capacitor has no branch unknown (branch_base() is -1): reading its
+  // "branch current" would index x[-1].  Both analyses refuse the probe up
+  // front, naming it; the source's branch current stays a valid probe.
+  ProbedRc rc;
+  const Probe bad = Probe::branch_current(*rc.cap, "i(C1)");
+  expect_rejected([&] { run_transient(rc.c, rc.transient(bad)); }, "'i(C1)'");
+  expect_rejected([&] { run_ac(rc.c, rc.ac(bad)); }, "'i(C1)'");
+  const Probe good = Probe::branch_current(*rc.source, "i(Vin)");
+  EXPECT_TRUE(run_transient(rc.c, rc.transient(good)).completed);
+  EXPECT_TRUE(run_ac(rc.c, rc.ac(good)).completed);
+  // A device of another circuit, and a resistor probe on a non-resistor.
+  ProbedRc other;
+  expect_rejected(
+      [&] {
+        run_transient(rc.c,
+                      rc.transient(Probe::branch_current(*other.source, "i2")));
+      },
+      "'i2'");
+  Probe not_resistor = Probe::resistor_current(*rc.res, "ir");
+  not_resistor.device = rc.cap;
+  expect_rejected([&] { run_transient(rc.c, rc.transient(not_resistor)); },
+                  "'ir'");
+}
+
+TEST(FailurePaths, NodeProbeOutsideTheCircuitIsRejected) {
+  // Node ids run from 0 (ground) to node_count() - 1; an id past the end
+  // would read past the solution vector.
+  ProbedRc rc;
+  for (const NodeId bad : {rc.c.node_count(), rc.c.node_count() + 5, -1}) {
+    const Probe p = Probe::node_voltage(bad, "v(bad)");
+    expect_rejected([&] { run_transient(rc.c, rc.transient(p)); }, "'v(bad)'");
+    expect_rejected([&] { run_ac(rc.c, rc.ac(p)); }, "'v(bad)'");
+  }
+  const Probe last = Probe::node_voltage(rc.c.node_count() - 1, "v(out)");
+  EXPECT_TRUE(run_transient(rc.c, rc.transient(last)).completed);
+  EXPECT_TRUE(run_ac(rc.c, rc.ac(last)).completed);
+}
+
+TEST(FailurePaths, InitialVoltageOutsideTheCircuitIsRejected) {
+  // TransientOptions::initial_voltages writes x[node - 1]: a node past the
+  // end, or a negative one, is refused with its id in the message.
+  ProbedRc rc;
+  for (const NodeId bad : {rc.c.node_count(), -2}) {
+    TransientOptions o = rc.transient(Probe::node_voltage(rc.out, "v(out)"));
+    o.initial_voltages = {{rc.out, 0.5}, {bad, 1.0}};
+    expect_rejected([&] { run_transient(rc.c, o); },
+                    "node " + std::to_string(bad));
+  }
+  TransientOptions o = rc.transient(Probe::node_voltage(rc.out, "v(out)"));
+  o.initial_voltages = {{rc.c.ground(), 0.3}, {rc.out, 0.5}};
+  const auto r = run_transient(rc.c, o);
+  ASSERT_TRUE(r.completed);
+  EXPECT_EQ(r.signal("v(out)").front(), 0.5);
 }
 
 }  // namespace
