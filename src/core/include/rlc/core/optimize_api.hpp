@@ -91,7 +91,7 @@ struct OptimizeRequest {
   double l = 0.0;                   ///< per-unit-length inductance [H/m]
   std::size_t conductors = 1;       ///< 1 scalar; 2..8 symmetric bus
   double coupling_cc = 0.0;         ///< line-to-line capacitance [F/m]
-  double coupling_km = 0.0;         ///< inductive coupling coefficient
+  double coupling_km = 0.0;         ///< |km| < tline::coupling_km_bound(n)
   OptimizeConstraints constraints{};
   PowerEnv power{};                 ///< power-objective switching environment
   OptimizeDomain domain{};          ///< power/Pareto (h, k) domain

@@ -66,29 +66,21 @@ struct BatchStep {
 /// Talbot contour in one vectorized pass, for the shared windows and the
 /// per-t inversions alike.
 ///
-/// The engine is channelized for the coupled-line refactor: K >= 1 modal
-/// channels, each a scalar (line, h, dl) evaluator with a recomposition
-/// coefficient, combined per probe as
+/// The engine is channelized for coupled lines: K >= 1 modal channels, each
+/// a scalar (line, h, dl) evaluator with a recomposition coefficient,
+/// combined per probe as
 ///   v(t) = offset + sum_k coef_k v_k(t).
-/// The single-conductor constructor builds one channel flagged as a pure
-/// passthrough, which bypasses the recomposition sum entirely so the
-/// scalar path stays BIT-identical to the pre-refactor engine.
+/// A single conductor is one channel with coefficient 1 and offset 0; since
+/// 0.0 + 1.0 * v is v in IEEE arithmetic (only -0.0 turns +0.0), its
+/// thresholds and samples keep the bits of the bare scalar inversion.
 class WaveformEngine {
  public:
-  /// Scalar (single-conductor) engine.
-  WaveformEngine(const tline::LineParams& line, double h,
-                 const tline::DriverLoad& dl, const ExactOptions& opts)
-      : opts_(opts), single_(true) {
-    channels_.push_back(std::make_unique<Channel>(line, h, dl, 1.0));
-  }
-
-  /// Coupled composite engine: one channel per contributing mode.
-  /// `modes[k]` runs with coefficient `coefs[k]`; `offset` is the
-  /// conductor's pre-switch level.
+  /// One channel per contributing mode: `modes[k]` runs with coefficient
+  /// `coefs[k]`; `offset` is the conductor's pre-switch level.
   WaveformEngine(const std::vector<tline::LineParams>& modes,
                  const std::vector<double>& coefs, double offset, double h,
                  const tline::DriverLoad& dl, const ExactOptions& opts)
-      : opts_(opts), offset_(offset), single_(false) {
+      : opts_(opts), offset_(offset) {
     channels_.reserve(modes.size());
     for (std::size_t k = 0; k < modes.size(); ++k) {
       if (coefs[k] == 0.0) continue;  // silent mode: contributes nothing
@@ -97,8 +89,7 @@ class WaveformEngine {
   }
 
   /// One composite shared-contour window: a TalbotContour per channel, all
-  /// anchored at the same t_max (the scalar case degenerates to exactly
-  /// the old single contour).
+  /// anchored at the same t_max.
   class Window {
    public:
     Window(WaveformEngine& e, double t_max) : e_(&e) {
@@ -110,7 +101,6 @@ class WaveformEngine {
       }
     }
     double eval(double t) const {
-      if (e_->single_) return contours_[0].eval(t);
       double acc = e_->offset_;
       for (std::size_t k = 0; k < contours_.size(); ++k)
         acc += e_->channels_[k]->coef * contours_[k].eval(t);
@@ -410,11 +400,6 @@ class WaveformEngine {
   /// Composite per-t inversion (the integrand the legacy bisection probes
   /// and refine_per_t converges onto).
   double invert_per_t(double t) const {
-    if (single_) {
-      return rlc::laplace::talbot_invert(
-          rlc::laplace::BatchLaplaceFnRef(channels_[0]->bstep), t,
-          opts_.talbot_points);
-    }
     double acc = offset_;
     for (const auto& ch : channels_)
       acc += ch->coef * rlc::laplace::talbot_invert(
@@ -426,7 +411,6 @@ class WaveformEngine {
   std::vector<std::unique_ptr<Channel>> channels_;
   ExactOptions opts_;
   double offset_ = 0.0;
-  bool single_ = false;
   std::int64_t windows_ = 0;
   std::int64_t brent_iterations_ = 0;
   std::int64_t legacy_fallbacks_ = 0;
@@ -450,7 +434,7 @@ std::vector<double> exact_step_response_windowed(
   line.validate();
   validate_options(opts);
   RLC_TRACE_SPAN("exact_sample");
-  WaveformEngine engine(line, h, dl, opts);
+  WaveformEngine engine({line}, {1.0}, 0.0, h, dl, opts);
   auto out = engine.sample(times);
   if (stats) *stats += engine.stats();
   return out;
@@ -592,7 +576,7 @@ std::optional<double> exact_threshold_delay(const tline::LineParams& line,
   static const int kCalls =
       obs::Registry::global().counter("exact.threshold.calls");
   obs::Registry::global().add(kCalls);
-  WaveformEngine engine(line, h, dl, opts);
+  WaveformEngine engine({line}, {1.0}, 0.0, h, dl, opts);
   const auto out = opts.legacy_bisection
                        ? engine.legacy_threshold(tau_scale, f)
                        : engine.threshold(tau_scale, f);

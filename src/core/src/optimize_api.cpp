@@ -82,8 +82,12 @@ rlc::Status validate_optimize_request(const OptimizeRequest& req) {
   if (!std::isfinite(req.coupling_cc) || req.coupling_cc < 0.0) {
     return bad("coupling_cc must be finite and >= 0");
   }
-  if (!std::isfinite(req.coupling_km) || std::abs(req.coupling_km) >= 1.0) {
-    return bad("coupling_km must satisfy |km| < 1");
+  const double km_bound = tline::coupling_km_bound(req.conductors);
+  if (!std::isfinite(req.coupling_km) ||
+      !(std::abs(req.coupling_km) < km_bound)) {
+    return bad("coupling_km must satisfy |km| < " + fmt(km_bound) +
+               " at conductors = " + std::to_string(req.conductors) +
+               " (got " + fmt(req.coupling_km) + ")");
   }
   if (!std::isfinite(req.constraints.noise_vmax) ||
       req.constraints.noise_vmax < 0.0) {

@@ -1,56 +1,28 @@
 #pragma once
 
 /// \file coupled_bus.hpp
-/// Two inductively and capacitively coupled RLC lines — the
-/// aggressor/victim crosstalk configuration motivating the paper's
-/// Section 1.1/3 discussion of switching-dependent effective capacitance
-/// (Miller factor up to 4x) and return-path-dependent inductance.
+/// N inductively and capacitively coupled RLC lines: the MNA reference for
+/// the analytical coupled engine behind the xtalk scenarios, and the
+/// aggressor/victim configuration of the paper's Section 1.1/3 discussion of
+/// switching-dependent effective capacitance (Miller factor up to 4x) and
+/// return-path-dependent inductance.
 ///
 /// Each line is a pi-ladder; per segment, a coupling capacitor (cc * dx)
-/// connects corresponding junctions and a mutual-inductance K element
-/// couples the corresponding series inductors.
+/// connects corresponding junctions of neighbouring lines and a
+/// mutual-inductance K element couples their series inductors.
 
 #include "rlc/core/technology.hpp"
 #include "rlc/ringosc/ladder.hpp"
 
 namespace rlc::ringosc {
 
-/// Per-unit-length coupling parameters of the pair.
+/// Per-unit-length coupling parameters between neighbouring lines.
 struct CouplingParams {
   double cc = 0.0;  ///< line-to-line capacitance per unit length [F/m]
-  double km = 0.0;  ///< inductive coupling coefficient, |km| < 1 (0 disables)
+  /// Inductive coupling coefficient (0 disables); an n-line bus requires
+  /// |km| < rlc::tline::coupling_km_bound(n).
+  double km = 0.0;
 };
-
-struct CoupledBus {
-  Ladder aggressor;
-  Ladder victim;
-};
-
-/// Build two coupled ladders between (a_from -> a_to) and (v_from -> v_to).
-/// Both lines use `line` for their self parameters.
-CoupledBus add_coupled_ladders(rlc::spice::Circuit& ckt,
-                               const std::string& name,
-                               rlc::spice::NodeId a_from, rlc::spice::NodeId a_to,
-                               rlc::spice::NodeId v_from, rlc::spice::NodeId v_to,
-                               const rlc::tline::LineParams& line,
-                               const CouplingParams& coupling, double length,
-                               int nseg);
-
-/// Crosstalk experiment: aggressor driven by a repeater switching rail to
-/// rail, victim held quiet by its own repeater; measures the peak noise at
-/// the victim's far end and the aggressor 50% delay for in-phase /
-/// anti-phase / quiet-victim switching (the Miller-range experiment).
-struct CrosstalkResult {
-  bool completed = false;
-  double victim_peak_noise = 0.0;    ///< [V] when the victim is quiet
-  double delay_quiet = 0.0;          ///< aggressor delay, victim quiet [s]
-  double delay_inphase = 0.0;        ///< victim switches with the aggressor
-  double delay_antiphase = 0.0;      ///< victim switches against
-};
-
-CrosstalkResult run_crosstalk(const rlc::core::Technology& tech,
-                              const CouplingParams& coupling, double l,
-                              double h, double k, int nseg = 16);
 
 /// N coupled pi-ladders forming the homogenized symmetric bus that
 /// rlc::tline::symmetric_bus models analytically: nearest-neighbour
@@ -58,7 +30,9 @@ CrosstalkResult run_crosstalk(const rlc::core::Technology& tech,
 /// elements between corresponding inductors, and — for n >= 3 — a
 /// compensating (shield) cap to ground on the edge conductors so every
 /// conductor sees the same total shunt capacitance.  Returns one Ladder
-/// per conductor.  n = 2 reproduces add_coupled_ladders exactly.
+/// per conductor.  Throws std::invalid_argument on a from/to size mismatch,
+/// cc < 0, |km| >= rlc::tline::coupling_km_bound(n), or km != 0 with
+/// line.l == 0.
 std::vector<Ladder> add_coupled_bus(rlc::spice::Circuit& ckt,
                                     const std::string& name,
                                     const std::vector<rlc::spice::NodeId>& from,

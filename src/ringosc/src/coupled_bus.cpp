@@ -3,131 +3,13 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "rlc/analysis/signal_metrics.hpp"
-#include "rlc/core/delay.hpp"
-#include "rlc/core/elmore.hpp"
 #include "rlc/spice/transient.hpp"
+#include "rlc/tline/coupled_line.hpp"
 
 namespace rlc::ringosc {
 
 using rlc::spice::Circuit;
 using rlc::spice::NodeId;
-
-CoupledBus add_coupled_ladders(Circuit& ckt, const std::string& name,
-                               NodeId a_from, NodeId a_to, NodeId v_from,
-                               NodeId v_to, const rlc::tline::LineParams& line,
-                               const CouplingParams& coupling, double length,
-                               int nseg) {
-  if (!(coupling.cc >= 0.0) || !(std::abs(coupling.km) < 1.0)) {
-    throw std::invalid_argument("add_coupled_ladders: invalid coupling");
-  }
-  if (coupling.km != 0.0 && line.l <= 0.0) {
-    throw std::invalid_argument(
-        "add_coupled_ladders: inductive coupling requires line.l > 0");
-  }
-  CoupledBus bus;
-  bus.aggressor =
-      add_rlc_ladder(ckt, name + ".a", a_from, a_to, line, length, nseg);
-  bus.victim =
-      add_rlc_ladder(ckt, name + ".v", v_from, v_to, line, length, nseg);
-  const double dx = length / nseg;
-  for (int i = 0; i < nseg; ++i) {
-    // Coupling capacitance between corresponding segment junctions.
-    if (coupling.cc > 0.0) {
-      ckt.add_capacitor(name + ".cc" + std::to_string(i),
-                        bus.aggressor.nodes[i + 1], bus.victim.nodes[i + 1],
-                        coupling.cc * dx);
-    }
-    if (coupling.km != 0.0) {
-      ckt.add_mutual(name + ".k" + std::to_string(i),
-                     *bus.aggressor.inductors[i], *bus.victim.inductors[i],
-                     coupling.km);
-    }
-  }
-  return bus;
-}
-
-namespace {
-
-/// One coupled-pair transient; returns (aggressor 50% delay, victim far-end
-/// peak deviation from its quiet level).
-struct PairRun {
-  double delay = -1.0;
-  double victim_peak = 0.0;
-};
-
-enum class VictimDrive { kQuiet, kInPhase, kAntiPhase };
-
-PairRun run_pair(const rlc::core::Technology& tech,
-                 const CouplingParams& coupling, double l, double h, double k,
-                 int nseg, VictimDrive victim_mode) {
-  const auto dl = tech.rep.scaled(k);
-  // Time scale from the two-pole model with the quiet-neighbour capacitance.
-  rlc::tline::LineParams line_eff = tech.line(l);
-  line_eff.c += 2.0 * coupling.cc;
-  const auto est = rlc::core::segment_delay(tech.rep, line_eff, h, k);
-  const double tau = est.converged
-                         ? est.tau
-                         : rlc::core::rc_optimum(tech.rep, tech.r, tech.c).tau;
-
-  Circuit ckt;
-  const auto asrc = ckt.node("asrc"), adrv = ckt.node("adrv"), aend = ckt.node("aend");
-  const auto vsrc = ckt.node("vsrc"), vdrv = ckt.node("vdrv"), vend = ckt.node("vend");
-  const rlc::spice::PulseSpec rise{0, 1, 0, 1e-14, 1e-14, 1, 0};
-  const rlc::spice::PulseSpec fall{1, 0, 0, 1e-14, 1e-14, 1, 0};
-  ckt.add_vsource("Va", asrc, ckt.ground(), rise);
-  switch (victim_mode) {
-    case VictimDrive::kQuiet:
-      ckt.add_vsource("Vv", vsrc, ckt.ground(), rlc::spice::DcSpec{0.0});
-      break;
-    case VictimDrive::kInPhase:
-      ckt.add_vsource("Vv", vsrc, ckt.ground(), rise);
-      break;
-    case VictimDrive::kAntiPhase:
-      ckt.add_vsource("Vv", vsrc, ckt.ground(), fall);
-      break;
-  }
-  ckt.add_resistor("Rsa", asrc, adrv, dl.rs_eff);
-  ckt.add_resistor("Rsv", vsrc, vdrv, dl.rs_eff);
-  ckt.add_capacitor("Cpa", adrv, ckt.ground(), dl.cp_eff);
-  ckt.add_capacitor("Cpv", vdrv, ckt.ground(), dl.cp_eff);
-  add_coupled_ladders(ckt, "bus", adrv, aend, vdrv, vend, tech.line(l),
-                      coupling, h, nseg);
-  ckt.add_capacitor("Cla", aend, ckt.ground(), dl.cl_eff);
-  ckt.add_capacitor("Clv", vend, ckt.ground(), dl.cl_eff);
-  // Anti-phase starts with the victim line charged high.
-  rlc::spice::TransientOptions o;
-  o.tstop = 12.0 * tau;
-  o.dt = tau / 400.0;
-  if (victim_mode == VictimDrive::kAntiPhase) {
-    o.initial_voltages.emplace_back(vsrc, 1.0);
-    o.initial_voltages.emplace_back(vdrv, 1.0);
-    o.initial_voltages.emplace_back(vend, 1.0);
-    // Interior victim nodes start high as well.
-    for (NodeId nd = 0; nd < ckt.node_count(); ++nd) {
-      const auto& nm = ckt.node_name(nd);
-      if (nm.rfind("bus.v", 0) == 0) o.initial_voltages.emplace_back(nd, 1.0);
-    }
-  }
-  o.probes = {rlc::spice::Probe::node_voltage(aend, "a"),
-              rlc::spice::Probe::node_voltage(vend, "v")};
-  const auto tr = run_transient(ckt, o);
-  PairRun out;
-  if (!tr.completed) return out;
-  const auto& va = tr.signal("a");
-  const auto& vv = tr.signal("v");
-  const auto cross = rlc::analysis::first_crossing_after(
-      tr.time, va, 0.5, rlc::analysis::Edge::kRising, 0.0);
-  out.delay = cross.value_or(-1.0);
-  const double quiet_level = victim_mode == VictimDrive::kAntiPhase ? 1.0 : 0.0;
-  if (victim_mode == VictimDrive::kQuiet) {
-    for (double v : vv) out.victim_peak = std::max(out.victim_peak,
-                                                   std::abs(v - quiet_level));
-  }
-  return out;
-}
-
-}  // namespace
 
 std::vector<Ladder> add_coupled_bus(Circuit& ckt, const std::string& name,
                                     const std::vector<NodeId>& from,
@@ -139,8 +21,12 @@ std::vector<Ladder> add_coupled_bus(Circuit& ckt, const std::string& name,
   if (n == 0 || to.size() != n) {
     throw std::invalid_argument("add_coupled_bus: from/to size mismatch");
   }
-  if (!(coupling.cc >= 0.0) || !(std::abs(coupling.km) < 1.0)) {
-    throw std::invalid_argument("add_coupled_bus: invalid coupling");
+  if (!(coupling.cc >= 0.0) ||
+      !(std::abs(coupling.km) < rlc::tline::coupling_km_bound(n))) {
+    throw std::invalid_argument(
+        "add_coupled_bus: require cc >= 0 and |km| < " +
+        std::to_string(rlc::tline::coupling_km_bound(n)) + " at n = " +
+        std::to_string(n));
   }
   if (n > 1 && coupling.km != 0.0 && line.l <= 0.0) {
     throw std::invalid_argument(
@@ -250,27 +136,6 @@ CoupledStepResult run_coupled_step(const rlc::core::Technology& tech,
     out.far_end.push_back(tr.signal("v" + std::to_string(w)));
   }
   return out;
-}
-
-CrosstalkResult run_crosstalk(const rlc::core::Technology& tech,
-                              const CouplingParams& coupling, double l,
-                              double h, double k, int nseg) {
-  CrosstalkResult res;
-  const PairRun quiet =
-      run_pair(tech, coupling, l, h, k, nseg, VictimDrive::kQuiet);
-  const PairRun in_phase =
-      run_pair(tech, coupling, l, h, k, nseg, VictimDrive::kInPhase);
-  const PairRun anti =
-      run_pair(tech, coupling, l, h, k, nseg, VictimDrive::kAntiPhase);
-  if (quiet.delay < 0.0 || in_phase.delay < 0.0 || anti.delay < 0.0) {
-    return res;
-  }
-  res.completed = true;
-  res.victim_peak_noise = quiet.victim_peak;
-  res.delay_quiet = quiet.delay;
-  res.delay_inphase = in_phase.delay;
-  res.delay_antiphase = anti.delay;
-  return res;
 }
 
 }  // namespace rlc::ringosc

@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "rlc/analysis/signal_metrics.hpp"
 #include "rlc/base/cancel.hpp"
 #include "rlc/core/delay.hpp"
 #include "rlc/core/elmore.hpp"
@@ -117,20 +118,6 @@ double waveform_rel_err(const XtalkPoint& p, const CoupledExcitation& exc,
     worst = std::max(worst, std::abs(analytic[w][i] - ref));
   }
   return worst;
-}
-
-/// Interpolated first crossing of `level` in an MNA far-end trace (rising);
-/// negative when never crossed.
-double mna_crossing(const ringosc::CoupledStepResult& mna, std::size_t w,
-                    double level) {
-  const auto& v = mna.far_end[w];
-  for (std::size_t i = 1; i < v.size(); ++i) {
-    if (v[i] >= level && v[i - 1] < level) {
-      const double frac = (level - v[i - 1]) / (v[i] - v[i - 1]);
-      return mna.time[i - 1] + frac * (mna.time[i] - mna.time[i - 1]);
-    }
-  }
-  return -1.0;
 }
 
 ringosc::CoupledStepResult run_mna(const XtalkPoint& p,
@@ -243,7 +230,9 @@ DelayRow delay_row(const XtalkConfig& c, const CoupledExcitation& pattern,
   row.d_quiet = *d_q;
   const auto mna = run_mna(p, pattern, 12.0 * p.tau, quick);
   if (!mna.completed) return row;
-  row.mna_delay = mna_crossing(mna, 0, 0.5);
+  const auto cross = analysis::first_crossing_after(
+      mna.time, mna.far_end[0], 0.5, analysis::Edge::kRising, 0.0);
+  row.mna_delay = cross.value_or(-1.0);
   row.rel_err = waveform_rel_err(p, pattern, 0, mna, probe_times(p.tau));
   row.ok = row.mna_delay > 0.0;
   return row;

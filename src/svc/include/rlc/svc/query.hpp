@@ -40,7 +40,9 @@ struct QueryRequest {
   /// noise-constrained active-set solve (peak_noise <= noise_vmax).
   int n_conductors = 1;      ///< 1 (scalar), 2 or 3
   double coupling_cc = 0.0;  ///< line-to-line capacitance [F/m], >= 0
-  double coupling_km = 0.0;  ///< inductive coupling coefficient, |km| < 1
+  /// Inductive coupling coefficient, |km| < tline::coupling_km_bound(n):
+  /// 1 at n = 2, 1/sqrt(2) at n = 3.
+  double coupling_km = 0.0;
   double noise_vmax = 0.0;   ///< >0: peak-noise budget [V] (needs n >= 2)
 
   /// Objective extension (schema-transparent: an omitted/default objective

@@ -4,6 +4,8 @@
 #include <cstdint>
 #include <optional>
 
+#include "rlc/tline/coupled_line.hpp"
+
 namespace rlc::svc {
 
 namespace {
@@ -38,8 +40,13 @@ rlc::Status QueryRequest::validate() const {
   if (!std::isfinite(coupling_cc) || coupling_cc < 0.0) {
     return bad("coupling_cc must be finite and >= 0");
   }
-  if (!std::isfinite(coupling_km) || std::abs(coupling_km) >= 1.0) {
-    return bad("coupling_km must satisfy |km| < 1");
+  const double km_bound =
+      tline::coupling_km_bound(static_cast<std::size_t>(n_conductors));
+  if (!std::isfinite(coupling_km) || !(std::abs(coupling_km) < km_bound)) {
+    return bad("coupling_km must satisfy |km| < " +
+               io::render_number(km_bound) + " at n_conductors = " +
+               std::to_string(n_conductors) + " (got " +
+               io::render_number(coupling_km) + ")");
   }
   if (!std::isfinite(noise_vmax) || noise_vmax < 0.0) {
     return bad("noise_vmax must be finite and >= 0");

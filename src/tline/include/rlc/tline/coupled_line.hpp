@@ -18,8 +18,8 @@
 /// adjacency and d_max = min(n-1, 2).  Both are polynomials in A, so they
 /// commute by construction; edge conductors carry a compensating cc to
 /// ground so every conductor sees the same total capacitance (a shielded
-/// bus).  For n = 2 this is exactly the two-ladder topology of
-/// rlc::ringosc::add_coupled_ladders; n = 1 degenerates to LineParams.
+/// bus).  This is the topology rlc::ringosc::add_coupled_bus builds as an
+/// MNA ladder bus; n = 1 degenerates to LineParams.
 
 #include <cstddef>
 #include <vector>
@@ -42,10 +42,17 @@ struct CoupledLine {
   void validate() const;
 };
 
+/// Exclusive bound on |km| for an n-conductor symmetric bus: l (I + km A)
+/// is positive definite only while |km| < 1 / (2 cos(pi / (n + 1))), the
+/// reciprocal of the path adjacency's spectral radius.  That is 1 at n = 2,
+/// 0.7071 at 3, 0.618 at 4 and 0.532 at 8; n = 1 has no mutual pair and
+/// keeps the two-conductor bound 1.
+double coupling_km_bound(std::size_t n);
+
 /// Homogenized n-conductor bus over a scalar base line: every conductor has
 /// the base (r, l, c), nearest neighbours couple through cc [F/m] and
-/// mutual-inductance ratio km (dimensionless, |km| < 1).  Requires
-/// 1 <= n <= 8, cc >= 0 (ignored for n = 1).
+/// mutual-inductance ratio km (dimensionless, |km| < coupling_km_bound(n)).
+/// Requires 1 <= n <= 8, cc >= 0 (ignored for n = 1).
 CoupledLine symmetric_bus(const LineParams& base, double cc, double km,
                           std::size_t n);
 

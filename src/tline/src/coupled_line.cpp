@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numbers>
 #include <stdexcept>
+#include <string>
 
 #include "rlc/linalg/eigen.hpp"
 
@@ -35,6 +37,11 @@ void CoupledLine::validate() const {
   }
 }
 
+double coupling_km_bound(std::size_t n) {
+  if (n <= 2) return 1.0;
+  return 0.5 / std::cos(std::numbers::pi / static_cast<double>(n + 1));
+}
+
 CoupledLine symmetric_bus(const LineParams& base, double cc, double km,
                           std::size_t n) {
   base.validate();
@@ -42,8 +49,10 @@ CoupledLine symmetric_bus(const LineParams& base, double cc, double km,
     throw std::domain_error("symmetric_bus: require 1 <= n <= 8");
   if (n > 1 && !(cc >= 0.0))
     throw std::domain_error("symmetric_bus: require cc >= 0");
-  if (n > 1 && !(std::abs(km) < 1.0))
-    throw std::domain_error("symmetric_bus: require |km| < 1");
+  if (n > 1 && !(std::abs(km) < coupling_km_bound(n)))
+    throw std::domain_error("symmetric_bus: require |km| < " +
+                            std::to_string(coupling_km_bound(n)) + " at n = " +
+                            std::to_string(n));
 
   CoupledLine line;
   line.r = base.r;

@@ -9,6 +9,7 @@
 #include "rlc/core/delay.hpp"
 #include "rlc/core/optimize_api.hpp"
 #include "rlc/core/technology.hpp"
+#include "rlc/tline/coupled_line.hpp"
 
 namespace {
 
@@ -144,6 +145,44 @@ TEST(NoiseOptimizerValidation, RejectsBadRequests) {
   req.l = kL;
   req.constraints.noise_vmax = 0.1;
   EXPECT_EQ(code(req), StatusCode::kInvalidArgument);
+}
+
+TEST(NoiseOptimizerValidation, KmBoundNarrowsOnAThreeConductorBus) {
+  // Three lines: l (I + km A) is positive definite only for
+  // |km| < 1/sqrt(2), so km = 0.8 is refused up front, naming the field.
+  const Technology t = Technology::nm250();
+  const double bound = rlc::tline::coupling_km_bound(3);
+  OptimizeRequest req = bus_request(t, 0.3, 0.8, 0.0);
+  req.conductors = 3;
+  const rlc::Status st = rlc::core::validate_optimize_request(req);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(st.message().find("coupling_km"), std::string::npos)
+      << st.message();
+  EXPECT_NE(st.message().find("conductors = 3"), std::string::npos)
+      << st.message();
+  for (double km : {1.001 * bound, -1.001 * bound}) {
+    req.coupling_km = km;
+    EXPECT_EQ(rlc::core::validate_optimize_request(req).code(),
+              StatusCode::kInvalidArgument)
+        << km;
+  }
+  for (double km : {0.999 * bound, -0.999 * bound}) {
+    req.coupling_km = km;
+    EXPECT_TRUE(rlc::core::validate_optimize_request(req).is_ok()) << km;
+  }
+  // A pair still takes any |km| < 1.
+  req.conductors = 2;
+  req.coupling_km = 0.8;
+  EXPECT_TRUE(rlc::core::validate_optimize_request(req).is_ok());
+
+  // Just inside the three-line bound the bus is still sized, with its
+  // victim noise.
+  req.conductors = 3;
+  req.coupling_km = 0.70;
+  const auto r = optimize(t, req);
+  ASSERT_TRUE(r.is_ok()) << r.status().to_string();
+  EXPECT_TRUE(r->has_noise);
+  EXPECT_GT(r->peak_noise, 0.0);
 }
 
 }  // namespace

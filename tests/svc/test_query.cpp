@@ -6,6 +6,7 @@
 
 #include "rlc/io/json_reader.hpp"
 #include "rlc/svc/cache.hpp"
+#include "rlc/tline/coupled_line.hpp"
 
 namespace rlc::svc {
 namespace {
@@ -72,6 +73,38 @@ TEST(QueryRequest, UnknownObjectiveNamesTheValueOnTheWire) {
   ASSERT_FALSE(parsed.is_ok());
   EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(parsed.status().message().find("minpower"), std::string::npos);
+}
+
+TEST(QueryRequest, CouplingKmBoundNarrowsWithTheConductorCount) {
+  // l (I + km A) is positive definite only for |km| < 1 on a pair and
+  // |km| < 1/sqrt(2) on three lines; the wire names the field, the bound
+  // and the count.
+  const auto parsed = QueryRequest::from_json(io::parse_json(
+      "{\"technology\":\"100nm\",\"l\":1e-6,\"n_conductors\":3,"
+      "\"coupling_cc\":2.5e-11,\"coupling_km\":0.8}"));
+  ASSERT_FALSE(parsed.is_ok());
+  EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+  const std::string& msg = parsed.status().message();
+  EXPECT_NE(msg.find("coupling_km"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("0.7071"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("n_conductors = 3"), std::string::npos) << msg;
+
+  const double bound = tline::coupling_km_bound(3);
+  const auto valid = [](int n, double km) {
+    QueryRequest q;
+    q.n_conductors = n;
+    q.coupling_cc = 2.5e-11;
+    q.coupling_km = km;
+    return q.validate().is_ok();
+  };
+  EXPECT_TRUE(valid(3, 0.999 * bound));
+  EXPECT_TRUE(valid(3, -0.999 * bound));
+  EXPECT_TRUE(valid(3, 0.70));
+  EXPECT_FALSE(valid(3, 1.001 * bound));
+  EXPECT_FALSE(valid(3, -1.001 * bound));
+  EXPECT_TRUE(valid(2, 0.8));
+  EXPECT_TRUE(valid(2, 0.999));
+  EXPECT_FALSE(valid(2, 1.0));
 }
 
 TEST(QueryRequest, CoupledRequestValidatesAndRoundTrips) {

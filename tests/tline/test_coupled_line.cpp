@@ -32,7 +32,7 @@ TEST(CoupledLine, TwoConductorMatricesMatchLadderTopology) {
   const double cc = 0.3 * kBase.c;
   const double km = 0.4;
   CoupledLine line = symmetric_bus(kBase, cc, km, 2);
-  // C_ii = c + cc, C_ij = -cc — exactly add_coupled_ladders' junction caps.
+  // C_ii = c + cc, C_ij = -cc — exactly add_coupled_bus' junction caps.
   EXPECT_DOUBLE_EQ(line.capacitance(0, 0), kBase.c + cc);
   EXPECT_DOUBLE_EQ(line.capacitance(1, 1), kBase.c + cc);
   EXPECT_DOUBLE_EQ(line.capacitance(0, 1), -cc);
@@ -117,6 +117,32 @@ TEST(CoupledLine, StrongMutualOnWideBusThrowsUnphysicalMode) {
   // fastest mode's inductance l (1 - 0.8 sqrt2) < 0.
   EXPECT_THROW(modal_decomposition(symmetric_bus(kBase, 0.1 * kBase.c, 0.8, 3)),
                std::domain_error);
+}
+
+TEST(CoupledLine, KmBoundIsTheWidestModesZeroInductance) {
+  // l (I + km A) is positive definite while |km| * 2 cos(pi / (n + 1)) < 1.
+  EXPECT_EQ(rlc::tline::coupling_km_bound(1), 1.0);
+  EXPECT_EQ(rlc::tline::coupling_km_bound(2), 1.0);
+  EXPECT_NEAR(rlc::tline::coupling_km_bound(3), std::sqrt(0.5), 1e-15);
+  EXPECT_NEAR(rlc::tline::coupling_km_bound(4), 0.6180339887498949, 1e-15);
+  EXPECT_NEAR(rlc::tline::coupling_km_bound(8), 0.5320888862379561, 1e-15);
+  for (std::size_t n = 2; n <= 8; ++n) {
+    const double bound = rlc::tline::coupling_km_bound(n);
+    for (double sign : {1.0, -1.0}) {
+      const ModalDecomposition d = modal_decomposition(
+          symmetric_bus(kBase, 0.1 * kBase.c, sign * 0.999 * bound, n));
+      for (const auto& m : d.modes) EXPECT_GT(m.l, 0.0) << n;
+      EXPECT_THROW(
+          symmetric_bus(kBase, 0.1 * kBase.c, sign * 1.001 * bound, n),
+          std::domain_error)
+          << n;
+    }
+  }
+  // symmetric_bus itself refuses km = 0.8 on three lines; 0.70 stays inside
+  // the n = 3 bound.
+  EXPECT_THROW(symmetric_bus(kBase, 0.1 * kBase.c, 0.8, 3), std::domain_error);
+  EXPECT_NO_THROW(
+      modal_decomposition(symmetric_bus(kBase, 0.1 * kBase.c, 0.70, 3)));
 }
 
 TEST(CoupledLine, NonCommutingPairThrows) {
