@@ -16,8 +16,10 @@
 ///
 /// Stdin batching is greedy but never adds latency: the first getline
 /// blocks, then whatever further lines the stream already buffered (up to
-/// --max-batch) join the same submit_batch.  A lone interactive request is
-/// answered immediately; a canned CI pipe is served in parallel batches.
+/// --max-batch) join the same block, whose consecutive queries share one
+/// submit_batch and whose other lines run at their place.  A lone
+/// interactive request is answered immediately; a canned CI pipe is served
+/// in parallel batches, with the same responses at any --max-batch.
 ///
 /// Exit codes: 0 served/bench OK, 2 bad usage or setup failure.
 
@@ -74,8 +76,8 @@ int usage(const char* argv0, int code) {
                "(default 1)\n"
                "  --cache N       result-cache capacity in entries "
                "(default 4096, 0 disables; per shard)\n"
-               "  --max-batch N   request lines per parallel batch "
-               "(default 64)\n"
+               "  --max-batch N   request lines per block; its consecutive "
+               "queries run as one parallel batch (default 64)\n"
                "  --socket PATH   serve a Unix socket (epoll event loop, "
                "many clients) instead of stdin\n"
                "  --backlog N     listen(2) backlog in socket mode "

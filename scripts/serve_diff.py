@@ -15,11 +15,14 @@
       Write BASELINE from RESPONSES.  A change that moves an answer or a
       wire byte on purpose re-records it and gives the reason in CHANGES.md.
 
-Two parts of a transcript are timings and are masked before comparing:
-the values of wall_seconds, queue_us, cache_us and solve_us, and the
-results of the metrics and stats admin ops (a result with a "format" or a
-"shards" member), which keep only their member names.  Every other byte
-repeats from run to run.
+Three parts of a transcript are timings and are masked before comparing:
+the values of wall_seconds, queue_us, cache_us and solve_us; the results
+of the metrics and stats admin ops (a result with a "format" or a "shards"
+member), which keep only their member names; and a trace dump's rollup,
+whose total_ns and top_level_ns values are masked and whose spans, listed
+by total time, are sorted by name.  Every other byte repeats from run to
+run, and at any --max-batch: CI holds `--max-batch 1 --threads 4` to the
+same baseline.
 """
 
 import json
@@ -29,8 +32,8 @@ from pathlib import Path
 
 BASELINE_VERSION = 1
 COMMAND = "rlc_serve --max-batch 8 --threads 4 < tests/svc/requests.ndjson"
-TIMING = re.compile(r'("(?:wall_seconds|queue_us|cache_us|solve_us)": )'
-                    r'[^,}\]]+')
+TIMING = re.compile(r'("(?:wall_seconds|queue_us|cache_us|solve_us|total_ns|'
+                    r'top_level_ns)": )[^,}\]]+')
 ADMIN_KEYS = ("format", "shards")  # metrics and stats results
 
 
@@ -41,7 +44,13 @@ def normalize(line):
     if isinstance(result, dict) and any(k in result for k in ADMIN_KEYS):
         d["result"] = list(result)
         return json.dumps(d)
-    return TIMING.sub(r'\1"*"', line)
+    masked = TIMING.sub(r'\1"*"', line)
+    if isinstance(result, dict) and "rollup" in result:
+        d = json.loads(masked)
+        spans = d["result"]["rollup"]["spans"]
+        d["result"]["rollup"]["spans"] = dict(sorted(spans.items()))
+        return json.dumps(d)
+    return masked
 
 
 def summarize(responses, serve_bench):

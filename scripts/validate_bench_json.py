@@ -196,6 +196,15 @@ def check_telemetry(name, t):
         err(name, "telemetry claims series but zero exposition bytes")
 
 
+def coupling_km_bound(n):
+    """The |km| a symmetric n-conductor bus allows, as
+    tline::coupling_km_bound: l*(I + km*A) is positive definite only for
+    |km| < 1/(2*cos(pi/(n+1))), 1 at n = 2 and 0.7071 at n = 3."""
+    if n <= 2:
+        return 1.0
+    return 0.5 / math.cos(math.pi / (n + 1))
+
+
 def check_coupling(name, c):
     """Schema-6 optional coupling block: the multi-conductor summary a
     coupled scenario stamps on its envelope."""
@@ -205,6 +214,7 @@ def check_coupling(name, c):
     n = c.get("n_conductors")
     if not isinstance(n, int) or isinstance(n, bool) or n < 2:
         err(name, f"coupling.n_conductors = {n!r} must be an int >= 2")
+        n = 2  # the widest bound, so km still gets a check
     for key in ("cc", "km", "peak_noise", "noise_width"):
         v = c.get(key)
         if not isinstance(v, (int, float)) or isinstance(v, bool) \
@@ -213,8 +223,10 @@ def check_coupling(name, c):
             return
     if c["cc"] < 0:
         err(name, f"coupling.cc = {c['cc']} must be >= 0")
-    if not (-1.0 < c["km"] < 1.0):
-        err(name, f"coupling.km = {c['km']} must satisfy |km| < 1")
+    bound = coupling_km_bound(n)
+    if not abs(c["km"]) < bound:
+        err(name, f"coupling.km = {c['km']} must satisfy |km| < {bound:.4f} "
+                  f"at n_conductors = {n}")
     if c["peak_noise"] < 0 or c["noise_width"] < 0:
         err(name, "coupling noise metrics must be >= 0")
 

@@ -18,12 +18,16 @@
 #include <cstddef>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace rlc::io {
 
 /// Escape a string body per RFC 8259 (no surrounding quotes).
 std::string json_escape(std::string_view v);
+
+/// Append `v` as a JSON string: quoted and escaped as json_escape does.
+void append_quoted(std::string& out, std::string_view v);
 
 /// Append `v` as a JSON number round-trippable to the same bits: the bytes
 /// of printf's "%.17g" (std::to_chars, general format, precision 17), or
@@ -37,6 +41,11 @@ class JsonArray;
 
 class Json {
  public:
+  Json() = default;
+  /// An object whose first members are `members`: the members() of
+  /// another Json, rendered earlier and kept.
+  explicit Json(std::string members) : body_(std::move(members)) {}
+
   Json& set(std::string_view key, double v);
   Json& set(std::string_view key, long long v);
   Json& set(std::string_view key, int v);
@@ -48,6 +57,9 @@ class Json {
   Json& set(std::string_view key, const std::vector<Json>& arr);
 
   std::string str() const;
+
+  /// The members rendered so far, comma-separated, without the braces.
+  const std::string& members() const { return body_; }
 
  private:
   friend class JsonArray;

@@ -33,12 +33,6 @@ void append_escaped(std::string& out, std::string_view v) {
   out.append(v.data() + run, v.size() - run);
 }
 
-void append_quoted(std::string& out, std::string_view v) {
-  out += '"';
-  append_escaped(out, v);
-  out += '"';
-}
-
 void append_int(std::string& out, long long v) {
   char buf[24];
   out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
@@ -51,6 +45,12 @@ std::string json_escape(std::string_view v) {
   out.reserve(v.size());
   append_escaped(out, v);
   return out;
+}
+
+void append_quoted(std::string& out, std::string_view v) {
+  out += '"';
+  append_escaped(out, v);
+  out += '"';
 }
 
 void append_number(std::string& out, double v) {

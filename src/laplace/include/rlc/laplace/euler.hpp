@@ -20,11 +20,11 @@
 ///
 /// The price is per-t node sets: s_j = (decay/2 + i pi j) / t, so a
 /// waveform of K times costs K * (burn_in + terms + 1) transfer
-/// evaluations.  The batch overloads gather ALL nodes of ALL times into a
-/// single span evaluation, so a vectorized evaluator (e.g.
+/// evaluations.  The batch overloads gather the nodes of eight times at a
+/// time into one span evaluation, so a vectorized evaluator (e.g.
 /// rlc::tline::BatchTransferEvaluator) amortizes its SIMD transcendental
-/// core over the whole waveform in one call; exp(s_j t) itself is free
-/// (e^{decay/2} (-1)^j by construction).
+/// core over hundreds of nodes per call in a few KB of scratch; exp(s_j t)
+/// itself is free (e^{decay/2} (-1)^j by construction).
 ///
 /// Requirements: F analytic for Re(s) > 0, f real-valued and O(1) at the
 /// evaluated times (the wrap-around aliasing term scales with
@@ -57,7 +57,8 @@ double euler_invert(BatchLaplaceFnRef F, double t,
                     const EulerOptions& opts = {});
 
 /// Invert F at a vector of times.  The BatchLaplaceFnRef overload issues
-/// ONE span evaluation covering every node of every time point.
+/// one span evaluation per eight time points, covering all their nodes;
+/// each result has the bits a single whole-waveform call would give.
 std::vector<double> euler_invert(LaplaceFnRef F,
                                  const std::vector<double>& times,
                                  const EulerOptions& opts = {});

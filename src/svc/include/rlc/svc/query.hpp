@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <string>
 #include <string_view>
 
@@ -137,6 +138,21 @@ struct QueryResult {
   double queue_us = 0.0;  ///< receive -> session pickup (0 for direct calls)
   double cache_us = 0.0;  ///< result-cache lookup time
   double solve_us = 0.0;  ///< engine time (0 on a cache hit)
+
+  /// The answer members of to_json(), "h" through "method", rendered once
+  /// by render_answer() and shared, immutable, by every copy: a cache hit
+  /// writes them as they are.  Not part of the answer (same_answer and the
+  /// cache key never read it).  Null until render_answer(); a result whose
+  /// answer fields change afterwards must render again.
+  std::shared_ptr<const std::string> answer_members;
+
+  /// Render the answer members above from the fields as they stand.
+  void render_answer();
+
+  /// Append this result's members (to_json() without its braces) to `out`:
+  /// the kept answer members, or a fresh rendering when there are none,
+  /// then from_cache, wall_seconds and a traced request's block.
+  void append_members(std::string& out) const;
 
   io::Json to_json() const;
 

@@ -35,7 +35,8 @@ namespace rlc::svc {
 inline constexpr int kServeSchemaVersion = 1;
 
 struct ServeOptions {
-  /// Max request lines executed as one submit_batch by handle_lines.
+  /// Max consecutive query lines executed as one submit_batch by
+  /// handle_lines.
   int max_batch = 64;
 };
 
@@ -43,13 +44,16 @@ class Server {
  public:
   explicit Server(Session& session, const ServeOptions& opts = {});
 
-  /// One request line -> one response line (no trailing newline).
-  /// Never throws; protocol errors become error responses.
+  /// One request line -> one response line (no trailing newline); a query
+  /// answers as a batch of one.  Never throws; protocol errors become
+  /// error responses.
   std::string handle_line(const std::string& line);
 
-  /// A block of lines -> responses in input order.  "query" requests in
-  /// the block are answered through ONE submit_batch (sharded over the
-  /// session pool, at most max_batch per call); other ops run in place.
+  /// A block of lines -> responses in input order, each line run at its
+  /// place: a run of consecutive "query" lines is answered through ONE
+  /// submit_batch (sharded over the session pool, at most max_batch per
+  /// call), and any other op runs between the queries before it and those
+  /// after it.
   std::vector<std::string> handle_lines(const std::vector<std::string>& lines);
 
   Session& session() { return session_; }

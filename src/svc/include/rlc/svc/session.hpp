@@ -75,10 +75,11 @@ class Session {
   /// occurrence of each cache key solves in a leader pass (its cold miss
   /// pays the batched SoA contour sweeps once per distinct line), then the
   /// duplicates resolve from the freshly filled cache — deterministic for
-  /// any thread count because grouping follows request order.  Results are
-  /// in input order; each element carries its own Status, so one bad
-  /// request never poisons its neighbours.  The token cancels every
-  /// not-yet-finished request in the batch.
+  /// any thread count because grouping follows request order; a batch of
+  /// one skips the grouping.  Results are in input order; each element
+  /// carries its own Status, so one bad request never poisons its
+  /// neighbours.  The token cancels every not-yet-finished request in the
+  /// batch.
   std::vector<rlc::StatusOr<QueryResult>> submit_batch(
       const std::vector<QueryRequest>& reqs);
   std::vector<rlc::StatusOr<QueryResult>> submit_batch(

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdint>
 #include <optional>
+#include <utility>
 
 #include "rlc/tline/coupled_line.hpp"
 
@@ -165,47 +166,55 @@ namespace {
 
 // Strict field extraction: a missing key keeps the default, but a key that
 // is present with the wrong JSON kind is a framing error — a serving API
-// must not silently ignore a mistyped "l" and answer for l = 0.
+// must not silently ignore a mistyped "l" and answer for l = 0.  Each
+// take_* returns false, with the error in *err, at a bad field.
 
-rlc::Status take_number(const io::JsonValue& v, const char* key,
-                        double* out) {
+bool fail(rlc::Status* err, const char* key, const char* what) {
+  *err = bad(std::string(key) + what);
+  return false;
+}
+
+bool take_number(const io::JsonValue& v, const char* key, double* out,
+                 rlc::Status* err) {
   const io::JsonValue* f = v.find(key);
-  if (!f || f->is_null()) return rlc::Status::ok();
+  if (!f || f->is_null()) return true;
   if (f->kind() != io::JsonValue::Kind::kNumber) {
-    return bad(std::string(key) + " must be a number");
+    return fail(err, key, " must be a number");
   }
   *out = f->as_number();
-  return rlc::Status::ok();
+  return true;
 }
 
-rlc::Status take_int(const io::JsonValue& v, const char* key, int* out) {
+bool take_int(const io::JsonValue& v, const char* key, int* out,
+              rlc::Status* err) {
   double d = *out;
-  if (rlc::Status st = take_number(v, key, &d); !st.is_ok()) return st;
+  if (!take_number(v, key, &d, err)) return false;
   const std::optional<int> i = io::exact_int(d);
-  if (!i) return bad(std::string(key) + " must be an integer");
+  if (!i) return fail(err, key, " must be an integer");
   *out = *i;
-  return rlc::Status::ok();
+  return true;
 }
 
-rlc::Status take_bool(const io::JsonValue& v, const char* key, bool* out) {
+bool take_bool(const io::JsonValue& v, const char* key, bool* out,
+               rlc::Status* err) {
   const io::JsonValue* f = v.find(key);
-  if (!f || f->is_null()) return rlc::Status::ok();
+  if (!f || f->is_null()) return true;
   if (f->kind() != io::JsonValue::Kind::kBool) {
-    return bad(std::string(key) + " must be a boolean");
+    return fail(err, key, " must be a boolean");
   }
   *out = f->as_bool();
-  return rlc::Status::ok();
+  return true;
 }
 
-rlc::Status take_string(const io::JsonValue& v, const char* key,
-                        std::string* out) {
+bool take_string(const io::JsonValue& v, const char* key, std::string* out,
+                 rlc::Status* err) {
   const io::JsonValue* f = v.find(key);
-  if (!f || f->is_null()) return rlc::Status::ok();
+  if (!f || f->is_null()) return true;
   if (f->kind() != io::JsonValue::Kind::kString) {
-    return bad(std::string(key) + " must be a string");
+    return fail(err, key, " must be a string");
   }
   *out = f->as_string();
-  return rlc::Status::ok();
+  return true;
 }
 
 }  // namespace
@@ -215,67 +224,103 @@ rlc::StatusOr<QueryRequest> QueryRequest::from_json(const io::JsonValue& v) {
     return bad("query request must be a JSON object");
   }
   QueryRequest req;
-  for (const rlc::Status& st : {
-           take_string(v, "technology", &req.technology),
-           take_number(v, "l", &req.l),
-           take_number(v, "threshold", &req.threshold),
-           take_int(v, "max_iterations", &req.max_iterations),
-           take_number(v, "residual_tolerance", &req.residual_tolerance),
-           take_bool(v, "with_exact_delay", &req.with_exact_delay),
-           take_int(v, "talbot_points", &req.talbot_points),
-           take_number(v, "line_length", &req.line_length),
-           take_int(v, "n_conductors", &req.n_conductors),
-           take_number(v, "coupling_cc", &req.coupling_cc),
-           take_number(v, "coupling_km", &req.coupling_km),
-           take_number(v, "noise_vmax", &req.noise_vmax),
-           take_string(v, "objective", &req.objective),
-           take_number(v, "delay_slack_eps", &req.delay_slack_eps),
-           take_number(v, "deadline_seconds", &req.deadline_seconds),
-           take_string(v, "trace_id", &req.trace_id),
-       }) {
-    if (!st.is_ok()) return st;
-  }
-  if (rlc::Status st = req.validate(); !st.is_ok()) return st;
+  rlc::Status st;  // the first bad field stops the chain
+  const bool ok =
+      take_string(v, "technology", &req.technology, &st) &&
+      take_number(v, "l", &req.l, &st) &&
+      take_number(v, "threshold", &req.threshold, &st) &&
+      take_int(v, "max_iterations", &req.max_iterations, &st) &&
+      take_number(v, "residual_tolerance", &req.residual_tolerance, &st) &&
+      take_bool(v, "with_exact_delay", &req.with_exact_delay, &st) &&
+      take_int(v, "talbot_points", &req.talbot_points, &st) &&
+      take_number(v, "line_length", &req.line_length, &st) &&
+      take_int(v, "n_conductors", &req.n_conductors, &st) &&
+      take_number(v, "coupling_cc", &req.coupling_cc, &st) &&
+      take_number(v, "coupling_km", &req.coupling_km, &st) &&
+      take_number(v, "noise_vmax", &req.noise_vmax, &st) &&
+      take_string(v, "objective", &req.objective, &st) &&
+      take_number(v, "delay_slack_eps", &req.delay_slack_eps, &st) &&
+      take_number(v, "deadline_seconds", &req.deadline_seconds, &st) &&
+      take_string(v, "trace_id", &req.trace_id, &st) &&
+      (st = req.validate()).is_ok();
+  if (!ok) return st;
   return req;
 }
 
-io::Json QueryResult::to_json() const {
+namespace {
+
+/// The answer members, "h" through "method".
+io::Json answer_json(const QueryResult& r) {
   io::Json j;
-  j.set("h", h);
-  j.set("k", k);
-  j.set("tau", tau);
-  j.set("delay_per_length", delay_per_length);
-  if (total_delay > 0.0) j.set("total_delay", total_delay);
-  if (has_exact) j.set("exact_delay", exact_delay);
-  if (has_noise) {
-    j.set("peak_noise", peak_noise);
-    j.set("noise_width", noise_width);
-    j.set("constraint_active", constraint_active);
+  j.set("h", r.h);
+  j.set("k", r.k);
+  j.set("tau", r.tau);
+  j.set("delay_per_length", r.delay_per_length);
+  if (r.total_delay > 0.0) j.set("total_delay", r.total_delay);
+  if (r.has_exact) j.set("exact_delay", r.exact_delay);
+  if (r.has_noise) {
+    j.set("peak_noise", r.peak_noise);
+    j.set("noise_width", r.noise_width);
+    j.set("constraint_active", r.constraint_active);
   }
   // Power block: present only for power-objective answers, so every
   // delay-objective response stays byte-identical to the pre-power wire.
-  if (has_power) {
-    j.set("power_total", power_total);
-    j.set("power_dynamic", power_dynamic);
-    j.set("power_short_circuit", power_short_circuit);
-    j.set("power_leakage", power_leakage);
-    j.set("delay_ref", delay_ref);
-    j.set("power_ref", power_ref);
-    j.set("power_constraint_active", power_constraint_active);
+  if (r.has_power) {
+    j.set("power_total", r.power_total);
+    j.set("power_dynamic", r.power_dynamic);
+    j.set("power_short_circuit", r.power_short_circuit);
+    j.set("power_leakage", r.power_leakage);
+    j.set("delay_ref", r.delay_ref);
+    j.set("power_ref", r.power_ref);
+    j.set("power_constraint_active", r.power_constraint_active);
   }
-  j.set("newton_iterations", newton_iterations);
-  j.set("method", method);
-  j.set("from_cache", from_cache);
-  j.set("wall_seconds", wall_seconds);
+  j.set("newton_iterations", r.newton_iterations);
+  j.set("method", r.method);
+  return j;
+}
+
+/// Bytes of the delivery and tracing members after the answer members, at
+/// most: the literal keys and values plus six numbers of 24 characters.
+constexpr std::size_t kDeliveryBytes = 224;
+
+}  // namespace
+
+void QueryResult::render_answer() {
+  answer_members =
+      std::make_shared<const std::string>(answer_json(*this).members());
+}
+
+void QueryResult::append_members(std::string& out) const {
+  // The bytes io::Json::set writes for the same members (pinned against it
+  // in tests/svc/test_wire.cpp).
+  if (answer_members) {
+    out += *answer_members;
+  } else {
+    out += answer_json(*this).members();
+  }
+  out += from_cache ? ", \"from_cache\": true" : ", \"from_cache\": false";
+  out += ", \"wall_seconds\": ";
+  io::append_number(out, wall_seconds);
   // Tracing block: present only for traced requests, so responses to
   // clients that never set trace_id stay byte-identical.
   if (!trace_id.empty()) {
-    j.set("trace_id", trace_id);
-    j.set("queue_us", queue_us);
-    j.set("cache_us", cache_us);
-    j.set("solve_us", solve_us);
+    out += ", \"trace_id\": ";
+    io::append_quoted(out, trace_id);
+    out += ", \"queue_us\": ";
+    io::append_number(out, queue_us);
+    out += ", \"cache_us\": ";
+    io::append_number(out, cache_us);
+    out += ", \"solve_us\": ";
+    io::append_number(out, solve_us);
   }
-  return j;
+}
+
+io::Json QueryResult::to_json() const {
+  std::string members;
+  members.reserve((answer_members ? answer_members->size() : 0) +
+                  trace_id.size() + kDeliveryBytes);
+  append_members(members);
+  return io::Json(std::move(members));
 }
 
 bool QueryResult::same_answer(const QueryResult& o) const {

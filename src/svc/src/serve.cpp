@@ -1,8 +1,8 @@
 #include "rlc/svc/serve.hpp"
 
-#include <algorithm>
 #include <cstddef>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "wire.hpp"
@@ -13,52 +13,47 @@ Server::Server(Session& session, const ServeOptions& opts)
     : session_(session), opts_(opts) {}
 
 std::string Server::handle_line(const std::string& line) {
-  std::vector<std::string> out = handle_lines({line});
-  return out.front();
+  return wire::execute_and_render(session_, wire::parse_line(line),
+                                  session_.threads());
 }
 
 std::vector<std::string> Server::handle_lines(
     const std::vector<std::string>& lines) {
-  const std::size_t n = lines.size();
-  std::vector<wire::Parsed> parsed;
-  parsed.reserve(n);
-  for (const std::string& line : lines) {
-    parsed.push_back(wire::parse_line(line));
-  }
-
-  std::vector<std::string> out(n);
-
-  // Queries in the block run as batches (input order within each batch).
-  std::vector<std::size_t> query_idx;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (parsed[i].op == wire::Parsed::Op::kQuery) query_idx.push_back(i);
-  }
   const std::size_t max_batch =
       opts_.max_batch > 0 ? static_cast<std::size_t>(opts_.max_batch) : 1;
-  for (std::size_t begin = 0; begin < query_idx.size(); begin += max_batch) {
-    const std::size_t end =
-        std::min(begin + max_batch, query_idx.size());
-    std::vector<QueryRequest> reqs;
-    reqs.reserve(end - begin);
-    for (std::size_t j = begin; j < end; ++j) {
-      reqs.push_back(parsed[query_idx[j]].query);
-    }
+  std::vector<std::string> out;
+  out.reserve(lines.size());
+
+  // Each line runs at its place in the block: a run of consecutive queries
+  // (at most max_batch) is one submit_batch, answered in input order, and
+  // any other line runs between the queries before it and those after it,
+  // so a trace start covers the queries that follow it and a scrape counts
+  // only the queries before it.
+  std::vector<QueryRequest> reqs;
+  std::vector<wire::RequestId> ids;
+  const auto answer_run = [&] {
+    if (reqs.empty()) return;
     std::vector<rlc::StatusOr<QueryResult>> results =
         session_.submit_batch(reqs);
-    for (std::size_t j = begin; j < end; ++j) {
-      const wire::Parsed& p = parsed[query_idx[j]];
-      const rlc::StatusOr<QueryResult>& r = results[j - begin];
-      out[query_idx[j]] = r.is_ok()
-                              ? wire::render_ok(p.id, r->to_json())
-                              : wire::render_error(p.id, r.status());
+    for (std::size_t j = 0; j < results.size(); ++j) {
+      out.push_back(wire::render_query(ids[j], results[j]));
     }
+    reqs.clear();
+    ids.clear();
+  };
+  for (const std::string& line : lines) {
+    wire::Parsed p = wire::parse_line(line);
+    if (p.op == wire::Parsed::Op::kQuery) {
+      reqs.push_back(std::move(p.query));
+      ids.push_back(std::move(p.id));
+      if (reqs.size() == max_batch) answer_run();
+      continue;
+    }
+    answer_run();
+    out.push_back(
+        wire::execute_and_render(session_, std::move(p), session_.threads()));
   }
-
-  // Everything else runs in place.
-  for (std::size_t i = 0; i < n; ++i) {
-    if (parsed[i].op == wire::Parsed::Op::kQuery) continue;  // answered above
-    out[i] = wire::execute_and_render(session_, parsed[i], session_.threads());
-  }
+  answer_run();
   return out;
 }
 

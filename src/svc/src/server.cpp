@@ -211,8 +211,8 @@ struct EventLoopServer::Impl {
         if (taken[i].parsed.op == wire::Parsed::Op::kQuery) {
           qidx.push_back(i);
         } else {
-          done[i].line = wire::execute_and_render(session, taken[i].parsed,
-                                                  router.threads());
+          done[i].line = wire::execute_and_render(
+              session, std::move(taken[i].parsed), router.threads());
         }
       }
       if (!qidx.empty()) {
@@ -221,17 +221,14 @@ struct EventLoopServer::Impl {
         reqs.reserve(qidx.size());
         received.reserve(qidx.size());
         for (std::size_t i : qidx) {
-          reqs.push_back(taken[i].parsed.query);
+          reqs.push_back(std::move(taken[i].parsed.query));
           received.push_back(taken[i].received_ns);
         }
         std::vector<rlc::StatusOr<QueryResult>> results =
             session.submit_batch(reqs, CancelToken{}, received);
         for (std::size_t k = 0; k < qidx.size(); ++k) {
-          const wire::Parsed& p = taken[qidx[k]].parsed;
-          const rlc::StatusOr<QueryResult>& r = results[k];
-          done[qidx[k]].line = r.is_ok()
-                                   ? wire::render_ok(p.id, r->to_json())
-                                   : wire::render_error(p.id, r.status());
+          done[qidx[k]].line =
+              wire::render_query(taken[qidx[k]].parsed.id, results[k]);
         }
       }
 
@@ -380,8 +377,8 @@ struct EventLoopServer::Impl {
     if (p.op == wire::Parsed::Op::kPing || p.op == wire::Parsed::Op::kError) {
       // Cheap: answer inline on the loop thread, preserving order through
       // the same sequencing path as dispatched requests.
-      c.ready[seq] =
-          wire::execute_and_render(router.shard(0), p, router.threads());
+      c.ready[seq] = wire::execute_and_render(router.shard(0), std::move(p),
+                                              router.threads());
       return;
     }
     if (p.op == wire::Parsed::Op::kMetrics ||

@@ -173,8 +173,11 @@ struct Session::Impl {
       const double solve_us = seconds_since(t_solve) * 1e6;
       if (result.is_ok()) {
         result->wall_seconds = seconds_since(t0);
-        // Cache BEFORE stamping the trace block: cached entries are shared
-        // across clients and must stay trace-free.
+        // The answer members are rendered once, here, and kept with the
+        // entry: every hit writes these bytes as they are.  Cache BEFORE
+        // stamping the trace block: cached entries are shared across
+        // clients and must stay trace-free.
+        result->render_answer();
         cache.put(key, *result);
         reg.record(m.latency_us, result->wall_seconds * 1e6);
         account_stages(req, key, "ok", false, queue_us, cache_us, solve_us);
@@ -361,6 +364,24 @@ std::vector<rlc::StatusOr<QueryResult>> Session::submit_batch(
   reg.record(m.batch_size, static_cast<double>(n));
   reg.gauge_add(m.queue_depth, static_cast<std::int64_t>(n));
   reg.gauge_max(m.queue_depth_max, static_cast<std::int64_t>(n));
+  const auto stamp_of = [&received_ns](std::size_t i) -> std::int64_t {
+    return i < received_ns.size() ? received_ns[i] : 0;
+  };
+
+  std::vector<rlc::StatusOr<QueryResult>> out;
+  out.reserve(n);
+  if (n == 1) {
+    // A batch of one has nothing to group: no keys, leaders or slots to
+    // gather.  It still runs as a loop of one on the pool (inline), so
+    // exec.pool.loops and the parallel_for span count it like any batch.
+    const auto one = [&] {
+      out.push_back(impl_->answer(reqs[0], reqs[0].cache_key(), cancel,
+                                  stamp_of(0)));
+    };
+    impl_->pool.parallel_for(1, [&one](std::size_t) { one(); }, 1);
+    reg.gauge_add(m.queue_depth, -1);
+    return out;
+  }
 
   // Group same-key requests before fanning out: the first occurrence of
   // each cache key (in request order, so grouping is deterministic across
@@ -396,9 +417,6 @@ std::vector<rlc::StatusOr<QueryResult>> Session::submit_batch(
   // write between workers.  Depth now drops when the batch completes; the
   // max gauge still records the true high-water mark.
   std::vector<std::optional<rlc::StatusOr<QueryResult>>> slots(n);
-  const auto stamp_of = [&received_ns](std::size_t i) -> std::int64_t {
-    return i < received_ns.size() ? received_ns[i] : 0;
-  };
   const auto run = [&](std::size_t i) {
     slots[i] = impl_->answer(reqs[i], keys[i], cancel, stamp_of(i));
   };
@@ -410,8 +428,6 @@ std::vector<rlc::StatusOr<QueryResult>> Session::submit_batch(
   }
   reg.gauge_add(m.queue_depth, -static_cast<std::int64_t>(n));
 
-  std::vector<rlc::StatusOr<QueryResult>> out;
-  out.reserve(n);
   for (auto& slot : slots) {
     out.push_back(slot ? std::move(*slot)
                        : rlc::Status::internal("request slot never ran"));

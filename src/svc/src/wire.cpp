@@ -1,6 +1,8 @@
 #include "wire.hpp"
 
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "rlc/base/version.hpp"
 #include "rlc/io/json.hpp"
@@ -16,31 +18,77 @@ namespace rlc::svc::wire {
 
 namespace {
 
-io::Json envelope(const RequestId& id) {
-  io::Json j;
-  j.set("schema", kServeSchemaVersion);
-  j.set("version", rlc::version());
-  if (const std::string* s = std::get_if<std::string>(&id)) j.set("id", *s);
-  if (const double* d = std::get_if<double>(&id)) j.set("id", *d);
-  return j;
+/// The bytes every response starts with, rendered once:
+/// `{"schema": <kServeSchemaVersion>, "version": "<rlc::version()>"`.
+const std::string& envelope_prefix() {
+  static const std::string prefix = [] {
+    io::Json j;
+    j.set("schema", kServeSchemaVersion);
+    j.set("version", rlc::version());
+    return "{" + j.members();
+  }();
+  return prefix;
+}
+
+/// Room for what a response holds besides the prefix, its strings and its
+/// answer members: the literal keys and values and up to seven numbers of
+/// at most 24 characters.
+constexpr std::size_t kFixedBytes = 320;
+
+/// A response up to its status: the prefix and the id member, in a buffer
+/// with room for the rest and `more` bytes of strings.  The members after
+/// the prefix take io::Json's layout (", " between members, ": " after a
+/// key), pinned against io::Json in tests/svc/test_wire.cpp.
+std::string open_response(const RequestId& id, std::size_t more) {
+  const std::string* sid = std::get_if<std::string>(&id);
+  std::string out;
+  out.reserve(envelope_prefix().size() + kFixedBytes +
+              (sid != nullptr ? sid->size() : 0) + more);
+  out += envelope_prefix();
+  if (sid != nullptr) {
+    out += ", \"id\": ";
+    io::append_quoted(out, *sid);
+  } else if (const double* d = std::get_if<double>(&id)) {
+    out += ", \"id\": ";
+    io::append_number(out, *d);
+  }
+  return out;
 }
 
 }  // namespace
 
 std::string render_ok(const RequestId& id, const io::Json& result) {
-  io::Json j = envelope(id);
-  j.set("status", "ok");
-  j.set("code", 0);
-  j.set("result", result);
-  return j.str();
+  std::string out = open_response(id, result.members().size());
+  out += ", \"status\": \"ok\", \"code\": 0, \"result\": {";
+  out += result.members();
+  out += "}}";
+  return out;
 }
 
 std::string render_error(const RequestId& id, const rlc::Status& st) {
-  io::Json j = envelope(id);
-  j.set("status", st.code_name());
-  j.set("code", static_cast<int>(st.code()));
-  j.set("message", st.message());
-  return j.str();
+  std::string out = open_response(id, st.message().size());
+  out += ", \"status\": ";
+  io::append_quoted(out, st.code_name());
+  out += ", \"code\": ";
+  out += std::to_string(static_cast<int>(st.code()));
+  out += ", \"message\": ";
+  io::append_quoted(out, st.message());
+  out += '}';
+  return out;
+}
+
+std::string render_query(const RequestId& id,
+                         const rlc::StatusOr<QueryResult>& r) {
+  if (!r.is_ok()) return render_error(id, r.status());
+  // A result rendered by Session carries its answer members; one built
+  // elsewhere renders them in append_members, into a buffer that may grow.
+  std::string out = open_response(
+      id, (r->answer_members ? r->answer_members->size() : 0) +
+              r->trace_id.size());
+  out += ", \"status\": \"ok\", \"code\": 0, \"result\": {";
+  r->append_members(out);
+  out += "}}";
+  return out;
 }
 
 Parsed parse_line(const std::string& line) {
@@ -249,7 +297,7 @@ std::string execute_admin(const Parsed& p, const AdminEnv& env) {
   }
 }
 
-std::string execute_and_render(Session& session, const Parsed& p,
+std::string execute_and_render(Session& session, Parsed&& p,
                                std::size_t threads) {
   switch (p.op) {
     case Parsed::Op::kPing: {
@@ -259,9 +307,9 @@ std::string execute_and_render(Session& session, const Parsed& p,
       return render_ok(p.id, pong);
     }
     case Parsed::Op::kQuery: {
-      rlc::StatusOr<QueryResult> r = session.submit(p.query);
-      return r.is_ok() ? render_ok(p.id, r->to_json())
-                       : render_error(p.id, r.status());
+      std::vector<QueryRequest> one;
+      one.push_back(std::move(p.query));
+      return render_query(p.id, session.submit_batch(one).front());
     }
     case Parsed::Op::kScenario: {
       rlc::StatusOr<scenario::ScenarioResult> r =

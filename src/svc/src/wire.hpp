@@ -45,9 +45,17 @@ struct Parsed {
 /// Never throws; malformed input becomes op == kError with a typed Status.
 Parsed parse_line(const std::string& line);
 
-/// Render one response line (no trailing newline).
+/// Render one response line (no trailing newline) into one reserved
+/// buffer: the schema/version prefix, rendered once per process, then id,
+/// status, code and the result members or the error message.
 std::string render_ok(const RequestId& id, const io::Json& result);
 std::string render_error(const RequestId& id, const rlc::Status& st);
+
+/// A query's response line, whichever front end answered it: the result's
+/// kept answer members written as they are, then its delivery members
+/// (QueryResult::append_members), or the error.
+std::string render_query(const RequestId& id,
+                         const rlc::StatusOr<QueryResult>& r);
 
 /// What the admin ops can see.  `session` is required (single-session
 /// front end stats); `router` adds per-shard cache stats when serving
@@ -64,12 +72,12 @@ struct AdminEnv {
 /// front ends answer these inline on the I/O thread, like pings.
 std::string execute_admin(const Parsed& p, const AdminEnv& env);
 
-/// The full per-request execution shared by both front ends: queries go
-/// through session.submit, scenarios through session.run_scenario, pings
-/// and admin ops answer inline, errors echo their Status.  `threads` is
-/// what a ping reports (the serving concurrency, which for a sharded
-/// server is not the session's own pool size).
-std::string execute_and_render(Session& session, const Parsed& p,
+/// The per-line execution shared by both front ends: a query answers as a
+/// batch of one through session.submit_batch, scenarios through
+/// session.run_scenario, pings and admin ops inline, errors echo their
+/// Status.  `threads` is what a ping reports (the serving concurrency,
+/// which for a sharded server is not the session's own pool size).
+std::string execute_and_render(Session& session, Parsed&& p,
                                std::size_t threads);
 
 }  // namespace rlc::svc::wire

@@ -149,6 +149,23 @@ TEST(QueryRequest, FromJsonRejectsBadShapes) {
             StatusCode::kInvalidArgument);
 }
 
+TEST(QueryRequest, FromJsonNamesTheFirstBadFieldInFieldOrder) {
+  // Fields are read in declaration order and the first bad one is the
+  // error, whatever order the line lists them in; validation runs last.
+  const auto message = [](const char* line) {
+    return QueryRequest::from_json(io::parse_json(line)).status().message();
+  };
+  EXPECT_EQ(message("{\"trace_id\": 1, \"l\": \"big\"}"), "l must be a number");
+  EXPECT_EQ(message("{\"threshold\": 2.0, \"technology\": 7}"),
+            "technology must be a string");
+  EXPECT_EQ(message("{\"with_exact_delay\": 1, \"max_iterations\": 0.5}"),
+            "max_iterations must be an integer");
+  EXPECT_EQ(message("{\"objective\": false, \"talbot_points\": 2}"),
+            "objective must be a string");
+  EXPECT_EQ(message("{\"threshold\": 2.0}"),
+            "threshold must be in (0, 1) (got 2)");
+}
+
 TEST(QueryRequest, FromJsonRejectsNonIntegralAndOutOfRangeInts) {
   // Integer fields reject fractions and doubles outside int range; the
   // out-of-range case must produce a clean Status, not a float-cast UB.

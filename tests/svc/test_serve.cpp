@@ -7,6 +7,7 @@
 
 #include "rlc/base/version.hpp"
 #include "rlc/io/json_reader.hpp"
+#include "rlc/obs/trace.hpp"
 #include "rlc/svc/query.hpp"
 #include "rlc/svc/slowlog.hpp"
 
@@ -100,6 +101,46 @@ TEST_F(ServeTest, MixedBlockKeepsInputOrder) {
   }
   EXPECT_EQ(io::parse_json(responses[3]).string_or("status", ""),
             "invalid_argument");
+}
+
+// Each line of a block runs at its place: a trace start traces the
+// queries after it in the same block, and a scrape counts only the queries
+// before it, at any max_batch.
+TEST(ServeBlock, LinesRunInInputOrderAtAnyMaxBatch) {
+  obs::Tracer& tracer = obs::Tracer::global();
+  for (const int max_batch : {1, 8}) {
+    Session session(SessionOptions{1, 64});
+    Server server(session, ServeOptions{max_batch});
+    tracer.clear();
+    const std::vector<std::string> out = server.handle_lines({
+        "{\"op\":\"metrics\",\"format\":\"json\"}",
+        "{\"op\":\"trace\",\"action\":\"start\"}",
+        "{\"op\":\"query\",\"technology\":\"250nm\",\"l\":3.5e-6}",
+        "{\"op\":\"trace\",\"action\":\"dump\"}",
+        "{\"op\":\"trace\",\"action\":\"stop\"}",
+        "{\"op\":\"metrics\",\"format\":\"json\"}",
+    });
+    ASSERT_EQ(out.size(), 6u);
+    const io::JsonValue dump = io::parse_json(out[3]);
+    const io::JsonValue* spans =
+        dump.find("result")->find("rollup")->find("spans");
+    ASSERT_NE(spans, nullptr) << out[3];
+    const io::JsonValue* optimize = spans->find("optimize_rlc");
+    ASSERT_NE(optimize, nullptr) << "max_batch " << max_batch << ": " << out[3];
+    EXPECT_EQ(optimize->number_or("count", 0.0), 1.0);
+
+    const auto requests = [](const std::string& scrape) {
+      return io::parse_json(scrape)
+          .find("result")
+          ->find("metrics")
+          ->find("counters")
+          ->number_or("svc.requests", 0.0);
+    };
+    EXPECT_EQ(requests(out[5]) - requests(out[0]), 1.0)
+        << "max_batch " << max_batch;
+  }
+  tracer.disable();
+  tracer.clear();
 }
 
 TEST_F(ServeTest, BatchedQueriesMatchSingleShot) {

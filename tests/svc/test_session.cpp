@@ -298,6 +298,44 @@ TEST(Session, BatchMatchesSerialBitForBitAcrossThreadCounts) {
   }
 }
 
+TEST(Session, BatchOfOneKeepsEveryBatchMetric) {
+  // A one-request batch skips the grouping but not the accounting: one
+  // svc.batches, one svc.batch_size record, the latency and the three
+  // stage histograms, and one pool loop, on a miss and on a hit.
+  Session session(SessionOptions{4, 64});
+  QueryRequest q;
+  q.l = 1.2e-6;
+  for (const bool hit : {false, true}) {
+    const auto before = obs::Registry::global().snapshot();
+    const auto out = session.submit_batch({q});
+    const auto delta = obs::Registry::global().snapshot().delta_since(before);
+    ASSERT_EQ(out.size(), 1u);
+    ASSERT_TRUE(out[0].is_ok()) << out[0].status().to_string();
+    EXPECT_EQ(out[0]->from_cache, hit);
+    const auto counter = [&delta](const std::string& name) {
+      for (const auto& [n, v] : delta.counters) {
+        if (n == name) return v;
+      }
+      return std::int64_t{0};
+    };
+    EXPECT_EQ(counter("svc.batches"), 1);
+    EXPECT_EQ(counter("svc.requests"), 1);
+    EXPECT_EQ(counter(hit ? "svc.cache.hits" : "svc.cache.misses"), 1);
+    if (hit) {
+      EXPECT_EQ(counter("exec.pool.loops"), 1);
+    }
+    for (const char* name :
+         {"svc.batch_size", "svc.latency_us", "svc.stage.queue_us",
+          "svc.stage.cache_us", "svc.stage.solve_us"}) {
+      std::uint64_t records = 0;
+      for (const auto& h : delta.histograms) {
+        if (h.name == name) records = h.count;
+      }
+      EXPECT_EQ(records, 1u) << name << (hit ? " hit" : " miss");
+    }
+  }
+}
+
 TEST(Session, BatchGroupsDuplicateKeysThroughTheCache) {
   // A batch with repeated cache keys: each distinct key solves exactly once
   // (the leader pass), every duplicate is served from the cache the leaders
