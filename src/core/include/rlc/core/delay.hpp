@@ -43,23 +43,32 @@ struct DelayOptions {
 /// rises monotonically up to its first peak at pi / omega_d (real and
 /// confluent poles have none), where v = 1 + overshoot > f, so up to that
 /// peak exactly one i has v(t_{i-1}) < f <= v(t_i), and the search returns
-/// it: it starts at the grid index of a closed-form estimate (the one-pole
-/// time b1 ln(1/(1 - f)) plus one Newton step), confirms v(t_{i-1}) < f <=
-/// v(t_i) there, and otherwise gallops to a bracket and bisects it (without
-/// a finite estimate it starts at the top of the range); past the peak the
-/// grid is walked forward.  Then polishes with bisection-guarded Newton on
-/// v(t) - f from the two end values the search holds.  The estimate and
-/// every Newton iterate take v and v' from one exponential.  Adds one
-/// `delay.step_evals` count per t at which the response is evaluated, once
-/// per call (about 10 per solve, against one per grid step for a walk).
-/// Throws std::domain_error for f outside (0, 1).
-DelayResult threshold_delay(const TwoPole& sys, const DelayOptions& opts = {});
+/// it from any start index: it confirms v(t_{i-1}) < f <= v(t_i) at the
+/// start, and otherwise gallops to a bracket and bisects it; past the peak
+/// the grid is walked forward.  Then polishes with bisection-guarded Newton
+/// on v(t) - f from the two end values the search holds.  The search starts
+/// at ceil(near_tau / dt), clamped into [1, i_peak], when near_tau is
+/// positive and finite: a crossing time of a neighbouring system, such as
+/// the previous solve of an optimizer step or a finite-difference probe.
+/// Otherwise it starts at the grid index of a closed-form estimate (the
+/// one-pole time b1 ln(1/(1 - f)) plus one Newton step), or at the top of
+/// the range without a finite estimate.  Since the bracket is unique, the
+/// start moves only the number of evaluations, never a bit of the result.
+/// The estimate and every Newton iterate take v and v' from one
+/// exponential.  Adds one `delay.step_evals` count per t at which the
+/// response is evaluated, once per call (about 10 per solve from the
+/// estimate, 2 plus the polish from a start at the bracket, against one per
+/// grid step for a walk).  Throws std::domain_error for f outside (0, 1).
+DelayResult threshold_delay(const TwoPole& sys, const DelayOptions& opts = {},
+                            double near_tau = 0.0);
 
 /// Convenience: 50% delay, throwing std::runtime_error if not converged.
 double delay_50(const TwoPole& sys);
 
-/// Convenience: threshold delay of the segment (tech repeater, line, h, k).
+/// Convenience: threshold delay of the segment (tech repeater, line, h, k),
+/// its search started at near_tau as in threshold_delay.
 DelayResult segment_delay(const Repeater& rep, const tline::LineParams& line,
-                          double h, double k, const DelayOptions& opts = {});
+                          double h, double k, const DelayOptions& opts = {},
+                          double near_tau = 0.0);
 
 }  // namespace rlc::core

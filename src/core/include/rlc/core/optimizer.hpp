@@ -44,11 +44,13 @@ struct StationarityResiduals {
 
 /// Evaluate g1, g2 at (h, k).  `valid` is false when the inner delay solve
 /// fails or the system is too close to critical damping for the pole
-/// sensitivities to be meaningful.
+/// sensitivities to be meaningful.  The inner solve's search starts at
+/// near_tau (threshold_delay), which moves no bit of the result.
 StationarityResiduals stationarity_residuals(const Repeater& rep,
                                              const tline::LineParams& line,
                                              double h, double k,
-                                             double f = 0.5);
+                                             double f = 0.5,
+                                             double near_tau = 0.0);
 
 /// Delay per unit length tau(h, k)/h for threshold f [s/m].
 double delay_per_length(const Repeater& rep, const tline::LineParams& line,

@@ -37,6 +37,10 @@ class TwoPole {
   std::complex<double> s1() const { return s1_; }
   std::complex<double> s2() const { return s2_; }
 
+  /// True when step_point takes the confluent series: the poles lie within
+  /// a relative 1e-7 of each other, |s2 - s1| <= 1e-7 (|s1| + |s2|) / 2.
+  bool confluent() const { return form_ == Form::kConfluent; }
+
   /// b1^2 - 4 b2 (< 0: underdamped, oscillatory step response).
   double discriminant() const { return b1_ * b1_ - 4.0 * b2_; }
 

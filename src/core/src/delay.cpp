@@ -11,7 +11,8 @@
 
 namespace rlc::core {
 
-DelayResult threshold_delay(const TwoPole& sys, const DelayOptions& opts) {
+DelayResult threshold_delay(const TwoPole& sys, const DelayOptions& opts,
+                            double near_tau) {
   if (!(opts.f > 0.0 && opts.f < 1.0)) {
     throw std::domain_error("threshold_delay: f must be in (0, 1)");
   }
@@ -63,13 +64,17 @@ DelayResult threshold_delay(const TwoPole& sys, const DelayOptions& opts) {
     }
   }
 
-  // Start at the grid index of a closed-form estimate of the crossing: the
+  // Start at a neighbour's crossing if the caller has one.  Otherwise
+  // start at the grid index of a closed-form estimate of the crossing: the
   // one-pole time b1 ln(1/(1 - f)), clamped into (0, t_last], plus one
   // Newton step.  Without a finite estimate, start at the top of the range.
-  const double t0 = std::clamp(-sys.b1() * std::log1p(-opts.f), dt,
-                               dt * static_cast<double>(last));
-  const TwoPole::Point p0 = at(t0);
-  const double guess = std::ceil((t0 - (p0.v - opts.f) / p0.dv) / dt);
+  double guess = std::ceil(near_tau / dt);
+  if (!(near_tau > 0.0 && std::isfinite(near_tau))) {
+    const double t0 = std::clamp(-sys.b1() * std::log1p(-opts.f), dt,
+                                 dt * static_cast<double>(last));
+    const TwoPole::Point p0 = at(t0);
+    guess = std::ceil((t0 - (p0.v - opts.f) / p0.dv) / dt);
+  }
   long i = std::isfinite(guess)
                ? static_cast<long>(
                      std::clamp(guess, 1.0, static_cast<double>(last)))
@@ -158,9 +163,10 @@ double delay_50(const TwoPole& sys) {
 }
 
 DelayResult segment_delay(const Repeater& rep, const tline::LineParams& line,
-                          double h, double k, const DelayOptions& opts) {
+                          double h, double k, const DelayOptions& opts,
+                          double near_tau) {
   const TwoPole sys(pade_coeffs_hk(rep, line, h, k));
-  return threshold_delay(sys, opts);
+  return threshold_delay(sys, opts, near_tau);
 }
 
 }  // namespace rlc::core

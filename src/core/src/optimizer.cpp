@@ -31,11 +31,11 @@ struct PoleSens {
 ///   ds/dx = [ -b1' +- (b1 b1' - 2 b2') / D ] / (2 b2) - s b2' / b2,
 /// with D = sqrt(b1^2 - 4 b2) (complex).  Invalid when |D| is so small that
 /// the 1/D terms lose all significance (near-critically-damped; the
-/// optimizer falls back to the derivative-free path there).
+/// optimizer falls back to the derivative-free path there).  `pc` is
+/// pade_coeffs_hk(rep, line, h, k).
 PoleSens pole_sensitivities(const Repeater& rep, const tline::LineParams& line,
-                            double h, double k) {
+                            double h, double k, const PadeCoeffs& pc) {
   PoleSens ps;
-  const PadeCoeffs pc = pade_coeffs_hk(rep, line, h, k);
   const PadeDerivs pd = pade_derivs_hk(rep, line, h, k);
   const double b1 = pc.b1, b2 = pc.b2;
   ps.disc = b1 * b1 - 4.0 * b2;
@@ -69,19 +69,25 @@ double realify(const cplx& g, double disc) {
 
 StationarityResiduals stationarity_residuals(const Repeater& rep,
                                              const tline::LineParams& line,
-                                             double h, double k, double f) {
+                                             double h, double k, double f,
+                                             double near_tau) {
   StationarityResiduals out;
   if (!(h > 0.0) || !(k > 0.0)) return out;
-  const PoleSens ps = pole_sensitivities(rep, line, h, k);
+  const PadeCoeffs pc = pade_coeffs_hk(rep, line, h, k);
+  const PoleSens ps = pole_sensitivities(rep, line, h, k, pc);
   if (!ps.valid) return out;
   DelayOptions dopts;
   dopts.f = f;
-  const TwoPole sys(pade_coeffs_hk(rep, line, h, k));
-  const DelayResult dr = threshold_delay(sys, dopts);
+  const TwoPole sys(pc);
+  const DelayResult dr = threshold_delay(sys, dopts, near_tau);
   if (!dr.converged) return out;
   const double tau = dr.tau;
   const cplx e1 = std::exp(ps.s1 * tau);
-  const cplx e2 = std::exp(ps.s2 * tau);
+  // Complex poles come out as an exact conjugate pair, and then
+  // exp(s2 tau) == conj(exp(s1 tau)) (the libm's cexp is
+  // conjugate-symmetric, pinned by tests/core/test_two_pole.cpp).
+  const bool conjugate = ps.s1.imag() != 0.0 && ps.s2 == std::conj(ps.s1);
+  const cplx e2 = conjugate ? std::conj(e1) : std::exp(ps.s2 * tau);
   // Eq. (7): stationarity in h (with d tau/d h = tau / h substituted).
   const cplx g1 = (1.0 - f) * (ps.ds2_dh - ps.ds1_dh) - ps.ds2_dh * e1 +
                   ps.ds1_dh * e2 -
@@ -113,22 +119,26 @@ namespace {
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
+/// `near_tau` is a crossing near the start (u0, w0); each solve starts its
+/// search at the crossing of the last one that converged.
 OptimResult nelder_mead_fallback(const Repeater& rep,
                                  const tline::LineParams& line,
                                  const OptimOptions& opts, double h_ref,
-                                 double k_ref, double u0, double w0) {
+                                 double k_ref, double u0, double w0,
+                                 double near_tau) {
   RLC_TRACE_SPAN("nelder_mead_fallback");
   static const int kFallbacks =
       obs::Registry::global().counter("optimizer.nm_fallbacks");
   obs::Registry::global().add(kFallbacks);
+  DelayOptions dopts;
+  dopts.f = opts.f;
   const auto objective = [&](const std::vector<double>& x) -> double {
     const double h = x[0] * h_ref;
     const double k = x[1] * k_ref;
     if (!(h > 0.0) || !(k > 0.0)) return kNaN;
-    DelayOptions dopts;
-    dopts.f = opts.f;
-    const DelayResult dr = segment_delay(rep, line, h, k, dopts);
+    const DelayResult dr = segment_delay(rep, line, h, k, dopts, near_tau);
     if (!dr.converged) return kNaN;
+    near_tau = dr.tau;
     return dr.tau / h;
   };
   rlc::math::NelderMeadOptions nm;
@@ -143,9 +153,8 @@ OptimResult nelder_mead_fallback(const Repeater& rep,
   res.k = sol.x[1] * k_ref;
   res.converged = sol.converged && std::isfinite(sol.fx);
   if (res.converged) {
-    DelayOptions dopts;
-    dopts.f = opts.f;
-    const DelayResult dr = segment_delay(rep, line, res.h, res.k, dopts);
+    const DelayResult dr =
+        segment_delay(rep, line, res.h, res.k, dopts, near_tau);
     res.tau = dr.tau;
     res.delay_per_length = dr.tau / res.h;
   }
@@ -158,28 +167,28 @@ namespace {
 
 /// Newton solves a stationarity system, which is also satisfied by saddle
 /// points and maxima of tau/h; accept a candidate only if small
-/// perturbations do not lower the objective.
+/// perturbations do not lower the objective.  `near_tau` is a crossing at
+/// or near the candidate, where every probe starts its search.
 bool is_local_minimum(const Repeater& rep, const tline::LineParams& line,
-                      double h, double k, double f) {
-  double base;
+                      double h, double k, double f, double near_tau) {
+  DelayOptions dopts;
+  dopts.f = f;
+  // delay_per_length at (hp, kp), NaN when the solve fails.
+  const auto dpl = [&](double hp, double kp) {
+    const DelayResult dr = segment_delay(rep, line, hp, kp, dopts, near_tau);
+    return dr.converged ? dr.tau / hp : kNaN;
+  };
   try {
-    base = delay_per_length(rep, line, h, k, f);
+    const double base = dpl(h, k);
+    if (std::isnan(base)) return false;
+    for (const double eps : {1e-3, -1e-3}) {
+      const double dh = dpl(h * (1.0 + eps), k);
+      if (std::isnan(dh) || dh < base * (1.0 - 1e-7)) return false;
+      const double dk = dpl(h, k * (1.0 + eps));
+      if (std::isnan(dk) || dk < base * (1.0 - 1e-7)) return false;
+    }
   } catch (const std::exception&) {
     return false;
-  }
-  for (const double eps : {1e-3, -1e-3}) {
-    try {
-      if (delay_per_length(rep, line, h * (1.0 + eps), k, f) <
-          base * (1.0 - 1e-7)) {
-        return false;
-      }
-      if (delay_per_length(rep, line, h, k * (1.0 + eps), f) <
-          base * (1.0 - 1e-7)) {
-        return false;
-      }
-    } catch (const std::exception&) {
-      return false;
-    }
   }
   return true;
 }
@@ -203,18 +212,23 @@ OptimResult optimize_rlc(const Repeater& rep, const tline::LineParams& line,
   // point (a constant rescaling leaves the Newton iterates unchanged but
   // makes the convergence test dimensionless).
   double n1 = 1.0, n2 = 1.0;
-  {
-    const auto sr0 =
-        stationarity_residuals(rep, line, u0 * h_ref, w0 * k_ref, opts.f);
-    if (sr0.valid) {
-      n1 = std::max(std::abs(sr0.g1), 1e-300);
-      n2 = std::max(std::abs(sr0.g2), 1e-300);
-    }
+  const auto sr0 =
+      stationarity_residuals(rep, line, u0 * h_ref, w0 * k_ref, opts.f);
+  if (sr0.valid) {
+    n1 = std::max(std::abs(sr0.g1), 1e-300);
+    n2 = std::max(std::abs(sr0.g2), 1e-300);
   }
 
+  // Consecutive residuals (the Jacobian's probes, line-search trials, the
+  // next iterate) sit close together, so each inner solve starts its search
+  // at the last crossing found (0 until one is).  Convergence leaves
+  // near_tau at the crossing of the accepted point, whose residual came
+  // last.
+  double near_tau = sr0.tau;
   const rlc::math::Fn2 residual = [&](const std::array<double, 2>& x) {
-    const auto sr =
-        stationarity_residuals(rep, line, x[0] * h_ref, x[1] * k_ref, opts.f);
+    const auto sr = stationarity_residuals(rep, line, x[0] * h_ref,
+                                           x[1] * k_ref, opts.f, near_tau);
+    if (sr.tau > 0.0) near_tau = sr.tau;
     if (!sr.valid) return std::array<double, 2>{kNaN, kNaN};
     return std::array<double, 2>{sr.g1 / n1, sr.g2 / n2};
   };
@@ -231,13 +245,14 @@ OptimResult optimize_rlc(const Repeater& rep, const tline::LineParams& line,
   OptimResult res;
   res.method = OptimMethod::kNewton;
   res.newton_iterations = sol.iterations;
-  if (sol.converged &&
-      is_local_minimum(rep, line, sol.x[0] * h_ref, sol.x[1] * k_ref, opts.f)) {
+  if (sol.converged && is_local_minimum(rep, line, sol.x[0] * h_ref,
+                                        sol.x[1] * k_ref, opts.f, near_tau)) {
     res.h = sol.x[0] * h_ref;
     res.k = sol.x[1] * k_ref;
     DelayOptions dopts;
     dopts.f = opts.f;
-    const DelayResult dr = segment_delay(rep, line, res.h, res.k, dopts);
+    const DelayResult dr =
+        segment_delay(rep, line, res.h, res.k, dopts, near_tau);
     if (dr.converged) {
       res.tau = dr.tau;
       res.delay_per_length = dr.tau / res.h;
@@ -251,7 +266,8 @@ OptimResult optimize_rlc(const Repeater& rep, const tline::LineParams& line,
   }
   // Newton failed or landed on a non-minimal stationary point: restart the
   // derivative-free search from the original guess, not the rejected point.
-  OptimResult fb = nelder_mead_fallback(rep, line, opts, h_ref, k_ref, u0, w0);
+  OptimResult fb =
+      nelder_mead_fallback(rep, line, opts, h_ref, k_ref, u0, w0, sr0.tau);
   fb.newton_iterations = sol.iterations;
   return fb;
 }

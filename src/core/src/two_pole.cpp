@@ -1,5 +1,6 @@
 #include "rlc/core/two_pole.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -29,9 +30,21 @@ TwoPole::TwoPole(const PadeCoeffs& pc) : b1_(pc.b1), b2_(pc.b2) {
   s1_ = r1;
   s2_ = r2;
   // Which form step_point uses depends only on the poles: decide once.
-  const double sep = std::abs(s2_ - s1_);
-  const double mag = 0.5 * (std::abs(s1_) + std::abs(s2_));
-  if (sep <= kConfluentTol * mag) {
+  // The confluent test is |s2 - s1| <= kConfluentTol (|s1| + |s2|) / 2.
+  // Since max(|re z|, |im z|) <= |z| <= |re z| + |im z|, poles whose larger
+  // part difference exceeds kConfluentTol times the sum of their parts'
+  // magnitudes fail it by a factor of 2 or more, without its three hypots;
+  // only poles that close (or non-finite ones) take the test itself.
+  const double apart =
+      std::max(std::abs(s2_.real() - s1_.real()),
+               std::abs(s2_.imag() - s1_.imag()));
+  const double parts = std::abs(s1_.real()) + std::abs(s1_.imag()) +
+                       std::abs(s2_.real()) + std::abs(s2_.imag());
+  const bool confluent =
+      !(apart > kConfluentTol * parts) &&
+      std::abs(s2_ - s1_) <=
+          kConfluentTol * (0.5 * (std::abs(s1_) + std::abs(s2_)));
+  if (confluent) {
     form_ = Form::kConfluent;
     s_confluent_ = 0.5 * (s1_ + s2_).real();
   } else if (s1_.imag() != 0.0 && s2_ == std::conj(s1_)) {

@@ -6,19 +6,22 @@
 ///
 /// Design constraints, in order:
 ///   * hot-path cost — counter adds and histogram records go to PER-THREAD
-///     shards (one relaxed atomic RMW on cache-local memory, no locks, no
-///     contention); shards are merged only when a snapshot is taken;
+///     shards that only their owning thread writes (a relaxed atomic load
+///     and store per cell on cache-local memory: no read-modify-write, no
+///     locks, no contention); shards are merged only when a snapshot is
+///     taken, and a histogram record takes one log;
 ///   * zero numerical footprint — recording observes solver behaviour, it
 ///     never participates in it, so instrumented code produces bit-identical
 ///     results with metrics hot or cold (pinned by tests/obs);
 ///   * thread-safety throughout — registration, recording, and snapshotting
 ///     may race freely (TSan-clean); a shard owned by an exiting thread is
-///     retired into the registry so its counts survive the thread.
+///     merged into the registry under its lock, so its counts survive the
+///     thread.
 ///
 /// Gauges are the exception to sharding: a gauge is a *level* (e.g. the
 /// pool's pending-loop depth), not a rate, so it lives as one shared atomic
-/// — gauge updates are per-task, not per-iteration, and contention there is
-/// negligible.
+/// that every thread updates with a read-modify-write — gauge updates are
+/// per-task, not per-iteration, and contention there is negligible.
 ///
 /// Usage from a hot path (the id lookup happens once per call site):
 ///
@@ -132,12 +135,10 @@ class Registry {
 
   /// Merge every live shard plus the retired accumulator.  Consistent
   /// enough for reporting: each individual cell is atomic, the cross-cell
-  /// view is whatever the still-running threads have published.
+  /// view is whatever the still-running threads have published.  A region's
+  /// share is the delta of two snapshots (MetricsSnapshot::delta_since);
+  /// nothing but its owner writes a live shard, so there is no reset.
   MetricsSnapshot snapshot() const;
-
-  /// Zero everything (tests).  Call at quiescence: concurrent recorders
-  /// are not lost, but may straddle the reset.
-  void reset() noexcept;
 
   // Fixed shard capacities; interning beyond them throws (a process has a
   // static set of instrumentation sites, so hitting these means a leak).

@@ -76,7 +76,8 @@ class Tracer {
   };
   std::vector<SpanStats> rollup() const;
 
-  /// {"spans": {name: {count, total_ns, top_level_ns}}, "dropped": n}
+  /// {"spans": {name: {count, total_ns, top_level_ns}}, "dropped": n},
+  /// its spans in name order.
   io::Json rollup_json() const;
 
   /// Full Chrome trace-event document (traceEvents + thread-name

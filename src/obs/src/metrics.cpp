@@ -16,32 +16,53 @@ namespace rlc::obs {
 
 namespace {
 
-void atomic_add_double(std::atomic<double>& a, double v) noexcept {
-  double cur = a.load(std::memory_order_relaxed);
-  while (!a.compare_exchange_weak(cur, cur + v, std::memory_order_relaxed)) {
-  }
-}
-
-void atomic_min_double(std::atomic<double>& a, double v) noexcept {
-  double cur = a.load(std::memory_order_relaxed);
-  while (v < cur &&
-         !a.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-  }
-}
-
-void atomic_max_double(std::atomic<double>& a, double v) noexcept {
-  double cur = a.load(std::memory_order_relaxed);
-  while (v > cur &&
-         !a.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-  }
-}
-
 void atomic_max_int(std::atomic<std::int64_t>& a, std::int64_t v) noexcept {
   std::int64_t cur = a.load(std::memory_order_relaxed);
   while (v > cur &&
          !a.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
   }
 }
+
+// Updates of a cell that one thread writes and others only read: a relaxed
+// load and store, with no read-modify-write.
+template <class T>
+void owner_add(std::atomic<T>& a, T v) noexcept {
+  a.store(a.load(std::memory_order_relaxed) + v, std::memory_order_relaxed);
+}
+
+void owner_min(std::atomic<double>& a, double v) noexcept {
+  if (v < a.load(std::memory_order_relaxed)) {
+    a.store(v, std::memory_order_relaxed);
+  }
+}
+
+void owner_max(std::atomic<double>& a, double v) noexcept {
+  if (v > a.load(std::memory_order_relaxed)) {
+    a.store(v, std::memory_order_relaxed);
+  }
+}
+
+/// A histogram's shape: all record() needs to place a value.
+struct HistogramShape {
+  double lo = 1.0;
+  double hi = 2.0;
+  int bins = 1;
+  int bin_offset = 0;     ///< slice [bin_offset, bin_offset + bins + 2)
+  double log_ratio = 0.0; ///< std::log(hi / lo), taken once
+
+  /// HistogramSnapshot::bin_index(lo, hi, bins, value).
+  std::size_t bin(double value) const {
+    // NaN and everything below lo (including <= 0, where the log scale has
+    // no bin) land in the underflow bin.
+    if (!(value >= lo)) return 0;
+    if (value >= hi) return static_cast<std::size_t>(bins) + 1;
+    const double pos = bins * std::log(value / lo) / log_ratio;
+    auto idx = static_cast<long>(pos);  // pos >= 0 here
+    if (idx < 0) idx = 0;
+    if (idx >= bins) idx = bins - 1;
+    return static_cast<std::size_t>(idx) + 1;
+  }
+};
 
 }  // namespace
 
@@ -63,15 +84,7 @@ std::vector<double> HistogramSnapshot::bin_edges(double lo, double hi,
 
 std::size_t HistogramSnapshot::bin_index(double lo, double hi, int bins,
                                          double value) {
-  // NaN and everything below lo (including <= 0, where the log scale has no
-  // bin) land in the underflow bin.
-  if (!(value >= lo)) return 0;
-  if (value >= hi) return static_cast<std::size_t>(bins) + 1;
-  const double pos = bins * std::log(value / lo) / std::log(hi / lo);
-  auto idx = static_cast<long>(pos);  // pos >= 0 here
-  if (idx < 0) idx = 0;
-  if (idx >= bins) idx = bins - 1;
-  return static_cast<std::size_t>(idx) + 1;
+  return HistogramShape{lo, hi, bins, 0, std::log(hi / lo)}.bin(value);
 }
 
 double HistogramSnapshot::quantile(double q) const {
@@ -226,9 +239,11 @@ std::string MetricsSnapshot::table() const { return Exporter::text(*this); }
 namespace {
 
 /// One thread's slice of every metric.  Counters and histogram cells are
-/// written only by the owning thread (relaxed RMW on uncontended cache
-/// lines) and read by snapshotters, so every field is atomic — that is the
-/// whole synchronization story, no locks on the record path.
+/// written only by the owning thread, with a relaxed load and store (no
+/// read-modify-write, so no lock-prefixed instruction), and read by
+/// snapshotters, so every field is atomic — that is the whole
+/// synchronization story, no locks on the record path.  The registry's
+/// retired accumulator is written only under its lock.
 struct Shard {
   std::array<std::atomic<std::int64_t>, Registry::kMaxCounters> counters{};
   std::array<std::atomic<std::uint64_t>, Registry::kMaxHistogramBins> bins{};
@@ -248,56 +263,28 @@ struct Shard {
     }
   }
 
-  void zero() noexcept {
-    for (auto& c : counters) c.store(0, std::memory_order_relaxed);
-    for (auto& b : bins) b.store(0, std::memory_order_relaxed);
-    for (auto& c : h_count) c.store(0, std::memory_order_relaxed);
-    for (auto& s : h_sum) s.store(0.0, std::memory_order_relaxed);
-    for (auto& m : h_min) {
-      m.store(std::numeric_limits<double>::infinity(),
-              std::memory_order_relaxed);
-    }
-    for (auto& m : h_max) {
-      m.store(-std::numeric_limits<double>::infinity(),
-              std::memory_order_relaxed);
-    }
-  }
-
-  /// Fold `other` into this shard (used to retire exiting threads).
+  /// Fold `other` into this shard (used to retire exiting threads, under
+  /// the registry's lock).
   void absorb(const Shard& other) noexcept {
     for (std::size_t i = 0; i < counters.size(); ++i) {
-      counters[i].fetch_add(other.counters[i].load(std::memory_order_relaxed),
-                            std::memory_order_relaxed);
+      owner_add(counters[i], other.counters[i].load(std::memory_order_relaxed));
     }
     for (std::size_t i = 0; i < bins.size(); ++i) {
-      bins[i].fetch_add(other.bins[i].load(std::memory_order_relaxed),
-                        std::memory_order_relaxed);
+      owner_add(bins[i], other.bins[i].load(std::memory_order_relaxed));
     }
     for (std::size_t i = 0; i < h_count.size(); ++i) {
-      h_count[i].fetch_add(other.h_count[i].load(std::memory_order_relaxed),
-                           std::memory_order_relaxed);
-      atomic_add_double(h_sum[i],
-                        other.h_sum[i].load(std::memory_order_relaxed));
-      atomic_min_double(h_min[i],
-                        other.h_min[i].load(std::memory_order_relaxed));
-      atomic_max_double(h_max[i],
-                        other.h_max[i].load(std::memory_order_relaxed));
+      owner_add(h_count[i], other.h_count[i].load(std::memory_order_relaxed));
+      owner_add(h_sum[i], other.h_sum[i].load(std::memory_order_relaxed));
+      owner_min(h_min[i], other.h_min[i].load(std::memory_order_relaxed));
+      owner_max(h_max[i], other.h_max[i].load(std::memory_order_relaxed));
     }
   }
-};
-
-/// A histogram's shape: all record() needs to place a value.
-struct HistogramShape {
-  double lo = 1.0;
-  double hi = 2.0;
-  int bins = 1;
-  int bin_offset = 0;  ///< slice [bin_offset, bin_offset + bins + 2)
 };
 
 }  // namespace
 
 struct Registry::Impl {
-  mutable std::mutex mu;  // registration, shard list, snapshot/reset
+  mutable std::mutex mu;  // registration, shard list, retirement, snapshot
   std::vector<std::string> counter_names;
   std::vector<std::string> gauge_names;
   std::vector<std::string> hist_names;
@@ -454,8 +441,8 @@ int Registry::histogram(const std::string& name, double lo, double hi,
   }
   const int id = static_cast<int>(impl_->hist_names.size());
   impl_->hist_names.push_back(name);
-  impl_->hist_shapes[static_cast<std::size_t>(id)] = {lo, hi, bins,
-                                                       impl_->bins_used};
+  impl_->hist_shapes[static_cast<std::size_t>(id)] = {
+      lo, hi, bins, impl_->bins_used, std::log(hi / lo)};
   impl_->bins_used += bins + 2;
   impl_->hist_published.store(id + 1, std::memory_order_release);
   return id;
@@ -463,8 +450,9 @@ int Registry::histogram(const std::string& name, double lo, double hi,
 
 void Registry::add(int counter_id, std::int64_t delta) noexcept {
   if (counter_id < 0 || counter_id >= kMaxCounters) return;
-  impl_->local_shard().counters[static_cast<std::size_t>(counter_id)]
-      .fetch_add(delta, std::memory_order_relaxed);
+  owner_add(
+      impl_->local_shard().counters[static_cast<std::size_t>(counter_id)],
+      delta);
 }
 
 void Registry::gauge_add(int gauge_id, std::int64_t delta) noexcept {
@@ -487,15 +475,14 @@ void Registry::record(int histogram_id, double value) noexcept {
   const auto h = static_cast<std::size_t>(histogram_id);
   const HistogramShape& shape = impl_->hist_shapes[h];
   Shard& s = impl_->local_shard();
-  const std::size_t b =
-      HistogramSnapshot::bin_index(shape.lo, shape.hi, shape.bins, value);
-  s.bins[static_cast<std::size_t>(shape.bin_offset) + b].fetch_add(
-      1, std::memory_order_relaxed);
-  s.h_count[h].fetch_add(1, std::memory_order_relaxed);
+  owner_add(s.bins[static_cast<std::size_t>(shape.bin_offset) +
+                   shape.bin(value)],
+            std::uint64_t{1});
+  owner_add(s.h_count[h], std::uint64_t{1});
   if (std::isfinite(value)) {
-    atomic_add_double(s.h_sum[h], value);
-    atomic_min_double(s.h_min[h], value);
-    atomic_max_double(s.h_max[h], value);
+    owner_add(s.h_sum[h], value);
+    owner_min(s.h_min[h], value);
+    owner_max(s.h_max[h], value);
   }
 }
 
@@ -549,13 +536,6 @@ MetricsSnapshot Registry::snapshot() const {
     out.histograms.push_back(std::move(h));
   }
   return out;
-}
-
-void Registry::reset() noexcept {
-  std::lock_guard<std::mutex> lk(impl_->mu);
-  impl_->retired.zero();
-  for (Shard* s : impl_->live) s->zero();
-  for (auto& g : impl_->gauges) g.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace rlc::obs

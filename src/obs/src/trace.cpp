@@ -215,8 +215,14 @@ std::vector<Tracer::SpanStats> Tracer::rollup() const {
 }
 
 io::Json Tracer::rollup_json() const {
+  // Members in name order: a by-time order would move with the timings.
+  std::vector<SpanStats> by_name = rollup();
+  std::sort(by_name.begin(), by_name.end(),
+            [](const SpanStats& a, const SpanStats& b) {
+              return a.name < b.name;
+            });
   io::Json spans;
-  for (const SpanStats& st : rollup()) {
+  for (const SpanStats& st : by_name) {
     io::Json s;
     s.set("count", static_cast<long long>(st.count));
     s.set("total_ns", static_cast<long long>(st.total_ns));

@@ -6,11 +6,13 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <random>
 #include <string>
 #include <vector>
 
 #include "rlc/core/technology.hpp"
+#include "rlc/math/constants.hpp"
 #include "rlc/math/newton.hpp"
 #include "rlc/obs/metrics.hpp"
 #include "support/two_pole_reference.hpp"
@@ -243,15 +245,44 @@ TEST(DelayBracket, BisectionMatchesTheForwardWalkBitwise) {
   EXPECT_GT(near_critical, 0);
 }
 
+/// The sweep of the start tests: check(sys, b1, zeta, f) on the extremes,
+/// then on seeded random (b1, zeta, f) draws over the same ranges, 100,000
+/// systems in all.
+template <class Check>
+void sweep_start_cases(Check&& check) {
+  int cases = 0;
+  const auto run = [&](double b1, double zeta, double f) {
+    const double sb2 = b1 / (2.0 * zeta);
+    check(TwoPole(PadeCoeffs{b1, sb2 * sb2}), b1, zeta, f);
+    ++cases;
+  };
+  const std::vector<double> zetas = extreme_zetas();
+  for (const double b1 : extreme_b1s()) {
+    for (const double zeta : zetas) {
+      for (const double f : kExtremeFs) run(b1, zeta, f);
+    }
+  }
+  std::mt19937_64 rng(2024);
+  std::uniform_real_distribution<double> u(0.0, 1.0);
+  while (cases < 100000) {
+    const double b1 = std::pow(10.0, -15.0 + 9.0 * u(rng));
+    // Half log-uniform over 1e-4..1e4, half within 1e-16..1e-1 of 1.
+    const double zeta =
+        u(rng) < 0.5 ? std::pow(10.0, -4.0 + 8.0 * u(rng))
+                     : 1.0 + (u(rng) < 0.5 ? -1.0 : 1.0) *
+                                 std::pow(10.0, -16.0 + 15.0 * u(rng));
+    const double f = u(rng) < 0.9 ? u(rng) : std::pow(10.0, -12.0 * u(rng));
+    if (!(f > 0.0 && f < 1.0)) continue;
+    run(b1, zeta, f);
+  }
+}
+
 TEST(DelayBracket, EstimateStartedSearchMatchesTheBisectionBitwise) {
   // The search from the closed-form estimate must return the bracket, and
   // so the tau, of the reference that bisects the whole index range with
-  // the complex-form step response: on the extremes, then on seeded random
-  // (b1, zeta, f) draws over the same ranges.
+  // the complex-form step response.
   int cases = 0, mismatches = 0, confluent = 0, underdamped = 0;
-  const auto check = [&](double b1, double zeta, double f) {
-    const double sb2 = b1 / (2.0 * zeta);
-    const TwoPole sys(PadeCoeffs{b1, sb2 * sb2});
+  sweep_start_cases([&](const TwoPole& sys, double b1, double zeta, double f) {
     if (uses_confluent_series(sys)) ++confluent;
     if (sys.damped_frequency() > 0.0) ++underdamped;
     DelayOptions opts;
@@ -267,33 +298,64 @@ TEST(DelayBracket, EstimateStartedSearchMatchesTheBisectionBitwise) {
                     << want.newton_iterations << ", converged "
                     << got.converged << " vs " << want.converged;
     }
-  };
-  const std::vector<double> zetas = extreme_zetas();
-  for (const double b1 : extreme_b1s()) {
-    for (const double zeta : zetas) {
-      for (const double f : kExtremeFs) check(b1, zeta, f);
-    }
-  }
-  std::mt19937_64 rng(2024);
-  std::uniform_real_distribution<double> u(0.0, 1.0);
-  while (cases < 100000) {
-    const double b1 = std::pow(10.0, -15.0 + 9.0 * u(rng));
-    // Half log-uniform over 1e-4..1e4, half within 1e-16..1e-1 of 1.
-    const double zeta =
-        u(rng) < 0.5 ? std::pow(10.0, -4.0 + 8.0 * u(rng))
-                     : 1.0 + (u(rng) < 0.5 ? -1.0 : 1.0) *
-                                 std::pow(10.0, -16.0 + 15.0 * u(rng));
-    const double f = u(rng) < 0.9 ? u(rng) : std::pow(10.0, -12.0 * u(rng));
-    if (!(f > 0.0 && f < 1.0)) continue;
-    check(b1, zeta, f);
-  }
+  });
   EXPECT_EQ(mismatches, 0) << "of " << cases << " cases";
   EXPECT_GT(confluent, 0);
   EXPECT_GT(underdamped, cases / 4);
 }
 
+TEST(DelayBracket, NearStartedSearchMatchesTheEstimateBitwise) {
+  // The bracket is the unique first grid crossing below the first peak, so
+  // a search started at any near_tau must return the estimate-started
+  // solve's tau bits, iterations and convergence: from close and far
+  // multiples of the true tau, from a start past the peak (clamped to its
+  // index), and from the values that keep the estimate (zero, negative,
+  // NaN, +-inf).
+  const double kInf = std::numeric_limits<double>::infinity();
+  const double kFactors[] = {1.0,  1.0 + 1e-6, 1.0 - 1e-6, 1.0 + 1e-2,
+                             1.0 - 1e-2, 0.5, 1.5, 10.0, 11.0, 1e6, 1e-6};
+  int cases = 0, starts = 0, mismatches = 0, past_peak = 0, below = 0,
+      above = 0;
+  sweep_start_cases([&](const TwoPole& sys, double b1, double zeta, double f) {
+    DelayOptions opts;
+    opts.f = f;
+    const DelayResult want = threshold_delay(sys, opts);
+    ++cases;
+    std::vector<double> near = {0.0, -want.tau, -1.0, std::nan(""), kInf,
+                                -kInf};
+    for (const double m : kFactors) near.push_back(m * want.tau);
+    const double wd = sys.damped_frequency();
+    if (wd > 0.0) {
+      near.push_back(1.5 * rlc::math::kPi / wd);
+      ++past_peak;
+    }
+    for (const double start : near) {
+      const DelayResult got = threshold_delay(sys, opts, start);
+      ++starts;
+      if (start > 0.0 && start < want.tau) ++below;
+      if (start > want.tau && std::isfinite(start)) ++above;
+      if (same_result(got, want)) continue;
+      if (++mismatches <= 5) {
+        ADD_FAILURE() << "b1 " << b1 << " zeta " << zeta << " f " << f
+                      << " near_tau " << start << ": tau " << got.tau
+                      << " vs " << want.tau << ", iterations "
+                      << got.newton_iterations << " vs "
+                      << want.newton_iterations << ", converged "
+                      << got.converged << " vs " << want.converged;
+      }
+    }
+  });
+  EXPECT_EQ(mismatches, 0) << "of " << starts << " starts";
+  EXPECT_EQ(cases, 100000);
+  // Starts on both sides of the crossing and past the peak were taken.
+  EXPECT_GT(past_peak, cases / 4);
+  EXPECT_GT(below, cases);
+  EXPECT_GT(above, cases);
+}
+
 /// delay.step_evals added by one threshold_delay call.
-std::int64_t step_evals_of(const TwoPole& sys, const DelayOptions& opts) {
+std::int64_t step_evals_of(const TwoPole& sys, const DelayOptions& opts,
+                           double near_tau = 0.0) {
   auto& reg = rlc::obs::Registry::global();
   const auto count = [&reg] {
     for (const auto& [name, value] : reg.snapshot().counters) {
@@ -302,7 +364,7 @@ std::int64_t step_evals_of(const TwoPole& sys, const DelayOptions& opts) {
     return std::int64_t{0};
   };
   const std::int64_t before = count();
-  EXPECT_TRUE(threshold_delay(sys, opts).converged);
+  EXPECT_TRUE(threshold_delay(sys, opts, near_tau).converged);
   return count() - before;
 }
 
@@ -312,7 +374,9 @@ TEST(DelayBracket, StepEvaluationsPerSolveArePinned) {
   // steps if the estimate's grid index misses the crossing (the
   // underdamped case here), then the polish: the midpoint and one t per
   // further Newton iteration, whose v' comes with that t's v (4
-  // iterations each here).  The bisection reference evaluates v at the top
+  // iterations each here).  A search started at the crossing itself skips
+  // the estimate and finds the bracket at once: the two bracket ends, then
+  // the same polish.  The bisection reference evaluates v at the top
   // of its range and at each of its 8-14 steps, then v at both bracket
   // ends, and v and v' separately in the polish; the walk evaluates v once
   // per grid step up to the crossing.
@@ -320,18 +384,22 @@ TEST(DelayBracket, StepEvaluationsPerSolveArePinned) {
     const char* name;
     PadeCoeffs pc;
     std::int64_t evals;
+    std::int64_t near_evals;  ///< started at the solved tau
   };
   const double b1 = 2e-10;
   const Case cases[] = {
-      {"overdamped", PadeCoeffs{b1, 0.1 * b1 * b1 / 4.0}, 7},
-      {"underdamped", PadeCoeffs{b1, b1 * b1}, 11},
-      {"confluent", PadeCoeffs{b1, b1 * b1 / 4.0}, 7},
+      {"overdamped", PadeCoeffs{b1, 0.1 * b1 * b1 / 4.0}, 7, 6},
+      {"underdamped", PadeCoeffs{b1, b1 * b1}, 11, 6},
+      {"confluent", PadeCoeffs{b1, b1 * b1 / 4.0}, 7, 6},
   };
   for (const Case& c : cases) {
     const TwoPole sys(c.pc);
     ASSERT_EQ(uses_confluent_series(sys), std::string(c.name) == "confluent");
     DelayOptions opts;
     EXPECT_EQ(step_evals_of(sys, opts), c.evals) << c.name;
+    EXPECT_EQ(step_evals_of(sys, opts, threshold_delay(sys, opts).tau),
+              c.near_evals)
+        << c.name;
     long bisection = 0;
     (void)reference_threshold_delay(sys, opts, &bisection);
     EXPECT_LT(c.evals, bisection) << c.name;

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <limits>
 #include <random>
+#include <vector>
 
 #include "rlc/math/constants.hpp"
 #include "support/two_pole_reference.hpp"
@@ -235,6 +236,58 @@ TEST(TwoPole, StepPointReplaysTheComplexFormBitwise) {
   EXPECT_GT(real, 50);
   EXPECT_GT(conjugate, 50);
   EXPECT_GT(confluent, 50);
+}
+
+TEST(TwoPole, ConfluentDecisionMatchesTheHypotTest) {
+  // TwoPole decides the confluent branch from the poles' parts and takes
+  // the hypot test |s2 - s1| <= 1e-7 (|s1| + |s2|) / 2 only near its
+  // tolerance; the decision must be the hypot test's on real and conjugate
+  // pole pairs at relative separations 1e-9..1e-5, log-spaced and packed
+  // around 1e-7, at several pole magnitudes.
+  int cases = 0, mismatches = 0, near_tolerance = 0;
+  int confluent[2] = {0, 0}, distinct[2] = {0, 0};  // [real, conjugate]
+  std::vector<double> seps;
+  for (int j = 0; j <= 4000; ++j) seps.push_back(std::pow(10.0, -9.0 + j / 1000.0));
+  for (int j = -2000; j <= 2000; ++j) seps.push_back(1e-7 * (1.0 + j * 5e-4));
+  for (const double a : {3.7e6, 1e9, 2.9e11, 1e13}) {
+    for (const double sep : seps) {
+      for (const bool conjugate : {false, true}) {
+        // b2 s^2 + b1 s + 1 = b2 (s - s1)(s - s2), poles sep a apart around
+        // -a: b2 = 1 / (s1 s2), b1 = -(s1 + s2) b2.
+        double b1, b2;
+        if (conjugate) {
+          b2 = 1.0 / (a * a * (1.0 + 0.25 * sep * sep));
+          b1 = 2.0 * a * b2;
+        } else {
+          b2 = 1.0 / (a * (1.0 - 0.5 * sep) * a * (1.0 + 0.5 * sep));
+          b1 = 2.0 * a * b2;
+        }
+        const TwoPole sys(PadeCoeffs{b1, b2});
+        const bool want = uses_confluent_series(sys);
+        const double rel = std::abs(sys.s2() - sys.s1()) /
+                           (0.5 * (std::abs(sys.s1()) + std::abs(sys.s2())));
+        if (rel > 0.25e-7 && rel < 4e-7) ++near_tolerance;
+        const int kind = sys.s1().imag() != 0.0 ? 1 : 0;
+        ++(want ? confluent : distinct)[kind];
+        ++cases;
+        if (sys.confluent() == want) continue;
+        if (++mismatches <= 5) {
+          ADD_FAILURE() << "a " << a << " sep " << sep << " conjugate "
+                        << conjugate << ": relative separation " << rel
+                        << ", confluent " << sys.confluent() << " vs "
+                        << want;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0) << "of " << cases << " cases";
+  // Both pole kinds fell on both sides of the tolerance, many of them close
+  // to it, where only the hypot test decides.
+  EXPECT_GT(confluent[0], 100);
+  EXPECT_GT(confluent[1], 100);
+  EXPECT_GT(distinct[0], 100);
+  EXPECT_GT(distinct[1], 100);
+  EXPECT_GT(near_tolerance, 10000);
 }
 
 }  // namespace

@@ -364,6 +364,82 @@ TEST(MetricsRegistry, ConcurrentRecordingLosesNothing) {
             gauge_value(before, "t.metrics.conc.gauge"));
 }
 
+/// Owner-written shards: four recorders add and record with plain loads and
+/// stores on their own shards while a fifth thread snapshots, and one
+/// recorder exits mid-run, so its shard is merged into the registry while
+/// the others still record.  Every count, bin, sum and extreme must come
+/// out exact (the samples are integers, so any summation order is exact),
+/// and TSan must see no race.
+TEST(MetricsRegistry, OwnerWrittenShardsStayExactAcrossSnapshotsAndExits) {
+  Registry& reg = Registry::global();
+  const int c = reg.counter("t.metrics.owner.counter");
+  constexpr double kLo = 1.0, kHi = 4096.0;
+  constexpr int kBins = 12;
+  const int h = reg.histogram("t.metrics.owner.hist", kLo, kHi, kBins);
+  const MetricsSnapshot before = reg.snapshot();
+
+  constexpr int kRecorders = 4;
+  constexpr int kIters = 20000;
+  // Recorder t's i-th sample: integers 1..5000, over and past the bins.
+  const auto sample = [](int t, int i) {
+    return static_cast<double>(1 + (t * 7919 + i * 31) % 5000);
+  };
+  std::atomic<bool> exited{false};
+  std::atomic<bool> stop{false};
+  std::thread snapshotter([&] {
+    while (!stop.load(std::memory_order_relaxed)) (void)reg.snapshot();
+  });
+  std::vector<std::thread> recorders;
+  const auto record_range = [&](int t, int from, int to) {
+    for (int i = from; i < to; ++i) {
+      reg.add(c, t + 1);
+      reg.record(h, sample(t, i));
+    }
+  };
+  // Recorder 0 records a quarter of its samples and exits; the others
+  // record half of theirs, wait for its shard to be merged, then the rest.
+  recorders.emplace_back([&] { record_range(0, 0, kIters / 4); });
+  for (int t = 1; t < kRecorders; ++t) {
+    recorders.emplace_back([&, t] {
+      record_range(t, 0, kIters / 2);
+      while (!exited.load(std::memory_order_acquire)) std::this_thread::yield();
+      record_range(t, kIters / 2, kIters);
+    });
+  }
+  recorders[0].join();
+  exited.store(true, std::memory_order_release);
+  for (int t = 1; t < kRecorders; ++t) recorders[t].join();
+  stop.store(true, std::memory_order_relaxed);
+  snapshotter.join();
+
+  std::vector<double> samples;
+  std::int64_t adds = 0;
+  for (int t = 0; t < kRecorders; ++t) {
+    const int n = t == 0 ? kIters / 4 : kIters;
+    for (int i = 0; i < n; ++i) samples.push_back(sample(t, i));
+    adds += std::int64_t{t + 1} * n;
+  }
+  HistogramSnapshot want = make_hist(samples, kLo, kHi, kBins);
+  want.name = "t.metrics.owner.hist";
+  if (const HistogramSnapshot* old = find_hist(before, want.name)) {
+    HistogramSnapshot merged = *old;
+    want = merged.merge(want);
+  }
+  const MetricsSnapshot after = reg.snapshot();
+  EXPECT_EQ(counter_value(after, "t.metrics.owner.counter"),
+            counter_value(before, "t.metrics.owner.counter") + adds);
+  const HistogramSnapshot* got = find_hist(after, want.name);
+  ASSERT_NE(got, nullptr);
+  EXPECT_EQ(got->bins, want.bins);
+  EXPECT_EQ(got->count, want.count);
+  EXPECT_EQ(got->sum, want.sum);
+  EXPECT_EQ(got->min, want.min);
+  EXPECT_EQ(got->max, want.max);
+  EXPECT_EQ(want.min, 1.0);
+  EXPECT_EQ(want.max, 5000.0);
+  EXPECT_GT(want.bins.back(), 0u);  // some samples overflow the last bin
+}
+
 /// Histograms registered while other threads record into the ones already
 /// registered: record() reads a histogram's shape without the registry lock,
 /// so publication must order the shape before the id (TSan checks that).

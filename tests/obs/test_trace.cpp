@@ -8,6 +8,7 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -139,6 +140,38 @@ TEST(Trace, ChromeTraceExportRoundTripsThroughJsonReader) {
   const rlc::io::JsonValue* other = doc.find("otherData");
   ASSERT_NE(other, nullptr);
   EXPECT_EQ(other->int_or("dropped_spans", -1), 0);
+}
+
+TEST(Trace, RollupDumpListsSpansInNameOrderWhateverTheirTotals) {
+  TracerQuiesce q;
+  // Capture two spans, `longer` spinning 100 times as long as the other,
+  // until the by-time rollup puts `longer` first (a preempted short span
+  // could outlast it once); return the dump's bytes.
+  const auto dump_with_first = [](const char* longer) {
+    for (int attempt = 0; attempt < 20; ++attempt) {
+      Tracer::global().clear();
+      Tracer::global().enable();
+      for (const char* name : {"t_trace_order_b", "t_trace_order_a"}) {
+        SpanGuard s(name);
+        spin_ns(std::string_view(name) == longer ? 2'000'000 : 20'000);
+      }
+      Tracer::global().disable();
+      if (Tracer::global().rollup().front().name == longer) {
+        return Tracer::global().rollup_json().str();
+      }
+    }
+    ADD_FAILURE() << longer << " never took the longest total";
+    return std::string();
+  };
+  const std::string b_first = dump_with_first("t_trace_order_b");
+  const std::string a_first = dump_with_first("t_trace_order_a");
+  for (const std::string& dump : {b_first, a_first}) {
+    const auto a = dump.find("\"t_trace_order_a\"");
+    const auto b = dump.find("\"t_trace_order_b\"");
+    ASSERT_NE(a, std::string::npos) << dump;
+    ASSERT_NE(b, std::string::npos) << dump;
+    EXPECT_LT(a, b) << dump;
+  }
 }
 
 TEST(Trace, ClearDropsSpansButKeepsCapturing) {
