@@ -21,8 +21,17 @@ its own burst of more than max_batch requests with per-client ids.  Every
 client must get exactly its own responses, in its own request order — the
 event loop must not mix frames across connections or starve a client.
 
+Phase 3 (transcript): tests/svc/requests.ndjson over one connection, then a
+half-close, to a second server with two shards of two threads (a ping
+reports 4, as in the transcript) at the same --max-batch.  Every response
+whose request is not a metrics, stats or trace op must equal the same line
+of bench/serve_transcript.json after serve_diff.normalize, so the socket
+front end answers byte for byte as the stdin one does.  As in
+serve_diff.py, the simd level of --serve-bench (the BENCH_serve.json of
+`rlc_serve --bench` on the same build) must equal the transcript's.
+
 Usage: serve_socket_smoke.py [--server PATH] [--requests N] [--max-batch M]
-                             [--clients C] [--shards S]
+                             [--clients C] [--shards S] [--serve-bench F]
 Exit codes: 0 all responses received and well-formed, 1 failure.
 """
 
@@ -37,6 +46,15 @@ import subprocess
 import sys
 import tempfile
 import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+import serve_diff  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+REQUESTS = ROOT / "tests/svc/requests.ndjson"
+TRANSCRIPT = ROOT / "bench/serve_transcript.json"
+ADMIN_OPS = ("metrics", "stats", "trace")
 
 
 def wait_for_socket(path: str, proc: subprocess.Popen, timeout: float) -> None:
@@ -122,6 +140,57 @@ def run_power_query(sock_path: str, timeout: float) -> str | None:
     return None
 
 
+def start_server(server: str, sock_path: str, max_batch: int, shards: int,
+                 extra: list[str], timeout: float) -> subprocess.Popen:
+    proc = subprocess.Popen(
+        [server, "--socket", sock_path, "--max-batch", str(max_batch),
+         "--shards", str(shards), *extra],
+        stdout=subprocess.DEVNULL,
+    )
+    try:
+        wait_for_socket(sock_path, proc, timeout)
+    except RuntimeError:
+        proc.terminate()
+        proc.wait(timeout=10)
+        raise
+    return proc
+
+
+def run_transcript(server: str, max_batch: int, serve_bench: str,
+                   timeout: float) -> str | None:
+    """The canned requests over one half-closed connection to a server with
+    two shards of two threads, held to the committed transcript.  Returns
+    None on success, an error description otherwise."""
+    base = json.loads(TRANSCRIPT.read_text())
+    simd = json.loads(Path(serve_bench).read_text())["simd"]
+    if base["simd"] != simd:
+        return (f"simd level {simd} (baseline {base['simd']}): answers are "
+                f"not comparable")
+    requests = REQUESTS.read_text().splitlines()
+    sock_path = os.path.join(tempfile.mkdtemp(prefix="rlc_serve_"), "sock")
+    proc = start_server(server, sock_path, max_batch, 2, ["--threads", "2"],
+                        timeout)
+    try:
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as conn:
+            conn.connect(sock_path)
+            conn.sendall(("\n".join(requests) + "\n").encode("utf-8"))
+            conn.shutdown(socket.SHUT_WR)
+            responses = recv_lines(conn, len(requests), timeout)
+    finally:
+        proc.terminate()
+        proc.wait(timeout=10)
+    if len(responses) != len(requests):
+        return f"sent {len(requests)} requests, got {len(responses)} responses"
+    failures = []
+    for i, (req, line) in enumerate(zip(requests, responses)):
+        if json.loads(req)["op"] in ADMIN_OPS:
+            continue
+        if serve_diff.normalize(line) != base["lines"][i]:
+            failures.append(f"line {i + 1}:\n  baseline {base['lines'][i]}"
+                            f"\n  socket   {serve_diff.normalize(line)}")
+    return "\n".join(failures) if failures else None
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--server", default="./build/bench/rlc_serve")
@@ -130,17 +199,13 @@ def main() -> int:
     ap.add_argument("--clients", type=int, default=8)
     ap.add_argument("--shards", type=int, default=2)
     ap.add_argument("--timeout", type=float, default=30.0)
+    ap.add_argument("--serve-bench", default="artifacts/BENCH_serve.json")
     args = ap.parse_args()
 
     sock_path = os.path.join(tempfile.mkdtemp(prefix="rlc_serve_"), "sock")
-    proc = subprocess.Popen(
-        [args.server, "--socket", sock_path, "--max-batch",
-         str(args.max_batch), "--shards", str(args.shards)],
-        stdout=subprocess.DEVNULL,
-    )
+    proc = start_server(args.server, sock_path, args.max_batch, args.shards,
+                        [], args.timeout)
     try:
-        wait_for_socket(sock_path, proc, args.timeout)
-
         # Phase 1: single-client burst framing (ping answers immediately, so
         # this exercises framing, not the optimizer).
         error = run_burst(sock_path, args.requests, 0, args.timeout)
@@ -172,17 +237,25 @@ def main() -> int:
             for f in failures:
                 print(f"FAIL (concurrent): {f}", file=sys.stderr)
             return 1
-
-        print(
-            f"OK: burst of {args.requests} over max_batch={args.max_batch}, "
-            f"a power-objective round-trip, then {args.clients} concurrent "
-            f"clients x {args.requests} requests ({args.shards} shards), "
-            f"one ordered response each"
-        )
-        return 0
     finally:
         proc.terminate()
         proc.wait(timeout=10)
+
+    # Phase 3: the canned requests, held to the stdin front end's transcript.
+    error = run_transcript(args.server, args.max_batch, args.serve_bench,
+                           args.timeout)
+    if error is not None:
+        print(f"FAIL (transcript): {error}", file=sys.stderr)
+        return 1
+
+    print(
+        f"OK: burst of {args.requests} over max_batch={args.max_batch}, "
+        f"a power-objective round-trip, then {args.clients} concurrent "
+        f"clients x {args.requests} requests ({args.shards} shards), "
+        f"one ordered response each; the canned requests over 2 shards "
+        f"match {TRANSCRIPT.name}"
+    )
+    return 0
 
 
 if __name__ == "__main__":

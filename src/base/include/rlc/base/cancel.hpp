@@ -154,4 +154,26 @@ void checkpoint();
 /// Non-throwing probe, for code that prefers to drain gracefully.
 bool stop_requested();
 
+/// The one exception boundary (DESIGN.md "Errors"): run `body`, which
+/// returns a StatusOr<T> (or a T), and turn whatever escapes it into a
+/// typed Status — CancelledError into cancelled / deadline_exceeded,
+/// std::invalid_argument and std::domain_error into invalid_argument, any
+/// other std::exception into internal with its what() — so no exception
+/// crosses a function that returns StatusOr.  A Status the body returns
+/// passes through unchanged.
+template <typename T, typename Body>
+StatusOr<T> at_boundary(Body&& body) {
+  try {
+    return body();
+  } catch (const CancelledError& e) {
+    return e.to_status();
+  } catch (const std::invalid_argument& e) {
+    return Status::invalid_argument(e.what());
+  } catch (const std::domain_error& e) {
+    return Status::invalid_argument(e.what());
+  } catch (const std::exception& e) {
+    return Status::internal(e.what());
+  }
+}
+
 }  // namespace rlc

@@ -10,11 +10,11 @@
 
 #include <cstdio>
 
+#include "rlc/base/cancel.hpp"
 #include "rlc/core/exact_delay.hpp"
 #include "rlc/math/brent.hpp"
 #include "rlc/obs/trace.hpp"
 #include "rlc/tline/coupled_line.hpp"
-#include "status_boundary.hpp"
 
 namespace rlc::core {
 
@@ -424,7 +424,7 @@ rlc::StatusOr<OptimizeResponse> solve_power(const Technology& tech,
 rlc::StatusOr<OptimizeResponse> optimize(const Technology& tech,
                                          const OptimizeRequest& req) {
   if (rlc::Status st = validate_optimize_request(req); !st.is_ok()) return st;
-  return internal::at_boundary<OptimizeResponse>(
+  return rlc::at_boundary<OptimizeResponse>(
       [&]() -> rlc::StatusOr<OptimizeResponse> {
         return req.objective == Objective::kPower ? solve_power(tech, req)
                                                   : solve_delay(tech, req);
@@ -436,7 +436,7 @@ rlc::StatusOr<std::vector<ParetoPoint>> pareto_front(const Technology& tech,
                                                      exec::ThreadPool* pool) {
   if (rlc::Status st = validate_optimize_request(req); !st.is_ok()) return st;
   using Out = std::vector<ParetoPoint>;
-  return internal::at_boundary<Out>([&]() -> rlc::StatusOr<Out> {
+  return rlc::at_boundary<Out>([&]() -> rlc::StatusOr<Out> {
     RLC_TRACE_SPAN("pareto_front");
     const PowerModel model = PowerModel::from_technology(tech, req.power);
     const tline::LineParams line = tech.line(req.l);

@@ -16,17 +16,16 @@
 /// across router instances, processes, and runs — pinned by
 /// tests/svc/test_router.cpp.
 ///
-/// submit_batch partitions a batch by shard and runs the per-shard
-/// sub-batches concurrently (each on its own shard's pool), returning
-/// results in input order with the same bit-identical-to-serial guarantee
-/// Session::submit_batch gives.
+/// The router only places: it owns the shards and says which one a query
+/// belongs to.  Answering is the shard Session's job — the event-loop
+/// server queues each query on its shard's dispatcher, which runs it
+/// through that Session like any other block (server.hpp).
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <vector>
 
-#include "rlc/base/status.hpp"
 #include "rlc/svc/query.hpp"
 #include "rlc/svc/session.hpp"
 
@@ -61,18 +60,9 @@ class ShardRouter {
   /// (key_hash, shards) alone; exposed for the routing-stability tests.
   static std::size_t placement(std::uint64_t key_hash, std::size_t shards);
 
+  /// Shard i's Session; a query is answered on shard(shard_of(q)).
   Session& shard(std::size_t i) { return *sessions_[i]; }
   const Session& shard(std::size_t i) const { return *sessions_[i]; }
-
-  /// Answer one query on its home shard, on the calling thread.
-  rlc::StatusOr<QueryResult> submit(const QueryRequest& req);
-
-  /// Answer a batch: partition by home shard, run every non-empty shard's
-  /// sub-batch concurrently, reassemble in input order.  Bit-identical to
-  /// routing each request through submit() serially, for any shard count
-  /// and any per-shard thread count.
-  std::vector<rlc::StatusOr<QueryResult>> submit_batch(
-      const std::vector<QueryRequest>& reqs);
 
  private:
   std::vector<std::unique_ptr<Session>> sessions_;

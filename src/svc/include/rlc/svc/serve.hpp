@@ -2,8 +2,10 @@
 
 /// \file serve.hpp
 /// Transport-agnostic NDJSON request framing over a Session.  bench/
-/// rlc_serve plugs this into stdin/stdout or a Unix socket; tests drive it
-/// directly with strings.
+/// rlc_serve plugs this into stdin/stdout; tests drive it directly with
+/// strings.  A block of lines runs through the same block executor as a
+/// socket shard's take (server.hpp), so a line takes one path to its
+/// Session from either front end.
 ///
 /// Wire format (one JSON object per line, one response line per request
 /// line, always in input order):
@@ -52,8 +54,8 @@ class Server {
   /// A block of lines -> responses in input order, each line run at its
   /// place: a run of consecutive "query" lines is answered through ONE
   /// submit_batch (sharded over the session pool, at most max_batch per
-  /// call), and any other op runs between the queries before it and those
-  /// after it.
+  /// call), and any other op runs on its own between the queries before it
+  /// and those after it.
   std::vector<std::string> handle_lines(const std::vector<std::string>& lines);
 
   Session& session() { return session_; }

@@ -3,19 +3,22 @@
 /// \file server.hpp
 /// EventLoopServer — the async multi-client serving front end of the query
 /// service: a single-threaded epoll event loop (nonblocking accept / read /
-/// write, per-connection NDJSON framing buffers) in front of a ShardRouter
-/// whose per-shard dispatcher threads execute queries on the shards' warm
-/// pools.
+/// write, per-connection NDJSON framing buffers) in front of the shards of
+/// a ShardRouter, each answered by its own dispatcher thread on the shard's
+/// warm pool.
 ///
 /// Concurrency model:
 ///   * the LOOP THREAD owns every connection: framing, response ordering,
 ///     write buffering, backpressure.  It never solves anything — cheap ops
-///     (ping, malformed lines) are answered inline, queries and scenarios
-///     are handed to a shard;
-///   * one DISPATCHER THREAD per shard drains that shard's task queue in
-///     batches of up to max_batch and runs them as one Session::submit_batch
-///     on the shard's own ThreadPool (so a burst from one client still
-///     parallelizes, and distinct keys fan out across shards);
+///     (ping, malformed lines, admin ops) are answered inline; a query is
+///     queued on the shard ShardRouter::shard_of places it on, a scenario
+///     on the next shard in turn;
+///   * one DISPATCHER THREAD per shard takes up to max_batch tasks from
+///     that shard's queue at once and runs the take through the same block
+///     executor as a stdin block (serve.hpp), in input order: consecutive
+///     queries as one Session::submit_batch on the shard's own ThreadPool
+///     (so a burst from one client still parallelizes, and distinct keys
+///     fan out across shards), anything else on its own;
 ///   * completions travel back over a mutex-guarded queue + eventfd wakeup;
 ///     the loop thread re-sequences them per connection, so every client
 ///     sees its responses in ITS request order no matter which shard or
@@ -54,7 +57,7 @@ struct ServerOptions {
   std::size_t threads_per_shard = 0;
   /// Result-cache capacity per shard in entries; 0 disables caching.
   std::size_t cache_capacity = 4096;
-  /// Max requests one shard dispatch executes as one submit_batch.
+  /// Max tasks a shard's dispatcher takes from its queue at once.
   int max_batch = 64;
   /// listen(2) backlog (the old transport hardcoded 8, which drops
   /// connection bursts on the floor).

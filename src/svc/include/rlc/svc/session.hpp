@@ -17,13 +17,16 @@
 ///     the process-wide rlc::obs registry.
 ///
 /// Error contract (DESIGN.md "Errors"): every submit returns
-/// StatusOr<QueryResult>; no exception crosses this boundary.  Deadlines
-/// and cancellation are honored cooperatively: each request-task installs
-/// an ExecScope on its worker thread, and the Newton/Brent/Talbot loops
-/// checkpoint at iteration boundaries.  A request whose deadline is
-/// already expired (deadline_seconds == 0) returns deadline_exceeded
-/// before touching the cache or the solver — no partial work, no cache
-/// write.
+/// StatusOr<QueryResult>; a solve and a scenario run inside rlc::at_boundary
+/// (base/cancel.hpp), so no exception crosses this boundary.  Each failed
+/// answer counts once, by its Status code: cancelled in svc.cancelled,
+/// deadline_exceeded in svc.deadline_exceeded, any other code in
+/// svc.errors.  Deadlines and cancellation are honored cooperatively: each
+/// request-task installs an ExecScope on its worker thread, and the
+/// Newton/Brent/Talbot loops checkpoint at iteration boundaries.  A request
+/// whose deadline is already expired (deadline_seconds == 0) returns
+/// deadline_exceeded before touching the cache or the solver — no partial
+/// work, no cache write.
 ///
 /// Determinism: a QueryResult's numeric payload depends only on the
 /// request (each solve is single-seeded and self-contained), so
@@ -31,6 +34,7 @@
 /// count — pinned by tests/svc.
 
 #include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <memory>
 #include <string>
@@ -38,7 +42,6 @@
 
 #include "rlc/base/cancel.hpp"
 #include "rlc/base/status.hpp"
-#include "rlc/exec/thread_pool.hpp"
 #include "rlc/scenario/result.hpp"
 #include "rlc/scenario/spec.hpp"
 #include "rlc/svc/cache.hpp"
@@ -62,13 +65,11 @@ class Session {
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
 
-  /// Answer one query on the calling thread (cache -> solve -> cache).
-  rlc::StatusOr<QueryResult> submit(const QueryRequest& req);
-
-  /// Same, additionally observing an external cancellation token (combined
-  /// with the request's own deadline).
+  /// Answer one query: a batch of one (below), answered on the calling
+  /// thread and counted like any batch.  The token (default: never fires)
+  /// combines with the request's own deadline.
   rlc::StatusOr<QueryResult> submit(const QueryRequest& req,
-                                    const CancelToken& cancel);
+                                    const CancelToken& cancel = {});
 
   /// Answer a batch, sharded over the session pool (grain 1 — each request
   /// is one task).  Same-key requests are grouped first: the earliest
@@ -80,19 +81,15 @@ class Session {
   /// carries its own Status, so one bad request never poisons its
   /// neighbours.  The token cancels every not-yet-finished request in the
   /// batch.
-  std::vector<rlc::StatusOr<QueryResult>> submit_batch(
-      const std::vector<QueryRequest>& reqs);
-  std::vector<rlc::StatusOr<QueryResult>> submit_batch(
-      const std::vector<QueryRequest>& reqs, const CancelToken& cancel);
-
-  /// Batch submit with per-request receive timestamps (obs::Tracer::now_ns
-  /// clock; 0 or an empty vector means unknown).  The gap between a
+  ///
+  /// `received_ns` holds per-request receive timestamps (obs::Tracer::now_ns
+  /// clock; 0 or a missing entry means unknown).  The gap between a
   /// request's receive stamp and its pickup on a worker is attributed as
   /// queue time in the per-stage tracing (query.hpp trace block) — the
   /// event-loop server stamps requests as they are framed off the wire.
   std::vector<rlc::StatusOr<QueryResult>> submit_batch(
-      const std::vector<QueryRequest>& reqs, const CancelToken& cancel,
-      const std::vector<std::int64_t>& received_ns);
+      const std::vector<QueryRequest>& reqs, const CancelToken& cancel = {},
+      const std::vector<std::int64_t>& received_ns = {});
 
   /// Run a full registered scenario on the session pool (the rlc_serve
   /// "scenario" op).  Uncached — scenario envelopes carry wall-clock and
@@ -105,7 +102,6 @@ class Session {
       const CancelToken& cancel = {});
 
   std::size_t threads() const;
-  exec::ThreadPool& pool();
 
   LruCache<QueryResult>::Stats cache_stats() const;
   void clear_cache();

@@ -198,43 +198,26 @@ struct EventLoopServer::Impl {
         }
       }
 
-      std::vector<Completion> done(taken.size());
-      for (std::size_t i = 0; i < taken.size(); ++i) {
-        done[i].conn_id = taken[i].conn_id;
-        done[i].seq = taken[i].seq;
+      // The take runs in input order through the same block executor as a
+      // stdin block: consecutive queries as one batch on the shard's pool,
+      // anything else (scenarios, and errors routed here defensively) on
+      // its own.
+      std::vector<wire::Parsed> lines;
+      std::vector<std::int64_t> received;
+      lines.reserve(taken.size());
+      received.reserve(taken.size());
+      for (ShardTask& t : taken) {
+        lines.push_back(std::move(t.parsed));
+        received.push_back(t.received_ns);
       }
-
-      // Queries in this take run as one batch on the shard's pool; anything
-      // else (scenarios, and errors routed here defensively) runs in place.
-      std::vector<std::size_t> qidx;
-      for (std::size_t i = 0; i < taken.size(); ++i) {
-        if (taken[i].parsed.op == wire::Parsed::Op::kQuery) {
-          qidx.push_back(i);
-        } else {
-          done[i].line = wire::execute_and_render(
-              session, std::move(taken[i].parsed), router.threads());
-        }
-      }
-      if (!qidx.empty()) {
-        std::vector<QueryRequest> reqs;
-        std::vector<std::int64_t> received;
-        reqs.reserve(qidx.size());
-        received.reserve(qidx.size());
-        for (std::size_t i : qidx) {
-          reqs.push_back(std::move(taken[i].parsed.query));
-          received.push_back(taken[i].received_ns);
-        }
-        std::vector<rlc::StatusOr<QueryResult>> results =
-            session.submit_batch(reqs, CancelToken{}, received);
-        for (std::size_t k = 0; k < qidx.size(); ++k) {
-          done[qidx[k]].line =
-              wire::render_query(taken[qidx[k]].parsed.id, results[k]);
-        }
-      }
-
+      std::vector<std::string> responses = wire::execute_block(
+          session, std::move(lines), received, max_batch, router.threads());
       {
         std::lock_guard<std::mutex> lk(comp_mu);
-        for (Completion& c : done) completions.push_back(std::move(c));
+        for (std::size_t i = 0; i < taken.size(); ++i) {
+          completions.push_back(
+              {taken[i].conn_id, taken[i].seq, std::move(responses[i])});
+        }
       }
       const std::uint64_t one = 1;
       [[maybe_unused]] ssize_t n = ::write(

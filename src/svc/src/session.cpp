@@ -9,6 +9,7 @@
 
 #include "rlc/core/exact_delay.hpp"
 #include "rlc/core/optimize_api.hpp"
+#include "rlc/exec/thread_pool.hpp"
 #include "rlc/obs/metrics.hpp"
 #include "rlc/obs/trace.hpp"
 #include "rlc/scenario/registry.hpp"
@@ -95,6 +96,17 @@ void account_stages(const QueryRequest& req, std::string_view key,
   SlowQueryLog::global().note(std::move(e));
 }
 
+/// Count a failed answer once, by its code: a cancel and a deadline in
+/// their own counters, every other failure in svc.errors.
+void count_failure(const rlc::Status& st) {
+  if (st.is_ok()) return;
+  const SvcMetrics& m = SvcMetrics::get();
+  obs::Registry::global().add(
+      st.code() == StatusCode::kCancelled          ? m.cancelled
+      : st.code() == StatusCode::kDeadlineExceeded ? m.deadline_exceeded
+                                                   : m.errors);
+}
+
 }  // namespace
 
 struct Session::Impl {
@@ -106,10 +118,11 @@ struct Session::Impl {
   exec::ThreadPool pool;
   LruCache<QueryResult> cache;
 
-  /// The whole request path for one query.  Never throws: every failure
-  /// mode is a Status (the boundary rule).  Order matters — validation,
-  /// then the pre-flight deadline/cancel check, then the cache, then the
-  /// solve — so an expired deadline does no work and writes nothing.
+  /// The whole request path for one query, counted once by the Status it
+  /// returns.  Never throws: every failure mode is a Status (the boundary
+  /// rule).  Order matters — validation, then the pre-flight
+  /// deadline/cancel check, then the cache, then the solve — so an expired
+  /// deadline does no work and writes nothing.
   ///
   /// `key` is req.cache_key(), built once by the caller.  `received_ns`
   /// (Tracer::now_ns clock, 0 = unknown) is when the server first read the
@@ -118,11 +131,21 @@ struct Session::Impl {
   rlc::StatusOr<QueryResult> answer(const QueryRequest& req,
                                     const std::string& key,
                                     const CancelToken& cancel,
-                                    std::int64_t received_ns = 0) {
+                                    std::int64_t received_ns) {
+    obs::Registry::global().add(SvcMetrics::get().requests);
+    rlc::StatusOr<QueryResult> result =
+        lookup_or_solve(req, key, cancel, received_ns);
+    count_failure(result.status());
+    return result;
+  }
+
+  rlc::StatusOr<QueryResult> lookup_or_solve(const QueryRequest& req,
+                                             const std::string& key,
+                                             const CancelToken& cancel,
+                                             std::int64_t received_ns) {
     auto& reg = obs::Registry::global();
     const SvcMetrics& m = SvcMetrics::get();
     const auto t0 = std::chrono::steady_clock::now();
-    reg.add(m.requests);
 
     double queue_us = 0.0;
     if (received_ns > 0) {
@@ -132,18 +155,13 @@ struct Session::Impl {
       }
     }
 
-    if (rlc::Status st = req.validate(); !st.is_ok()) {
-      reg.add(m.errors);
-      return st;
-    }
+    if (rlc::Status st = req.validate(); !st.is_ok()) return st;
     if (cancel.cancel_requested()) {
-      reg.add(m.cancelled);
       account_stages(req, key, "cancelled", false, queue_us, 0.0, 0.0);
       return rlc::Status::cancelled("request cancelled before start");
     }
     const Deadline deadline = Deadline::after(req.deadline_seconds);
     if (deadline.expired()) {
-      reg.add(m.deadline_exceeded);
       account_stages(req, key, "deadline_exceeded", false, queue_us, 0.0, 0.0);
       return rlc::Status::deadline_exceeded(
           "deadline expired before the solve started");
@@ -166,69 +184,39 @@ struct Session::Impl {
     }
     reg.add(m.cache_misses);
 
+    // A cancel or deadline that fires mid-solve unwinds as CancelledError
+    // to the boundary, or comes back from core::optimize's own boundary as
+    // a Status: the same codes either way.
     ExecScope scope(cancel, deadline);
     const auto t_solve = std::chrono::steady_clock::now();
-    try {
-      rlc::StatusOr<QueryResult> result = compute(req);
-      const double solve_us = seconds_since(t_solve) * 1e6;
-      if (result.is_ok()) {
-        result->wall_seconds = seconds_since(t0);
-        // The answer members are rendered once, here, and kept with the
-        // entry: every hit writes these bytes as they are.  Cache BEFORE
-        // stamping the trace block: cached entries are shared across
-        // clients and must stay trace-free.
-        result->render_answer();
-        cache.put(key, *result);
-        reg.record(m.latency_us, result->wall_seconds * 1e6);
-        account_stages(req, key, "ok", false, queue_us, cache_us, solve_us);
-        result->trace_id = req.trace_id;
-        result->queue_us = queue_us;
-        result->cache_us = cache_us;
-        result->solve_us = solve_us;
-      } else {
-        // The unified core::optimize() entry point converts mid-solve
-        // cancellation into a Status at ITS boundary (instead of letting
-        // CancelledError unwind to the catches below), so the counters must
-        // cover both delivery mechanisms.
-        switch (result.status().code()) {
-          case StatusCode::kNoConvergence:
-            reg.add(m.errors);
-            break;
-          case StatusCode::kCancelled:
-            reg.add(m.cancelled);
-            break;
-          case StatusCode::kDeadlineExceeded:
-            reg.add(m.deadline_exceeded);
-            break;
-          default:
-            break;
-        }
-        account_stages(req, key, result.status().code_name(), false, queue_us,
-                       cache_us, solve_us);
-      }
+    rlc::StatusOr<QueryResult> result =
+        rlc::at_boundary<QueryResult>([&] { return compute(req); });
+    const double solve_us = seconds_since(t_solve) * 1e6;
+    if (!result.is_ok()) {
+      account_stages(req, key, result.status().code_name(), false, queue_us,
+                     cache_us, solve_us);
       return result;
-    } catch (const CancelledError& e) {
-      reg.add(e.code() == StatusCode::kDeadlineExceeded ? m.deadline_exceeded
-                                                        : m.cancelled);
-      account_stages(req, key, e.to_status().code_name(), false, queue_us,
-                     cache_us, seconds_since(t_solve) * 1e6);
-      return e.to_status();
-    } catch (const std::invalid_argument& e) {
-      reg.add(m.errors);
-      account_stages(req, key, "invalid_argument", false, queue_us, cache_us,
-                     seconds_since(t_solve) * 1e6);
-      return rlc::Status::invalid_argument(e.what());
-    } catch (const std::exception& e) {
-      reg.add(m.errors);
-      account_stages(req, key, "internal", false, queue_us, cache_us,
-                     seconds_since(t_solve) * 1e6);
-      return rlc::Status::internal(std::string("query failed: ") + e.what());
     }
+    result->wall_seconds = seconds_since(t0);
+    // The answer members are rendered once, here, and kept with the entry:
+    // every hit writes these bytes as they are.  Cache BEFORE stamping the
+    // trace block: cached entries are shared across clients and must stay
+    // trace-free.
+    result->render_answer();
+    cache.put(key, *result);
+    reg.record(m.latency_us, result->wall_seconds * 1e6);
+    account_stages(req, key, "ok", false, queue_us, cache_us, solve_us);
+    result->trace_id = req.trace_id;
+    result->queue_us = queue_us;
+    result->cache_us = cache_us;
+    result->solve_us = solve_us;
+    return result;
   }
 
   /// The solve itself (inside the ExecScope; CancelledError may unwind
-  /// through here to the boundary in answer()): one core::optimize() call,
-  /// mapped onto the wire result, then the exact engine on request.
+  /// through here to the boundary in lookup_or_solve()): one
+  /// core::optimize() call, mapped onto the wire result, then the exact
+  /// engine on request.
   rlc::StatusOr<QueryResult> compute(const QueryRequest& req) {
     core::Technology tech;
     try {
@@ -328,30 +316,9 @@ Session::Session(const SessionOptions& opts)
 
 Session::~Session() = default;
 
-rlc::StatusOr<QueryResult> Session::submit(const QueryRequest& req) {
-  return submit(req, CancelToken{});
-}
-
 rlc::StatusOr<QueryResult> Session::submit(const QueryRequest& req,
                                            const CancelToken& cancel) {
-  auto& reg = obs::Registry::global();
-  const SvcMetrics& m = SvcMetrics::get();
-  reg.gauge_add(m.queue_depth, 1);
-  reg.gauge_max(m.queue_depth_max, 1);
-  rlc::StatusOr<QueryResult> out =
-      impl_->answer(req, req.cache_key(), cancel);
-  reg.gauge_add(m.queue_depth, -1);
-  return out;
-}
-
-std::vector<rlc::StatusOr<QueryResult>> Session::submit_batch(
-    const std::vector<QueryRequest>& reqs) {
-  return submit_batch(reqs, CancelToken{});
-}
-
-std::vector<rlc::StatusOr<QueryResult>> Session::submit_batch(
-    const std::vector<QueryRequest>& reqs, const CancelToken& cancel) {
-  return submit_batch(reqs, cancel, {});
+  return std::move(submit_batch({req}, cancel).front());
 }
 
 std::vector<rlc::StatusOr<QueryResult>> Session::submit_batch(
@@ -438,44 +405,27 @@ std::vector<rlc::StatusOr<QueryResult>> Session::submit_batch(
 rlc::StatusOr<scenario::ScenarioResult> Session::run_scenario(
     const scenario::ScenarioSpec& spec, double deadline_seconds,
     const CancelToken& cancel) {
-  auto& reg = obs::Registry::global();
-  const SvcMetrics& m = SvcMetrics::get();
-  reg.add(m.requests);
-  if (rlc::Status st = spec.validate(); !st.is_ok()) {
-    reg.add(m.errors);
-    return st;
-  }
-  rlc::StatusOr<const scenario::Scenario*> sc =
-      scenario::ScenarioRegistry::global().lookup(spec.scenario);
-  if (!sc.is_ok()) {
-    reg.add(m.errors);
-    return sc.status();
-  }
-  const Deadline deadline = Deadline::after(deadline_seconds);
-  if (deadline.expired()) {
-    reg.add(m.deadline_exceeded);
-    return rlc::Status::deadline_exceeded(
-        "deadline expired before the scenario started");
-  }
-  ExecScope scope(cancel, deadline);
-  try {
-    return scenario::run_scenario(**sc, spec, &impl_->pool);
-  } catch (const CancelledError& e) {
-    reg.add(e.code() == StatusCode::kDeadlineExceeded ? m.deadline_exceeded
-                                                      : m.cancelled);
-    return e.to_status();
-  } catch (const std::invalid_argument& e) {
-    reg.add(m.errors);
-    return rlc::Status::invalid_argument(e.what());
-  } catch (const std::exception& e) {
-    reg.add(m.errors);
-    return rlc::Status::internal(std::string("scenario failed: ") + e.what());
-  }
+  using Result = scenario::ScenarioResult;
+  obs::Registry::global().add(SvcMetrics::get().requests);
+  rlc::StatusOr<Result> result = [&]() -> rlc::StatusOr<Result> {
+    if (rlc::Status st = spec.validate(); !st.is_ok()) return st;
+    rlc::StatusOr<const scenario::Scenario*> sc =
+        scenario::ScenarioRegistry::global().lookup(spec.scenario);
+    if (!sc.is_ok()) return sc.status();
+    const Deadline deadline = Deadline::after(deadline_seconds);
+    if (deadline.expired()) {
+      return rlc::Status::deadline_exceeded(
+          "deadline expired before the scenario started");
+    }
+    ExecScope scope(cancel, deadline);
+    return rlc::at_boundary<Result>(
+        [&] { return scenario::run_scenario(**sc, spec, &impl_->pool); });
+  }();
+  count_failure(result.status());
+  return result;
 }
 
 std::size_t Session::threads() const { return impl_->pool.size(); }
-
-exec::ThreadPool& Session::pool() { return impl_->pool; }
 
 LruCache<QueryResult>::Stats Session::cache_stats() const {
   return impl_->cache.stats();

@@ -330,4 +330,40 @@ std::string execute_and_render(Session& session, Parsed&& p,
   return render_error(p.id, p.error);
 }
 
+std::vector<std::string> execute_block(
+    Session& session, std::vector<Parsed>&& lines,
+    const std::vector<std::int64_t>& received_ns, std::size_t max_batch,
+    std::size_t threads) {
+  std::vector<std::string> out;
+  out.reserve(lines.size());
+  // The current run of consecutive queries: lines [first, first + size).
+  std::size_t first = 0;
+  std::vector<QueryRequest> reqs;
+  std::vector<std::int64_t> stamps;
+  const auto answer_run = [&] {
+    if (reqs.empty()) return;
+    const std::vector<rlc::StatusOr<QueryResult>> results =
+        session.submit_batch(reqs, CancelToken{}, stamps);
+    for (std::size_t j = 0; j < results.size(); ++j) {
+      out.push_back(render_query(lines[first + j].id, results[j]));
+    }
+    reqs.clear();
+    stamps.clear();
+  };
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    Parsed& p = lines[i];
+    if (p.op == Parsed::Op::kQuery) {
+      if (reqs.empty()) first = i;
+      reqs.push_back(std::move(p.query));
+      stamps.push_back(i < received_ns.size() ? received_ns[i] : 0);
+      if (reqs.size() == max_batch) answer_run();
+      continue;
+    }
+    answer_run();
+    out.push_back(execute_and_render(session, std::move(p), threads));
+  }
+  answer_run();
+  return out;
+}
+
 }  // namespace rlc::svc::wire

@@ -4,12 +4,17 @@
 /// Internal NDJSON wire-format helpers shared by the two front ends of the
 /// query service: the synchronous Server (serve.cpp, stdin/pipe mode) and
 /// the epoll EventLoopServer (server.cpp, socket mode).  One request line
-/// parses to one Parsed; one Parsed renders to exactly one response line.
-/// Not installed — the stable surface is serve.hpp / server.hpp.
+/// parses to one Parsed; one Parsed renders to exactly one response line;
+/// and one block executor (execute_block) runs a block of parsed lines for
+/// both front ends, so a line takes the same path to its Session from
+/// either.  Not installed — the stable surface is serve.hpp / server.hpp.
 
+#include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <variant>
+#include <vector>
 
 #include "rlc/base/status.hpp"
 #include "rlc/scenario/spec.hpp"
@@ -79,5 +84,18 @@ std::string execute_admin(const Parsed& p, const AdminEnv& env);
 /// which for a sharded server is not the session's own pool size).
 std::string execute_and_render(Session& session, Parsed&& p,
                                std::size_t threads);
+
+/// The block executor shared by both front ends — a stdin block, or what a
+/// shard's dispatcher takes from its queue at once.  Lines run in input
+/// order: each run of consecutive queries (at most max_batch, >= 1) is one
+/// session.submit_batch with the lines' receive stamps (Tracer::now_ns;
+/// a missing entry means unknown), and any other line runs on its own
+/// between the queries before it and those after it, so a trace start
+/// covers the queries that follow it and a scrape counts only those before
+/// it.  One response line per input line, in input order.
+std::vector<std::string> execute_block(
+    Session& session, std::vector<Parsed>&& lines,
+    const std::vector<std::int64_t>& received_ns, std::size_t max_batch,
+    std::size_t threads);
 
 }  // namespace rlc::svc::wire

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
 #include <thread>
 
 namespace rlc {
@@ -112,6 +114,44 @@ TEST(CurrentExecState, SnapshotsTheActiveScope) {
     fired_on_other_thread = stop_requested();
   }).join();
   EXPECT_TRUE(fired_on_other_thread);
+}
+
+/// at_boundary around a body that throws `e`.
+template <typename E>
+Status boundary_status(const E& e) {
+  return at_boundary<int>([&]() -> StatusOr<int> { throw e; }).status();
+}
+
+TEST(AtBoundary, MapsEveryEscapeToItsStatus) {
+  const Status cancelled =
+      boundary_status(CancelledError(StatusCode::kCancelled));
+  EXPECT_EQ(cancelled.code(), StatusCode::kCancelled);
+  EXPECT_EQ(cancelled.message(), "cancelled");
+  const Status late =
+      boundary_status(CancelledError(StatusCode::kDeadlineExceeded));
+  EXPECT_EQ(late.code(), StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(late.message(), "deadline exceeded");
+  const Status bad = boundary_status(std::invalid_argument("bad h"));
+  EXPECT_EQ(bad.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(bad.message(), "bad h");
+  const Status domain = boundary_status(std::domain_error("node out of range"));
+  EXPECT_EQ(domain.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(domain.message(), "node out of range");
+  const Status other = boundary_status(std::runtime_error("lost"));
+  EXPECT_EQ(other.code(), StatusCode::kInternal);
+  EXPECT_EQ(other.message(), "lost");
+}
+
+TEST(AtBoundary, PassesAReturnedValueOrStatusThrough) {
+  const StatusOr<int> value = at_boundary<int>([] { return 7; });
+  ASSERT_TRUE(value.is_ok());
+  EXPECT_EQ(*value, 7);
+  const StatusOr<int> failed = at_boundary<int>([]() -> StatusOr<int> {
+    return Status::no_convergence("Newton stalled");
+  });
+  ASSERT_FALSE(failed.is_ok());
+  EXPECT_EQ(failed.status().code(), StatusCode::kNoConvergence);
+  EXPECT_EQ(failed.status().message(), "Newton stalled");
 }
 
 }  // namespace

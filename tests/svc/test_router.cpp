@@ -2,8 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
-#include <map>
 #include <vector>
 
 namespace rlc::svc {
@@ -127,10 +127,11 @@ TEST(Router, SameKeyHitsTheSameShardCache) {
   q.l = 2.0e-6;
   const std::size_t home = r.shard_of(q);
 
-  const auto cold = r.submit(q);
+  // The router only places; the query is answered on its home shard.
+  const auto cold = r.shard(home).submit(q);
   ASSERT_TRUE(cold.is_ok()) << cold.status().to_string();
   EXPECT_FALSE(cold->from_cache);
-  const auto warm = r.submit(q);
+  const auto warm = r.shard(home).submit(q);
   ASSERT_TRUE(warm.is_ok());
   EXPECT_TRUE(warm->from_cache);
   EXPECT_TRUE(warm->same_answer(*cold));
@@ -146,63 +147,6 @@ TEST(Router, SameKeyHitsTheSameShardCache) {
       EXPECT_EQ(stats.hits + stats.misses, 0u) << "shard " << s;
     }
   }
-}
-
-TEST(Router, SubmitBatchMatchesSerialSubmitBitForBit) {
-  const auto reqs = distinct_requests(24);
-
-  RouterOptions serial_opts;
-  serial_opts.shards = 1;
-  serial_opts.threads_per_shard = 1;
-  serial_opts.cache_capacity = 0;
-  ShardRouter serial(serial_opts);
-  std::vector<QueryResult> expected;
-  for (const QueryRequest& q : reqs) {
-    auto r = serial.submit(q);
-    ASSERT_TRUE(r.is_ok()) << r.status().to_string();
-    expected.push_back(*r);
-  }
-
-  for (const std::size_t shards : {std::size_t{2}, std::size_t{5}}) {
-    RouterOptions opts;
-    opts.shards = shards;
-    opts.threads_per_shard = 2;
-    opts.cache_capacity = 64;
-    ShardRouter r(opts);
-    const auto batch = r.submit_batch(reqs);
-    ASSERT_EQ(batch.size(), reqs.size());
-    for (std::size_t i = 0; i < reqs.size(); ++i) {
-      ASSERT_TRUE(batch[i].is_ok())
-          << "shards=" << shards << " i=" << i << ": "
-          << batch[i].status().to_string();
-      EXPECT_TRUE(batch[i]->same_answer(expected[i]))
-          << "shards=" << shards << " i=" << i;
-    }
-  }
-}
-
-TEST(Router, BatchWithInvalidElementKeepsSlotAlignment) {
-  // A typed per-request failure stays in its slot; neighbours answer.
-  std::vector<QueryRequest> reqs = distinct_requests(6);
-  reqs[2].threshold = 2.0;  // invalid
-  RouterOptions opts;
-  opts.shards = 3;
-  opts.threads_per_shard = 1;
-  ShardRouter r(opts);
-  const auto out = r.submit_batch(reqs);
-  ASSERT_EQ(out.size(), reqs.size());
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    if (i == 2) {
-      EXPECT_EQ(out[i].status().code(), StatusCode::kInvalidArgument);
-    } else {
-      EXPECT_TRUE(out[i].is_ok()) << i << ": " << out[i].status().to_string();
-    }
-  }
-}
-
-TEST(Router, EmptyBatchIsEmpty) {
-  ShardRouter r(RouterOptions{2, 1, 0});
-  EXPECT_TRUE(r.submit_batch({}).empty());
 }
 
 }  // namespace

@@ -298,42 +298,86 @@ TEST(Session, BatchMatchesSerialBitForBitAcrossThreadCounts) {
   }
 }
 
+/// What one counter moved between two registry snapshots (0 if absent).
+std::int64_t counter_delta(const obs::MetricsSnapshot& delta,
+                           const std::string& name) {
+  for (const auto& [n, v] : delta.counters) {
+    if (n == name) return v;
+  }
+  return 0;
+}
+
 TEST(Session, BatchOfOneKeepsEveryBatchMetric) {
   // A one-request batch skips the grouping but not the accounting: one
   // svc.batches, one svc.batch_size record, the latency and the three
-  // stage histograms, and one pool loop, on a miss and on a hit.
-  Session session(SessionOptions{4, 64});
+  // stage histograms, and one pool loop, on a miss and on a hit.  submit
+  // is a batch of one, so it counts the same.
   QueryRequest q;
   q.l = 1.2e-6;
-  for (const bool hit : {false, true}) {
-    const auto before = obs::Registry::global().snapshot();
-    const auto out = session.submit_batch({q});
-    const auto delta = obs::Registry::global().snapshot().delta_since(before);
-    ASSERT_EQ(out.size(), 1u);
-    ASSERT_TRUE(out[0].is_ok()) << out[0].status().to_string();
-    EXPECT_EQ(out[0]->from_cache, hit);
-    const auto counter = [&delta](const std::string& name) {
-      for (const auto& [n, v] : delta.counters) {
-        if (n == name) return v;
+  for (const bool direct : {false, true}) {
+    const char* entry = direct ? "submit" : "submit_batch";
+    Session session(SessionOptions{4, 64});
+    for (const bool hit : {false, true}) {
+      const auto before = obs::Registry::global().snapshot();
+      std::vector<rlc::StatusOr<QueryResult>> out;
+      if (direct) {
+        out.push_back(session.submit(q));
+      } else {
+        out = session.submit_batch({q});
       }
-      return std::int64_t{0};
-    };
-    EXPECT_EQ(counter("svc.batches"), 1);
-    EXPECT_EQ(counter("svc.requests"), 1);
-    EXPECT_EQ(counter(hit ? "svc.cache.hits" : "svc.cache.misses"), 1);
-    if (hit) {
-      EXPECT_EQ(counter("exec.pool.loops"), 1);
-    }
-    for (const char* name :
-         {"svc.batch_size", "svc.latency_us", "svc.stage.queue_us",
-          "svc.stage.cache_us", "svc.stage.solve_us"}) {
-      std::uint64_t records = 0;
-      for (const auto& h : delta.histograms) {
-        if (h.name == name) records = h.count;
+      const auto delta =
+          obs::Registry::global().snapshot().delta_since(before);
+      ASSERT_EQ(out.size(), 1u) << entry;
+      ASSERT_TRUE(out[0].is_ok()) << entry << ": "
+                                  << out[0].status().to_string();
+      EXPECT_EQ(out[0]->from_cache, hit) << entry;
+      EXPECT_EQ(counter_delta(delta, "svc.batches"), 1) << entry;
+      EXPECT_EQ(counter_delta(delta, "svc.requests"), 1) << entry;
+      EXPECT_EQ(
+          counter_delta(delta, hit ? "svc.cache.hits" : "svc.cache.misses"),
+          1)
+          << entry;
+      if (hit) {
+        EXPECT_EQ(counter_delta(delta, "exec.pool.loops"), 1) << entry;
       }
-      EXPECT_EQ(records, 1u) << name << (hit ? " hit" : " miss");
+      for (const char* name :
+           {"svc.batch_size", "svc.latency_us", "svc.stage.queue_us",
+            "svc.stage.cache_us", "svc.stage.solve_us"}) {
+        std::uint64_t records = 0;
+        for (const auto& h : delta.histograms) {
+          if (h.name == name) records = h.count;
+        }
+        EXPECT_EQ(records, 1u)
+            << entry << " " << name << (hit ? " hit" : " miss");
+      }
     }
   }
+}
+
+// Every failed answer counts once, by its Status code: a failure the solve
+// returns (an unknown technology) in svc.errors like one a validator
+// returns, an expired deadline in svc.deadline_exceeded and never in
+// svc.errors.
+TEST(Session, ErrorsCountEveryFailedAnswer) {
+  Session session(SessionOptions{1, 64});
+  const auto failed = [&session](const QueryRequest& q, StatusCode code,
+                                 const char* counter) {
+    const auto before = obs::Registry::global().snapshot();
+    EXPECT_EQ(session.submit(q).status().code(), code) << counter;
+    const auto delta = obs::Registry::global().snapshot().delta_since(before);
+    EXPECT_EQ(counter_delta(delta, counter), 1) << counter;
+    return counter_delta(delta, "svc.errors");
+  };
+  QueryRequest unknown;
+  unknown.technology = "bogus";
+  unknown.l = 0.0;
+  failed(unknown, StatusCode::kInvalidArgument, "svc.errors");
+  QueryRequest expired;
+  expired.l = 1.0e-6;
+  expired.deadline_seconds = 0.0;
+  EXPECT_EQ(failed(expired, StatusCode::kDeadlineExceeded,
+                   "svc.deadline_exceeded"),
+            0);
 }
 
 TEST(Session, BatchGroupsDuplicateKeysThroughTheCache) {
