@@ -6,21 +6,22 @@
 /// Pade truncation.  Used to quantify the accuracy of the two-pole model
 /// (ablation 1) and as the gold standard in integration tests.
 ///
-/// Every path evaluates Eq. (1) through one tline::BatchTransferEvaluator
-/// per (line, h, driver/load), which fills a whole Talbot contour in one
-/// vectorized span call.  Two execution paths:
-///   * the fast exact-waveform ENGINE (default): shared-contour Talbot
-///     windows — an N-point waveform costs one set of M transfer
-///     evaluations per window instead of N*M, and a threshold delay
-///     descends lazily through windows and polishes the crossing with
-///     Brent on the window interpolant, then converges it onto the per-t
-///     inversion.  ~10-15x fewer transfer evaluations than the legacy
-///     path at matching (<= 1e-3 relative, typically ~1e-9) accuracy;
-///   * the LEGACY per-t bisection (ExactOptions::legacy_bisection, and
-///     the engine's rescue when a window loses its bracket): one full
-///     Talbot contour per bisection probe.  Kept as the accuracy
-///     reference.  exact_step_response is the per-t waveform reference on
-///     the independent per-point integrand exact_transfer_dc_safe.
+/// The engine evaluates Eq. (1) through one tline::BatchTransferEvaluator
+/// per (line, h, driver/load), which fills a whole contour in one
+/// vectorized span call.  One entry per job:
+///   * threshold delay (exact_threshold_delay, its coupled form and
+///     exact_sweep): by default shared-contour Talbot windows, descended
+///     lazily, with the crossing polished by Brent on the window
+///     interpolant and then converged onto the per-t inversion.  ~10-15x
+///     fewer transfer evaluations than the legacy path at matching
+///     (<= 1e-3 relative, typically ~1e-9) accuracy.  The LEGACY per-t
+///     bisection (ExactOptions::legacy_bisection, and the engine's rescue
+///     when a window loses its bracket) takes one full Talbot contour per
+///     probe and is kept as the accuracy reference;
+///   * waveforms: exact_coupled_step_response on the Euler inversion.
+///     exact_step_response is the per-t Talbot reference on the
+///     independent per-point integrand exact_transfer_dc_safe;
+///   * victim noise: exact_coupled_victim_noise, on the Euler inversion.
 
 #include <cstddef>
 #include <cstdint>
@@ -50,20 +51,11 @@ struct ExactOptions {
   bool legacy_bisection = false;
 };
 
-/// Instrumentation of one engine run (or an exact_sweep aggregate).
+/// Instrumentation of exact_threshold_delay: each call adds its own.  The
+/// registry counts the rest (talbot.contours, brent.*).
 struct ExactStats {
   std::int64_t transfer_evals = 0;  ///< Eq. (1) evaluations
-  std::int64_t windows = 0;         ///< shared contours built
-  std::int64_t brent_iterations = 0;
   std::int64_t legacy_fallbacks = 0;  ///< engine runs rescued by bisection
-
-  ExactStats& operator+=(const ExactStats& o) {
-    transfer_evals += o.transfer_evals;
-    windows += o.windows;
-    brent_iterations += o.brent_iterations;
-    legacy_fallbacks += o.legacy_fallbacks;
-    return *this;
-  }
 };
 
 /// Normalized exact step response v(t) of the driver-line-load stage at the
@@ -72,16 +64,6 @@ std::vector<double> exact_step_response(const tline::LineParams& line,
                                         double h, const tline::DriverLoad& dl,
                                         const std::vector<double>& times,
                                         int talbot_points = 48);
-
-/// Fast path: the same waveform from shared-contour windows.  Times are
-/// grouped greedily from the largest down — each group spans at most a
-/// ratio of 4 and costs opts.window_points transfer evaluations total.
-/// Matches the per-t path to ~1e-6 (1e-3 guaranteed by tests) on the
-/// structures here.
-std::vector<double> exact_step_response_windowed(
-    const tline::LineParams& line, double h, const tline::DriverLoad& dl,
-    const std::vector<double>& times, const ExactOptions& opts = {},
-    ExactStats* stats = nullptr);
 
 /// First f*100% crossing of the exact step response inside the search
 /// window (0.02..8 x tau_scale); pass the two-pole delay as the scale.
@@ -122,8 +104,7 @@ struct CoupledExcitation {
 /// unit system.
 std::vector<std::vector<double>> exact_coupled_step_response(
     const tline::CoupledLine& bus, double h, const tline::DriverLoad& dl,
-    const CoupledExcitation& exc, const std::vector<double>& times,
-    const ExactOptions& opts = {}, ExactStats* stats = nullptr);
+    const CoupledExcitation& exc, const std::vector<double>& times);
 
 /// First time conductor `conductor` crosses v = f (absolute level, same
 /// units as the excitation) inside the 0.02..8 x tau_scale search window.
@@ -133,7 +114,7 @@ std::vector<std::vector<double>> exact_coupled_step_response(
 std::optional<double> exact_coupled_threshold_delay(
     const tline::CoupledLine& bus, double h, const tline::DriverLoad& dl,
     const CoupledExcitation& exc, std::size_t conductor, double tau_scale,
-    double f, const ExactOptions& opts = {}, ExactStats* stats = nullptr);
+    double f, const ExactOptions& opts = {});
 
 /// Exact victim-noise query: peak deviation of conductor `victim` from its
 /// initial level, the time of the peak, and the pulse width (time spent
@@ -149,34 +130,20 @@ struct CoupledNoiseResult {
 
 CoupledNoiseResult exact_coupled_victim_noise(
     const tline::CoupledLine& bus, double h, const tline::DriverLoad& dl,
-    const CoupledExcitation& exc, std::size_t victim, double tau_scale,
-    const ExactOptions& opts = {}, ExactStats* stats = nullptr);
-
-/// One exact-delay evaluation of an exact_sweep.
-struct ExactSweepTask {
-  tline::LineParams line;
-  double h = 0.0;
-  tline::DriverLoad dl;
-  double tau_scale = 0.0;  ///< search-window scale (two-pole delay)
-};
+    const CoupledExcitation& exc, std::size_t victim, double tau_scale);
 
 struct ExactSweepOptions {
   ExactOptions exact;
   double f = 0.5;  ///< threshold fraction
   rlc::exec::ThreadPool* pool = nullptr;  ///< null: default_pool()
-  ExactStats* stats = nullptr;  ///< aggregated engine stats (deterministic)
 };
 
-/// Exact threshold delays for every task, fanned over the thread pool.
-/// Results are in input order and BIT-IDENTICAL to the serial loop for any
-/// thread count (each task builds its own evaluator; no shared state).
-std::vector<std::optional<double>> exact_sweep(
-    const std::vector<ExactSweepTask>& tasks,
-    const ExactSweepOptions& opts = {});
-
-/// Convenience: exact delays over an inductance sweep at fixed (h, k); the
-/// per-task search scale is the two-pole segment delay (with an Elmore-style
-/// estimate as fallback where the two-pole solve does not converge).
+/// Exact threshold delays over an inductance sweep at fixed (h, k), fanned
+/// over the thread pool.  Each point's search scale is the two-pole segment
+/// delay (with an Elmore-style estimate as fallback where the two-pole
+/// solve does not converge).  Results are in input order and BIT-IDENTICAL
+/// to the serial loop for any thread count (each point builds its own
+/// evaluator; no shared state).
 std::vector<std::optional<double>> exact_sweep(
     const Technology& tech, const std::vector<double>& ls, double h, double k,
     const ExactSweepOptions& opts = {});

@@ -30,13 +30,6 @@ constexpr double kWindowRatio = 4.0;
 /// Geometric grid intervals per window in the threshold search.
 constexpr int kGridPointsPerWindow = 10;
 
-rlc::laplace::LaplaceFn step_transform(const tline::LineParams& line, double h,
-                                       const tline::DriverLoad& dl) {
-  return [line, h, dl](std::complex<double> s) {
-    return rlc::tline::exact_transfer_dc_safe(line, h, dl, s) / s;
-  };
-}
-
 void validate_threshold_args(double tau_scale, double f) {
   if (!(f > 0.0 && f < 1.0)) {
     throw std::domain_error("exact_threshold_delay: f must be in (0, 1)");
@@ -97,7 +90,6 @@ class WaveformEngine {
       for (const auto& ch : e.channels_) {
         contours_.emplace_back(rlc::laplace::BatchLaplaceFnRef(ch->bstep),
                                t_max, e.opts_.window_points);
-        ++e.windows_;
       }
     }
     double eval(double t) const {
@@ -114,33 +106,6 @@ class WaveformEngine {
     WaveformEngine* e_;
     std::vector<rlc::laplace::TalbotContour> contours_;
   };
-
-  /// Waveform at arbitrary times, grouped into shared-contour windows.
-  std::vector<double> sample(const std::vector<double>& times) {
-    for (double t : times) {
-      if (!(t > 0.0)) {
-        throw std::domain_error(
-            "exact_step_response_windowed: times must be > 0");
-      }
-    }
-    std::vector<std::size_t> idx(times.size());
-    for (std::size_t i = 0; i < idx.size(); ++i) idx[i] = i;
-    std::sort(idx.begin(), idx.end(), [&](std::size_t a, std::size_t b) {
-      return times[a] > times[b];
-    });
-    std::vector<double> out(times.size());
-    std::size_t i = 0;
-    while (i < idx.size()) {
-      const double t_max = times[idx[i]];
-      const Window window(*this, t_max);
-      const double t_min = t_max / kWindowRatio;
-      while (i < idx.size() && times[idx[i]] >= t_min * (1.0 - 1e-12)) {
-        out[idx[i]] = window.eval(times[idx[i]]);
-        ++i;
-      }
-    }
-    return out;
-  }
 
   /// First f-crossing: lazy top-down window descent + Brent polish.  Each
   /// window above the crossing costs one contour build plus ONE foot probe
@@ -215,10 +180,10 @@ class WaveformEngine {
 
   /// Composite waveform via the Euler (Abate-Whitt) inversion: one span
   /// evaluation per channel covering every node of every time point.  This
-  /// is the accuracy path for waveform-shaped queries (victim noise, the
-  /// coupled sampling API): ringing tails of underdamped modal lines sit
-  /// outside the fixed-Talbot contour's comfort zone, while the vertical
-  /// Euler contour keeps ~1e-7 absolute error there (see laplace/euler.hpp).
+  /// is the accuracy path of the victim-noise query: ringing tails of
+  /// underdamped modal lines sit outside the fixed-Talbot contour's comfort
+  /// zone, while the vertical Euler contour keeps ~1e-7 absolute error
+  /// there (see laplace/euler.hpp).
   std::vector<double> sample_euler(const std::vector<double>& ts) {
     std::vector<double> out(ts.size(), offset_);
     for (const auto& ch : channels_) {
@@ -268,7 +233,6 @@ class WaveformEngine {
       const auto r = rlc::math::brent_minimize(
           [&](double t) { return -sign * (eval_euler(t) - offset_); },
           ts[k - 1], ts[k + 1], 1e-6 * tau_scale);
-      brent_iterations_ += r.iterations;
       if (r.converged && -r.fx >= out.peak) {
         out.t_peak = r.x;
         out.peak = -r.fx;
@@ -299,15 +263,12 @@ class WaveformEngine {
     return out;
   }
 
-  ExactStats stats() const {
-    ExactStats s;
+  /// Adds this run's Eq. (1) evaluations and rescues to `s`.
+  void add_stats(ExactStats& s) const {
     for (const auto& ch : channels_) {
       s.transfer_evals += static_cast<std::int64_t>(ch->batch.evaluations());
     }
-    s.windows = windows_;
-    s.brent_iterations = brent_iterations_;
-    s.legacy_fallbacks = legacy_fallbacks_;
-    return s;
+    s.legacy_fallbacks += legacy_fallbacks_;
   }
 
  private:
@@ -326,7 +287,6 @@ class WaveformEngine {
       const auto r = rlc::math::brent_root(
           [&](double t) { return window->eval(t) - f; }, a, b,
           1e-4 * tau_scale);
-      brent_iterations_ += r.iterations;
       if (r.converged) return refine_per_t(*window, r.x, lo, hi, tau_scale, f);
       // fall through to the fresh-contour attempts
     }
@@ -338,7 +298,6 @@ class WaveformEngine {
         const auto r = rlc::math::brent_root(
             [&](double t) { return c.eval(t) - f; }, a, b,
             1e-4 * tau_scale);
-        brent_iterations_ += r.iterations;
         if (r.converged) return refine_per_t(c, r.x, lo, hi, tau_scale, f);
         break;
       }
@@ -411,8 +370,6 @@ class WaveformEngine {
   std::vector<std::unique_ptr<Channel>> channels_;
   ExactOptions opts_;
   double offset_ = 0.0;
-  std::int64_t windows_ = 0;
-  std::int64_t brent_iterations_ = 0;
   std::int64_t legacy_fallbacks_ = 0;
 };
 
@@ -423,21 +380,10 @@ std::vector<double> exact_step_response(const tline::LineParams& line,
                                         const std::vector<double>& times,
                                         int talbot_points) {
   line.validate();
-  return rlc::laplace::talbot_invert(step_transform(line, h, dl), times,
-                                     talbot_points);
-}
-
-std::vector<double> exact_step_response_windowed(
-    const tline::LineParams& line, double h, const tline::DriverLoad& dl,
-    const std::vector<double>& times, const ExactOptions& opts,
-    ExactStats* stats) {
-  line.validate();
-  validate_options(opts);
-  RLC_TRACE_SPAN("exact_sample");
-  WaveformEngine engine({line}, {1.0}, 0.0, h, dl, opts);
-  auto out = engine.sample(times);
-  if (stats) *stats += engine.stats();
-  return out;
+  const auto step = [&](std::complex<double> s) {
+    return rlc::tline::exact_transfer_dc_safe(line, h, dl, s) / s;
+  };
+  return rlc::laplace::talbot_invert(step, times, talbot_points);
 }
 
 namespace {
@@ -483,9 +429,7 @@ WaveformEngine conductor_engine(const CoupledSetup& su,
 
 std::vector<std::vector<double>> exact_coupled_step_response(
     const tline::CoupledLine& bus, double h, const tline::DriverLoad& dl,
-    const CoupledExcitation& exc, const std::vector<double>& times,
-    const ExactOptions& opts, ExactStats* stats) {
-  validate_options(opts);
+    const CoupledExcitation& exc, const std::vector<double>& times) {
   RLC_TRACE_SPAN("exact_coupled_sample");
   const CoupledSetup su = coupled_setup(bus, exc);
   const std::size_t n = bus.conductors();
@@ -503,10 +447,6 @@ std::vector<std::vector<double>> exact_coupled_step_response(
     const BatchStep bstep{&batch};
     modal_v[j] = rlc::laplace::euler_invert(
         rlc::laplace::BatchLaplaceFnRef(bstep), times);
-    if (stats) {
-      stats->transfer_evals +=
-          static_cast<std::int64_t>(batch.evaluations());
-    }
   }
   std::vector<std::vector<double>> out(n,
                                        std::vector<double>(times.size()));
@@ -526,7 +466,7 @@ std::vector<std::vector<double>> exact_coupled_step_response(
 std::optional<double> exact_coupled_threshold_delay(
     const tline::CoupledLine& bus, double h, const tline::DriverLoad& dl,
     const CoupledExcitation& exc, std::size_t conductor, double tau_scale,
-    double f, const ExactOptions& opts, ExactStats* stats) {
+    double f, const ExactOptions& opts) {
   if (conductor >= bus.conductors()) {
     throw std::invalid_argument(
         "exact_coupled_threshold_delay: conductor index out of range");
@@ -536,16 +476,13 @@ std::optional<double> exact_coupled_threshold_delay(
   RLC_TRACE_SPAN("exact_coupled_threshold");
   const CoupledSetup su = coupled_setup(bus, exc);
   WaveformEngine engine = conductor_engine(su, exc, conductor, h, dl, opts);
-  const auto out = opts.legacy_bisection ? engine.legacy_threshold(tau_scale, f)
-                                         : engine.threshold(tau_scale, f);
-  if (stats) *stats += engine.stats();
-  return out;
+  return opts.legacy_bisection ? engine.legacy_threshold(tau_scale, f)
+                               : engine.threshold(tau_scale, f);
 }
 
 CoupledNoiseResult exact_coupled_victim_noise(
     const tline::CoupledLine& bus, double h, const tline::DriverLoad& dl,
-    const CoupledExcitation& exc, std::size_t victim, double tau_scale,
-    const ExactOptions& opts, ExactStats* stats) {
+    const CoupledExcitation& exc, std::size_t victim, double tau_scale) {
   if (victim >= bus.conductors()) {
     throw std::invalid_argument(
         "exact_coupled_victim_noise: conductor index out of range");
@@ -554,13 +491,12 @@ CoupledNoiseResult exact_coupled_victim_noise(
     throw std::domain_error(
         "exact_coupled_victim_noise: tau_scale must be > 0");
   }
-  validate_options(opts);
   RLC_TRACE_SPAN("exact_coupled_noise");
   const CoupledSetup su = coupled_setup(bus, exc);
-  WaveformEngine engine = conductor_engine(su, exc, victim, h, dl, opts);
-  CoupledNoiseResult out = engine.noise(tau_scale);
-  if (stats) *stats += engine.stats();
-  return out;
+  // The noise query runs on the Euler inversion, which reads neither
+  // contour size, so the engine takes the default options.
+  return conductor_engine(su, exc, victim, h, dl, ExactOptions{})
+      .noise(tau_scale);
 }
 
 std::optional<double> exact_threshold_delay(const tline::LineParams& line,
@@ -580,7 +516,7 @@ std::optional<double> exact_threshold_delay(const tline::LineParams& line,
   const auto out = opts.legacy_bisection
                        ? engine.legacy_threshold(tau_scale, f)
                        : engine.threshold(tau_scale, f);
-  if (stats) *stats += engine.stats();
+  if (stats) engine.add_stats(*stats);
   return out;
 }
 
@@ -594,52 +530,22 @@ std::optional<double> exact_threshold_delay(const Technology& tech, double l,
 }
 
 std::vector<std::optional<double>> exact_sweep(
-    const std::vector<ExactSweepTask>& tasks, const ExactSweepOptions& opts) {
-  struct TaskOut {
-    std::optional<double> delay;
-    ExactStats stats;
-  };
-  const auto run_one = [&opts](const ExactSweepTask& task) {
-    TaskOut out;
-    out.delay = exact_threshold_delay(task.line, task.h, task.dl,
-                                      task.tau_scale, opts.f, opts.exact,
-                                      &out.stats);
-    return out;
-  };
-  auto& pool = opts.pool ? *opts.pool : rlc::exec::default_pool();
-  const std::vector<TaskOut> outs =
-      rlc::exec::parallel_map(pool, tasks, run_one);
-  std::vector<std::optional<double>> delays;
-  delays.reserve(outs.size());
-  for (const auto& o : outs) {
-    if (opts.stats) *opts.stats += o.stats;
-    delays.push_back(o.delay);
-  }
-  return delays;
-}
-
-std::vector<std::optional<double>> exact_sweep(
     const Technology& tech, const std::vector<double>& ls, double h, double k,
     const ExactSweepOptions& opts) {
-  std::vector<ExactSweepTask> tasks;
-  tasks.reserve(ls.size());
-  for (double l : ls) {
-    ExactSweepTask t;
-    t.line = tech.line(l);
-    t.h = h;
-    t.dl = tech.rep.scaled(k);
-    const auto d = segment_delay(tech.rep, t.line, h, k);
-    if (d.converged && d.tau > 0.0) {
-      t.tau_scale = d.tau;
-    } else {
-      // Elmore-style scale: driver charging plus distributed wire delay.
-      t.tau_scale =
-          t.dl.rs_eff * (t.dl.cp_eff + t.dl.cl_eff + t.line.c * h) +
-          t.line.r * h * (0.5 * t.line.c * h + t.dl.cl_eff);
-    }
-    tasks.push_back(t);
-  }
-  return exact_sweep(tasks, opts);
+  const tline::DriverLoad dl = tech.rep.scaled(k);
+  auto& pool = opts.pool ? *opts.pool : rlc::exec::default_pool();
+  return rlc::exec::parallel_map(pool, ls, [&](double l) {
+    const tline::LineParams line = tech.line(l);
+    const auto d = segment_delay(tech.rep, line, h, k);
+    // Elmore-style scale where the two-pole solve does not converge:
+    // driver charging plus distributed wire delay.
+    const double tau_scale =
+        d.converged && d.tau > 0.0
+            ? d.tau
+            : dl.rs_eff * (dl.cp_eff + dl.cl_eff + line.c * h) +
+                  line.r * h * (0.5 * line.c * h + dl.cl_eff);
+    return exact_threshold_delay(line, h, dl, tau_scale, opts.f, opts.exact);
+  });
 }
 
 }  // namespace rlc::core

@@ -67,6 +67,88 @@ class JsonValue {
 /// field of a request or spec is read through here.
 std::optional<int> exact_int(double d);
 
+// Strict readers of an untrusted object's members (requests, specs, admin
+// ops): a missing or null key keeps *out, but a key present with the wrong
+// JSON kind is an error — a serving API must not silently ignore a
+// mistyped "l" and answer for l = 0.  Each returns false at a bad field,
+// with "<where><key> must be ..." in *err; `where` is the field's path
+// prefix (e.g. "spec.sweep.").  Unknown keys are never looked at.
+
+namespace detail {
+inline bool reject_field(std::string* err, std::string_view where,
+                         std::string_view key, const char* what) {
+  *err = std::string(where).append(key).append(what);
+  return false;
+}
+}  // namespace detail
+
+inline bool take_number(const JsonValue& v, std::string_view key, double* out,
+                        std::string* err, std::string_view where = {}) {
+  const JsonValue* f = v.find(key);
+  if (!f || f->is_null()) return true;
+  if (f->kind() != JsonValue::Kind::kNumber) {
+    return detail::reject_field(err, where, key, " must be a number");
+  }
+  *out = f->as_number();
+  return true;
+}
+
+/// A number that exact_int accepts.
+inline bool take_int(const JsonValue& v, std::string_view key, int* out,
+                     std::string* err, std::string_view where = {}) {
+  double d = *out;
+  if (!take_number(v, key, &d, err, where)) return false;
+  const std::optional<int> i = exact_int(d);
+  if (!i) return detail::reject_field(err, where, key, " must be an integer");
+  *out = *i;
+  return true;
+}
+
+inline bool take_bool(const JsonValue& v, std::string_view key, bool* out,
+                      std::string* err, std::string_view where = {}) {
+  const JsonValue* f = v.find(key);
+  if (!f || f->is_null()) return true;
+  if (f->kind() != JsonValue::Kind::kBool) {
+    return detail::reject_field(err, where, key, " must be a boolean");
+  }
+  *out = f->as_bool();
+  return true;
+}
+
+inline bool take_string(const JsonValue& v, std::string_view key,
+                        std::string* out, std::string* err,
+                        std::string_view where = {}) {
+  const JsonValue* f = v.find(key);
+  if (!f || f->is_null()) return true;
+  if (f->kind() != JsonValue::Kind::kString) {
+    return detail::reject_field(err, where, key, " must be a string");
+  }
+  *out = f->as_string();
+  return true;
+}
+
+/// An array whose every element is a number.
+inline bool take_numbers(const JsonValue& v, std::string_view key,
+                         std::vector<double>* out, std::string* err,
+                         std::string_view where = {}) {
+  const JsonValue* f = v.find(key);
+  if (!f || f->is_null()) return true;
+  const char* const what = " must be an array of numbers";
+  if (f->kind() != JsonValue::Kind::kArray) {
+    return detail::reject_field(err, where, key, what);
+  }
+  std::vector<double> numbers;
+  numbers.reserve(f->items().size());
+  for (const JsonValue& item : f->items()) {
+    if (item.kind() != JsonValue::Kind::kNumber) {
+      return detail::reject_field(err, where, key, what);
+    }
+    numbers.push_back(item.as_number());
+  }
+  *out = std::move(numbers);
+  return true;
+}
+
 /// Parse a complete JSON document; trailing non-whitespace is an error.
 JsonValue parse_json(const std::string& text);
 

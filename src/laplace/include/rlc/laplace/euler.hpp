@@ -20,8 +20,8 @@
 ///
 /// The price is per-t node sets: s_j = (decay/2 + i pi j) / t, so a
 /// waveform of K times costs K * (burn_in + terms + 1) transfer
-/// evaluations.  The batch overloads gather the nodes of eight times at a
-/// time into one span evaluation, so a vectorized evaluator (e.g.
+/// evaluations.  The inverter gathers the nodes of eight times at a time
+/// into one span evaluation, so a vectorized evaluator (e.g.
 /// rlc::tline::BatchTransferEvaluator) amortizes its SIMD transcendental
 /// core over hundreds of nodes per call in a few KB of scratch; exp(s_j t)
 /// itself is free (e^{decay/2} (-1)^j by construction).
@@ -30,11 +30,9 @@
 /// evaluated times (the wrap-around aliasing term scales with
 /// e^{-decay} * sup|f|).
 
-#include <complex>
-#include <cstddef>
 #include <vector>
 
-#include "rlc/laplace/talbot.hpp"  // LaplaceFnRef / BatchLaplaceFnRef
+#include "rlc/laplace/talbot.hpp"  // BatchLaplaceFnRef
 
 namespace rlc::laplace {
 
@@ -52,16 +50,12 @@ struct EulerOptions {
 int euler_nodes(const EulerOptions& opts);
 
 /// Invert F at a single time t > 0.
-double euler_invert(LaplaceFnRef F, double t, const EulerOptions& opts = {});
 double euler_invert(BatchLaplaceFnRef F, double t,
                     const EulerOptions& opts = {});
 
-/// Invert F at a vector of times.  The BatchLaplaceFnRef overload issues
-/// one span evaluation per eight time points, covering all their nodes;
-/// each result has the bits a single whole-waveform call would give.
-std::vector<double> euler_invert(LaplaceFnRef F,
-                                 const std::vector<double>& times,
-                                 const EulerOptions& opts = {});
+/// Invert F at a vector of times: one span evaluation per eight time
+/// points, covering all their nodes; each result has the bits a single
+/// whole-waveform call would give.
 std::vector<double> euler_invert(BatchLaplaceFnRef F,
                                  const std::vector<double>& times,
                                  const EulerOptions& opts = {});

@@ -10,23 +10,26 @@
 ///   * per-t contour (talbot_invert): the contour radius r = 2M/(5t) is
 ///     re-tuned for every time point — maximum accuracy, M transfer
 ///     evaluations per point;
-///   * shared-contour window (TalbotContour / talbot_invert_window): the
-///     contour is fixed at the window's t_max and ALL times in
-///     [t_max/lambda, t_max] are recovered from the same M samples F(s_k).
-///     An N-point waveform then costs M transfer evaluations instead of
-///     N*M.  Accuracy at a time t inside the window behaves like a per-t
-///     inversion with ~M*(t/t_max) contour points, so the window ratio
-///     lambda trades evaluations against accuracy at the window foot.
+///   * shared contour (TalbotContour): the contour is fixed at t_max and
+///     every time in a window below it is recovered from the same M
+///     samples F(s_k), so an N-point probe costs M transfer evaluations
+///     instead of N*M.  Accuracy at a time t inside the window behaves
+///     like a per-t inversion with ~M*(t/t_max) contour points, so the
+///     caller's window ratio trades evaluations against accuracy at the
+///     window foot (the exact engine's threshold solve uses 4).
 ///
 /// Two evaluator signatures, both non-owning FunctionRef views:
-///   * per-point (LaplaceFnRef): cplx F(cplx s) — simple, M calls per
-///     contour;
 ///   * span-of-nodes (BatchLaplaceFnRef): fill F at n SoA nodes in ONE
-///     call.  This is the primary path — a batched evaluator (e.g.
-///     rlc::tline::BatchTransferEvaluator) amortizes its vectorized
-///     transcendental core over the whole contour instead of being called
-///     through type-erased dispatch M times.  The per-point overloads
-///     adapt onto it.
+///     call.  TalbotContour and the batch talbot_invert take it, and the
+///     exact engine runs on them: a batched evaluator
+///     (rlc::tline::BatchTransferEvaluator) amortizes its vectorized
+///     transcendental core over the whole contour;
+///   * per-point (LaplaceFnRef): cplx F(cplx s), taken only by the scalar
+///     talbot_invert.  That is an independent implementation (one
+///     std::exp per node, no shared basis or scratch) for callers holding
+///     an analytic or per-point transform — the per-t exact waveform
+///     reference, Figure 2 and the skin-effect study — and the reference
+///     the batch path is pinned against in tests.
 ///
 /// Requirements: F(s) analytic for Re(s) > 0 with all singularities in the
 /// open left half-plane (true for the passive RC/RLC structures here) and
@@ -34,18 +37,14 @@
 
 #include <complex>
 #include <cstddef>
-#include <functional>
 #include <vector>
 
 #include "rlc/base/function_ref.hpp"
 
 namespace rlc::laplace {
 
-/// Owning per-point evaluator type, kept for callers that store F.
-using LaplaceFn = std::function<std::complex<double>(std::complex<double>)>;
-
 /// Non-owning per-point evaluator view: must accept complex s with
-/// Re(s) > 0.  Binds to lambdas, LaplaceFn, functors — no allocation.
+/// Re(s) > 0.  Binds to lambdas and functors — no allocation.
 using LaplaceFnRef =
     FunctionRef<std::complex<double>(std::complex<double>)>;
 
@@ -67,22 +66,17 @@ double talbot_invert(BatchLaplaceFnRef F, double t, int M = 48);
 /// Invert F on a vector of time points (each with its own contour).
 std::vector<double> talbot_invert(LaplaceFnRef F,
                                   const std::vector<double>& times, int M = 48);
-std::vector<double> talbot_invert(BatchLaplaceFnRef F,
-                                  const std::vector<double>& times, int M = 48);
 
 /// A Talbot contour fixed at t_max with its F samples cached: construction
 /// costs the M transfer evaluations, after which eval(t) for any
 /// t in (0, t_max] costs only M complex exponentials.  This is the kernel
-/// of the fast exact-waveform engine (rlc::core exact_* fast paths).
+/// of the exact engine's threshold solve (rlc::core::exact_threshold_delay).
 class TalbotContour {
  public:
   /// Samples F at the M contour nodes for the contour tuned to t_max —
-  /// one span call, SoA end to end.  This is the primary constructor.
+  /// one span call, SoA end to end.
   /// Throws std::invalid_argument for t_max <= 0 or M < 4.
   TalbotContour(BatchLaplaceFnRef F, double t_max, int M = 48);
-
-  /// Per-point adapter: same contour, F called node by node.
-  TalbotContour(LaplaceFnRef F, double t_max, int M = 48);
 
   double t_max() const noexcept { return t_max_; }
   int points() const noexcept { return static_cast<int>(weight_re_.size()); }
@@ -102,19 +96,5 @@ class TalbotContour {
   std::vector<double> node_re_, node_im_;      ///< contour points s_k
   std::vector<double> weight_re_, weight_im_;  ///< F(s_k) * (1 + i sigma_k)
 };
-
-/// Invert F at all `times` from ONE shared contour fixed at t_max: M
-/// transfer evaluations total.  Every time must lie in
-/// [t_max/lambda, t_max]; lambda >= 1 bounds the window so callers cannot
-/// silently push times into the inaccurate deep-foot regime.  Throws
-/// std::invalid_argument on a time outside the window or lambda < 1.
-std::vector<double> talbot_invert_window(LaplaceFnRef F,
-                                         const std::vector<double>& times,
-                                         double t_max, int M = 48,
-                                         double lambda = 4.0);
-std::vector<double> talbot_invert_window(BatchLaplaceFnRef F,
-                                         const std::vector<double>& times,
-                                         double t_max, int M = 48,
-                                         double lambda = 4.0);
 
 }  // namespace rlc::laplace

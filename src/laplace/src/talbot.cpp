@@ -58,20 +58,6 @@ const ContourBasis& contour_basis(int M) {
   return basis;
 }
 
-/// Adapts a per-point evaluator onto the span-of-nodes signature, so the
-/// per-point overloads are thin shims over the batch implementations.
-struct PointAdapter {
-  LaplaceFnRef f;
-  void operator()(const double* s_re, const double* s_im, double* f_re,
-                  double* f_im, std::size_t n) const {
-    for (std::size_t i = 0; i < n; ++i) {
-      const cplx v = f(cplx{s_re[i], s_im[i]});
-      f_re[i] = v.real();
-      f_im[i] = v.imag();
-    }
-  }
-};
-
 /// Per-thread SoA scratch for the batch per-t inversion: node coordinates,
 /// F samples and exp(s t) lanes.  Reused across calls — the engine's
 /// refinement loop inverts at a handful of t per solve.
@@ -157,14 +143,6 @@ std::vector<double> talbot_invert(LaplaceFnRef F,
   return out;
 }
 
-std::vector<double> talbot_invert(BatchLaplaceFnRef F,
-                                  const std::vector<double>& times, int M) {
-  std::vector<double> out;
-  out.reserve(times.size());
-  for (double t : times) out.push_back(talbot_invert(F, t, M));
-  return out;
-}
-
 TalbotContour::TalbotContour(BatchLaplaceFnRef F, double t_max, int M) {
   if (!(t_max > 0.0)) {
     throw std::invalid_argument("TalbotContour: t_max must be > 0");
@@ -204,9 +182,6 @@ TalbotContour::TalbotContour(BatchLaplaceFnRef F, double t_max, int M) {
   }
 }
 
-TalbotContour::TalbotContour(LaplaceFnRef F, double t_max, int M)
-    : TalbotContour(BatchLaplaceFnRef(PointAdapter{F}), t_max, M) {}
-
 double TalbotContour::eval(double t) const {
   // Allow a hair past t_max so root-finders can probe the upper bracket
   // endpoint without tripping on rounding.
@@ -224,36 +199,6 @@ double TalbotContour::eval(double t) const {
     acc += e * (std::cos(ph) * weight_re_[k] - std::sin(ph) * weight_im_[k]);
   }
   return acc * r_ / static_cast<double>(m);
-}
-
-std::vector<double> talbot_invert_window(BatchLaplaceFnRef F,
-                                         const std::vector<double>& times,
-                                         double t_max, int M, double lambda) {
-  if (!(lambda >= 1.0)) {
-    throw std::invalid_argument("talbot_invert_window: lambda must be >= 1");
-  }
-  const double t_min = t_max / lambda;
-  for (double t : times) {
-    if (!(t > 0.0) || t < t_min * (1.0 - 1e-12) ||
-        t > t_max * (1.0 + 1e-12)) {
-      throw std::invalid_argument(
-          "talbot_invert_window: every time must lie in [t_max/lambda, "
-          "t_max]");
-    }
-  }
-  const TalbotContour contour(F, t_max, M);
-  std::vector<double> out;
-  out.reserve(times.size());
-  for (double t : times) out.push_back(contour.eval(t));
-  return out;
-}
-
-std::vector<double> talbot_invert_window(LaplaceFnRef F,
-                                         const std::vector<double>& times,
-                                         double t_max, int M, double lambda) {
-  const PointAdapter adapter{F};
-  return talbot_invert_window(BatchLaplaceFnRef(adapter), times, t_max, M,
-                              lambda);
 }
 
 }  // namespace rlc::laplace

@@ -313,7 +313,39 @@ struct Registry::Impl {
 
   Shard& local_shard();
   void retire(Shard* s) noexcept;
+
+  enum Kind { kCounter, kGauge, kHistogram };
+  /// The id of `name` among the metrics of `kind`, or -1 when it is new;
+  /// throws if another kind already holds the name.  Caller holds mu.
+  int find(Kind kind, const std::string& name) const;
 };
+
+namespace {
+
+void require_name(const std::string& name) {
+  if (name.empty()) {
+    throw std::invalid_argument("rlc::obs: metric name must be non-empty");
+  }
+}
+
+}  // namespace
+
+int Registry::Impl::find(Kind kind, const std::string& name) const {
+  const std::vector<std::string>* const names[] = {&counter_names,
+                                                   &gauge_names, &hist_names};
+  static constexpr const char* kKindNames[] = {"counter", "gauge",
+                                               "histogram"};
+  for (int k = kCounter; k <= kHistogram; ++k) {
+    const std::vector<std::string>& v = *names[k];
+    for (std::size_t i = 0; i < v.size(); ++i) {
+      if (v[i] != name) continue;
+      if (k == kind) return static_cast<int>(i);
+      throw std::invalid_argument("rlc::obs: \"" + name + "\" is already a " +
+                                  kKindNames[k]);
+    }
+  }
+  return -1;
+}
 
 Shard& Registry::Impl::local_shard() {
   thread_local ShardHandle handle;
@@ -348,25 +380,9 @@ Registry& Registry::global() {
 }
 
 int Registry::counter(const std::string& name) {
-  if (name.empty()) {
-    throw std::invalid_argument("rlc::obs: metric name must be non-empty");
-  }
+  require_name(name);
   std::lock_guard<std::mutex> lk(impl_->mu);
-  for (std::size_t i = 0; i < impl_->counter_names.size(); ++i) {
-    if (impl_->counter_names[i] == name) return static_cast<int>(i);
-  }
-  for (const auto& g : impl_->gauge_names) {
-    if (g == name) {
-      throw std::invalid_argument("rlc::obs: \"" + name +
-                                  "\" is already a gauge");
-    }
-  }
-  for (const auto& h : impl_->hist_names) {
-    if (h == name) {
-      throw std::invalid_argument("rlc::obs: \"" + name +
-                                  "\" is already a histogram");
-    }
-  }
+  if (const int id = impl_->find(Impl::kCounter, name); id >= 0) return id;
   if (impl_->counter_names.size() >= kMaxCounters) {
     throw std::invalid_argument("rlc::obs: counter capacity exhausted");
   }
@@ -375,25 +391,9 @@ int Registry::counter(const std::string& name) {
 }
 
 int Registry::gauge(const std::string& name) {
-  if (name.empty()) {
-    throw std::invalid_argument("rlc::obs: metric name must be non-empty");
-  }
+  require_name(name);
   std::lock_guard<std::mutex> lk(impl_->mu);
-  for (std::size_t i = 0; i < impl_->gauge_names.size(); ++i) {
-    if (impl_->gauge_names[i] == name) return static_cast<int>(i);
-  }
-  for (const auto& c : impl_->counter_names) {
-    if (c == name) {
-      throw std::invalid_argument("rlc::obs: \"" + name +
-                                  "\" is already a counter");
-    }
-  }
-  for (const auto& h : impl_->hist_names) {
-    if (h == name) {
-      throw std::invalid_argument("rlc::obs: \"" + name +
-                                  "\" is already a histogram");
-    }
-  }
+  if (const int id = impl_->find(Impl::kGauge, name); id >= 0) return id;
   if (impl_->gauge_names.size() >= kMaxGauges) {
     throw std::invalid_argument("rlc::obs: gauge capacity exhausted");
   }
@@ -403,9 +403,7 @@ int Registry::gauge(const std::string& name) {
 
 int Registry::histogram(const std::string& name, double lo, double hi,
                         int bins) {
-  if (name.empty()) {
-    throw std::invalid_argument("rlc::obs: metric name must be non-empty");
-  }
+  require_name(name);
   if (!(lo > 0.0) || !(hi > lo)) {
     throw std::invalid_argument(
         "rlc::obs: histogram needs 0 < lo < hi (log-scale bins)");
@@ -414,26 +412,13 @@ int Registry::histogram(const std::string& name, double lo, double hi,
     throw std::invalid_argument("rlc::obs: histogram bins must be in [1, 512]");
   }
   std::lock_guard<std::mutex> lk(impl_->mu);
-  for (std::size_t i = 0; i < impl_->hist_names.size(); ++i) {
-    if (impl_->hist_names[i] != name) continue;
-    const HistogramShape& d = impl_->hist_shapes[i];
+  if (const int id = impl_->find(Impl::kHistogram, name); id >= 0) {
+    const HistogramShape& d = impl_->hist_shapes[static_cast<std::size_t>(id)];
     if (d.lo != lo || d.hi != hi || d.bins != bins) {
       throw std::invalid_argument("rlc::obs: histogram \"" + name +
                                   "\" re-registered with a different shape");
     }
-    return static_cast<int>(i);
-  }
-  for (const auto& c : impl_->counter_names) {
-    if (c == name) {
-      throw std::invalid_argument("rlc::obs: \"" + name +
-                                  "\" is already a counter");
-    }
-  }
-  for (const auto& g : impl_->gauge_names) {
-    if (g == name) {
-      throw std::invalid_argument("rlc::obs: \"" + name +
-                                  "\" is already a gauge");
-    }
+    return id;
   }
   if (impl_->hist_names.size() >= kMaxHistograms ||
       impl_->bins_used + bins + 2 > kMaxHistogramBins) {

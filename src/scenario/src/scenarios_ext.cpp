@@ -250,7 +250,7 @@ ScenarioResult ext_scaling_trend(const ScenarioSpec& spec,
 
 /// 50% delay via repeated Talbot inversion + bisection (the reference used
 /// for both resistance models of the skin study).
-double delay_of(const rlc::laplace::LaplaceFn& F, double tau_scale,
+double delay_of(rlc::laplace::LaplaceFnRef F, double tau_scale,
                 int talbot_points) {
   const auto v = [&](double t) {
     return rlc::laplace::talbot_invert(F, t, talbot_points);

@@ -2,44 +2,17 @@
 
 #include <cctype>
 #include <cmath>
-#include <optional>
 #include <stdexcept>
+#include <string_view>
 
 namespace rlc::scenario {
 
 namespace {
 
-[[noreturn]] void invalid(const std::string& what) {
-  throw std::invalid_argument("rlc::scenario: " + what);
-}
-
 io::JsonArray to_json_array(const std::vector<double>& v) {
   io::JsonArray a;
   for (double x : v) a.push(x);
   return a;
-}
-
-std::vector<double> numbers_of(const io::JsonValue& v, const char* where) {
-  std::vector<double> out;
-  for (const auto& item : v.items()) {
-    if (item.kind() != io::JsonValue::Kind::kNumber) {
-      invalid(std::string(where) + " must contain only numbers");
-    }
-    out.push_back(item.as_number());
-  }
-  return out;
-}
-
-/// Integer member `key` of `obj`: absent or non-numeric keeps `fallback`,
-/// like the other tolerant accessors, but a number that is not an int is
-/// rejected rather than truncated.
-int int_field(const io::JsonValue& obj, const char* key, int fallback,
-              const std::string& where) {
-  const io::JsonValue* f = obj.find(key);
-  if (!f || f->kind() != io::JsonValue::Kind::kNumber) return fallback;
-  const std::optional<int> i = io::exact_int(f->as_number());
-  if (!i) invalid(where + key + " must be an integer");
-  return *i;
 }
 
 }  // namespace
@@ -156,36 +129,32 @@ rlc::StatusOr<ScenarioSpec> ScenarioSpec::from_json(const io::JsonValue& v) {
     return rlc::Status::invalid_argument("spec must be a JSON object");
   }
   ScenarioSpec spec;
-  try {
-    spec.scenario = v.string_or("scenario", spec.scenario);
-    spec.technology = v.string_or("technology", spec.technology);
-    if (const io::JsonValue* sw = v.find("sweep")) {
-      if (sw->kind() != io::JsonValue::Kind::kObject) {
-        invalid("spec.sweep must be an object");
-      }
-      spec.sweep.l_min = sw->number_or("l_min", spec.sweep.l_min);
-      spec.sweep.l_max = sw->number_or("l_max", spec.sweep.l_max);
-      spec.sweep.points =
-          int_field(*sw, "points", spec.sweep.points, "spec.sweep.");
-      if (const io::JsonValue* ex = sw->find("explicit_l")) {
-        spec.sweep.explicit_l = numbers_of(*ex, "spec.sweep.explicit_l");
-      }
-    }
-    spec.threshold = v.number_or("threshold", spec.threshold);
-    spec.segments_per_line =
-        int_field(v, "segments_per_line", spec.segments_per_line, "spec.");
-    spec.ring_stages = int_field(v, "ring_stages", spec.ring_stages, "spec.");
-    spec.quick = v.bool_or("quick", spec.quick);
-    spec.max_newton_iterations = int_field(
-        v, "max_newton_iterations", spec.max_newton_iterations, "spec.");
-    spec.residual_tol = v.number_or("residual_tol", spec.residual_tol);
-    spec.talbot_points =
-        int_field(v, "talbot_points", spec.talbot_points, "spec.");
-  } catch (const std::exception& e) {
-    // numbers_of, int_field and the tolerant accessors throw on shape
-    // mismatches.
-    return rlc::Status::invalid_argument(e.what());
+  const io::JsonValue* sw = v.find("sweep");
+  if (sw && sw->is_null()) sw = nullptr;  // null keeps the default sweep
+  if (sw && sw->kind() != io::JsonValue::Kind::kObject) {
+    return rlc::Status::invalid_argument("spec.sweep must be an object");
   }
+  constexpr std::string_view kSpec = "spec.", kSweep = "spec.sweep.";
+  SweepSpec& s = spec.sweep;
+  std::string err;  // the first bad field stops the chain
+  const bool ok =
+      io::take_string(v, "scenario", &spec.scenario, &err, kSpec) &&
+      io::take_string(v, "technology", &spec.technology, &err, kSpec) &&
+      (!sw ||
+       (io::take_number(*sw, "l_min", &s.l_min, &err, kSweep) &&
+        io::take_number(*sw, "l_max", &s.l_max, &err, kSweep) &&
+        io::take_int(*sw, "points", &s.points, &err, kSweep) &&
+        io::take_numbers(*sw, "explicit_l", &s.explicit_l, &err, kSweep))) &&
+      io::take_number(v, "threshold", &spec.threshold, &err, kSpec) &&
+      io::take_int(v, "segments_per_line", &spec.segments_per_line, &err,
+                   kSpec) &&
+      io::take_int(v, "ring_stages", &spec.ring_stages, &err, kSpec) &&
+      io::take_bool(v, "quick", &spec.quick, &err, kSpec) &&
+      io::take_int(v, "max_newton_iterations", &spec.max_newton_iterations,
+                   &err, kSpec) &&
+      io::take_number(v, "residual_tol", &spec.residual_tol, &err, kSpec) &&
+      io::take_int(v, "talbot_points", &spec.talbot_points, &err, kSpec);
+  if (!ok) return rlc::Status::invalid_argument(err);
   if (rlc::Status st = spec.validate(); !st.is_ok()) return st;
   return spec;
 }
@@ -226,8 +195,9 @@ core::Technology technology_by_name(const std::string& name) {
       if (nm > 0.0) return core::Technology::interpolated(nm * 1e-9);
     }
   }
-  invalid("unknown technology id \"" + name +
-          "\" (expected 250nm, 100nm, 100nm_c250, or <N>nm)");
+  throw std::invalid_argument(
+      "rlc::scenario: unknown technology id \"" + name +
+      "\" (expected 250nm, 100nm, 100nm_c250, or <N>nm)");
 }
 
 }  // namespace rlc::scenario

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <optional>
 #include <utility>
 
 #include "rlc/tline/coupled_line.hpp"
@@ -162,88 +161,31 @@ io::Json QueryRequest::to_json() const {
   return j;
 }
 
-namespace {
-
-// Strict field extraction: a missing key keeps the default, but a key that
-// is present with the wrong JSON kind is a framing error — a serving API
-// must not silently ignore a mistyped "l" and answer for l = 0.  Each
-// take_* returns false, with the error in *err, at a bad field.
-
-bool fail(rlc::Status* err, const char* key, const char* what) {
-  *err = bad(std::string(key) + what);
-  return false;
-}
-
-bool take_number(const io::JsonValue& v, const char* key, double* out,
-                 rlc::Status* err) {
-  const io::JsonValue* f = v.find(key);
-  if (!f || f->is_null()) return true;
-  if (f->kind() != io::JsonValue::Kind::kNumber) {
-    return fail(err, key, " must be a number");
-  }
-  *out = f->as_number();
-  return true;
-}
-
-bool take_int(const io::JsonValue& v, const char* key, int* out,
-              rlc::Status* err) {
-  double d = *out;
-  if (!take_number(v, key, &d, err)) return false;
-  const std::optional<int> i = io::exact_int(d);
-  if (!i) return fail(err, key, " must be an integer");
-  *out = *i;
-  return true;
-}
-
-bool take_bool(const io::JsonValue& v, const char* key, bool* out,
-               rlc::Status* err) {
-  const io::JsonValue* f = v.find(key);
-  if (!f || f->is_null()) return true;
-  if (f->kind() != io::JsonValue::Kind::kBool) {
-    return fail(err, key, " must be a boolean");
-  }
-  *out = f->as_bool();
-  return true;
-}
-
-bool take_string(const io::JsonValue& v, const char* key, std::string* out,
-                 rlc::Status* err) {
-  const io::JsonValue* f = v.find(key);
-  if (!f || f->is_null()) return true;
-  if (f->kind() != io::JsonValue::Kind::kString) {
-    return fail(err, key, " must be a string");
-  }
-  *out = f->as_string();
-  return true;
-}
-
-}  // namespace
-
 rlc::StatusOr<QueryRequest> QueryRequest::from_json(const io::JsonValue& v) {
   if (v.kind() != io::JsonValue::Kind::kObject) {
     return bad("query request must be a JSON object");
   }
   QueryRequest req;
-  rlc::Status st;  // the first bad field stops the chain
+  std::string err;  // the first bad field stops the chain
   const bool ok =
-      take_string(v, "technology", &req.technology, &st) &&
-      take_number(v, "l", &req.l, &st) &&
-      take_number(v, "threshold", &req.threshold, &st) &&
-      take_int(v, "max_iterations", &req.max_iterations, &st) &&
-      take_number(v, "residual_tolerance", &req.residual_tolerance, &st) &&
-      take_bool(v, "with_exact_delay", &req.with_exact_delay, &st) &&
-      take_int(v, "talbot_points", &req.talbot_points, &st) &&
-      take_number(v, "line_length", &req.line_length, &st) &&
-      take_int(v, "n_conductors", &req.n_conductors, &st) &&
-      take_number(v, "coupling_cc", &req.coupling_cc, &st) &&
-      take_number(v, "coupling_km", &req.coupling_km, &st) &&
-      take_number(v, "noise_vmax", &req.noise_vmax, &st) &&
-      take_string(v, "objective", &req.objective, &st) &&
-      take_number(v, "delay_slack_eps", &req.delay_slack_eps, &st) &&
-      take_number(v, "deadline_seconds", &req.deadline_seconds, &st) &&
-      take_string(v, "trace_id", &req.trace_id, &st) &&
-      (st = req.validate()).is_ok();
-  if (!ok) return st;
+      io::take_string(v, "technology", &req.technology, &err) &&
+      io::take_number(v, "l", &req.l, &err) &&
+      io::take_number(v, "threshold", &req.threshold, &err) &&
+      io::take_int(v, "max_iterations", &req.max_iterations, &err) &&
+      io::take_number(v, "residual_tolerance", &req.residual_tolerance, &err) &&
+      io::take_bool(v, "with_exact_delay", &req.with_exact_delay, &err) &&
+      io::take_int(v, "talbot_points", &req.talbot_points, &err) &&
+      io::take_number(v, "line_length", &req.line_length, &err) &&
+      io::take_int(v, "n_conductors", &req.n_conductors, &err) &&
+      io::take_number(v, "coupling_cc", &req.coupling_cc, &err) &&
+      io::take_number(v, "coupling_km", &req.coupling_km, &err) &&
+      io::take_number(v, "noise_vmax", &req.noise_vmax, &err) &&
+      io::take_string(v, "objective", &req.objective, &err) &&
+      io::take_number(v, "delay_slack_eps", &req.delay_slack_eps, &err) &&
+      io::take_number(v, "deadline_seconds", &req.deadline_seconds, &err) &&
+      io::take_string(v, "trace_id", &req.trace_id, &err);
+  if (!ok) return bad(err);
+  if (rlc::Status st = req.validate(); !st.is_ok()) return st;
   return req;
 }
 

@@ -122,13 +122,21 @@ Parsed parse_line(const std::string& line) {
         return p;
     }
   }
-  const std::string op = v.string_or("op", "");
+  std::string op;
+  if (std::string err; !io::take_string(v, "op", &op, &err)) {
+    p.error = rlc::Status::invalid_argument(err);
+    return p;
+  }
   if (op == "ping") {
     p.op = Parsed::Op::kPing;
     return p;
   }
   if (op == "metrics") {
-    p.format = v.string_or("format", "prometheus");
+    std::string err;
+    if (!io::take_string(v, "format", &p.format, &err)) {
+      p.error = rlc::Status::invalid_argument(err);
+      return p;
+    }
     if (p.format != "prometheus" && p.format != "json" &&
         p.format != "text") {
       p.error = rlc::Status::invalid_argument(
@@ -144,7 +152,12 @@ Parsed parse_line(const std::string& line) {
     return p;
   }
   if (op == "trace") {
-    p.trace_action = v.string_or("action", "");
+    std::string err;
+    if (!io::take_string(v, "action", &p.trace_action, &err) ||
+        !io::take_bool(v, "chrome", &p.chrome, &err)) {
+      p.error = rlc::Status::invalid_argument(err);
+      return p;
+    }
     if (p.trace_action != "start" && p.trace_action != "stop" &&
         p.trace_action != "dump") {
       p.error = rlc::Status::invalid_argument(
@@ -155,7 +168,6 @@ Parsed parse_line(const std::string& line) {
                     "\" unknown (start | stop | dump)");
       return p;
     }
-    p.chrome = v.bool_or("chrome", false);
     p.op = Parsed::Op::kTrace;
     return p;
   }
@@ -182,18 +194,13 @@ Parsed parse_line(const std::string& line) {
       p.error = parsed.status();
       return p;
     }
+    std::string err;
+    if (!io::take_number(v, "deadline_seconds", &p.deadline_seconds, &err)) {
+      p.error = rlc::Status::invalid_argument(err);
+      return p;
+    }
     p.op = Parsed::Op::kScenario;
     p.spec = std::move(*parsed);
-    if (const io::JsonValue* d = v.find("deadline_seconds");
-        d && !d->is_null()) {
-      try {
-        p.deadline_seconds = d->as_number();
-      } catch (const std::exception&) {
-        p.error =
-            rlc::Status::invalid_argument("deadline_seconds must be a number");
-        p.op = Parsed::Op::kError;
-      }
-    }
     return p;
   }
   p.error = rlc::Status::invalid_argument(

@@ -42,9 +42,9 @@ TEST(FunctionRef, IsTwoWordsAndTriviallyCopyable) {
 }
 
 TEST(FunctionRef, PerPointAndBatchOverloadsDisambiguate) {
-  // The talbot_invert/TalbotContour overload set takes either a per-point
-  // evaluator or an SoA batch evaluator; the is_invocable_r constraint must
-  // route each callable shape to exactly one overload.
+  // The talbot_invert overload set takes either a per-point evaluator or
+  // an SoA batch evaluator; the is_invocable_r constraint must route each
+  // callable shape to exactly one overload.
   const auto point = [](cplx s) { return 1.0 / s; };
   const auto batch = [](const double* sr, const double* si, double* fr,
                         double* fi, std::size_t n) {

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "rlc/laplace/talbot.hpp"
+#include "support/point_span.hpp"
 
 namespace rlc::laplace {
 namespace {
@@ -77,25 +78,24 @@ TEST(Stehfest, MultiTimeOverloadMatchesScalar) {
 
 TEST(Stehfest, CrossChecksWindowedTalbotOnSmoothResponse) {
   // Independent-method agreement: Gaver-Stehfest (real-axis samples) and
-  // the shared-contour Talbot window must agree on a smooth RC-style step
-  // response.  This guards both inverters at once — a systematic error in
-  // either would break the match.
+  // one shared Talbot contour must agree on a smooth RC-style step
+  // response across a ratio-4 window.  This guards both inverters at
+  // once — a systematic error in either would break the match.
   const double a = 5.0;
   const auto F_real = [a](double s) { return a / (s * (s + a)); };
-  const rlc::laplace::LaplaceFn F_cplx = [a](std::complex<double> s) {
-    return a / (s * (s + a));
-  };
+  const auto F_cplx = [a](std::complex<double> s) { return a / (s * (s + a)); };
   const double t_max = 1.6, lambda = 4.0;
   std::vector<double> times;
   for (int i = 0; i <= 8; ++i) {
     times.push_back(t_max / lambda * std::pow(lambda, i / 8.0));
   }
   const auto stehfest = stehfest_invert(F_real, times, 14);
-  const auto talbot = talbot_invert_window(F_cplx, times, t_max, 48, lambda);
-  ASSERT_EQ(stehfest.size(), talbot.size());
+  const TalbotContour talbot(PointSpan{F_cplx}, t_max, 48);
+  ASSERT_EQ(stehfest.size(), times.size());
   for (std::size_t i = 0; i < times.size(); ++i) {
-    EXPECT_NEAR(stehfest[i], talbot[i], 1e-4) << "t = " << times[i];
-    EXPECT_NEAR(talbot[i], 1.0 - std::exp(-a * times[i]), 1e-6)
+    EXPECT_NEAR(stehfest[i], talbot.eval(times[i]), 1e-4)
+        << "t = " << times[i];
+    EXPECT_NEAR(talbot.eval(times[i]), 1.0 - std::exp(-a * times[i]), 1e-6)
         << "t = " << times[i];
   }
 }

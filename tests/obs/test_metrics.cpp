@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <random>
 #include <string>
@@ -236,14 +237,35 @@ TEST(MetricsRegistry, InterningIsIdempotentAndKindChecked) {
   const int c1 = reg.counter("t.metrics.intern.counter");
   const int c2 = reg.counter("t.metrics.intern.counter");
   EXPECT_EQ(c1, c2);
+  const int g1 = reg.gauge("t.metrics.intern.gauge");
+  const int g2 = reg.gauge("t.metrics.intern.gauge");
+  EXPECT_EQ(g1, g2);
   const int h1 = reg.histogram("t.metrics.intern.hist", 1.0, 100.0, 8);
   const int h2 = reg.histogram("t.metrics.intern.hist", 1.0, 100.0, 8);
   EXPECT_EQ(h1, h2);
 
   EXPECT_THROW(reg.counter(""), std::invalid_argument);
-  // A name cannot change kind...
-  EXPECT_THROW(reg.gauge("t.metrics.intern.counter"), std::invalid_argument);
-  EXPECT_THROW(reg.counter("t.metrics.intern.hist"), std::invalid_argument);
+  // A name cannot change kind: each of the six cross-kind clashes throws,
+  // naming the kind that holds the name...
+  const auto clash = [](const std::function<void()>& intern,
+                        const std::string& holder) {
+    try {
+      intern();
+      ADD_FAILURE() << "no clash with the " << holder;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("is already a " + holder),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  clash([&] { reg.gauge("t.metrics.intern.counter"); }, "counter");
+  clash([&] { reg.histogram("t.metrics.intern.counter", 1.0, 100.0, 8); },
+        "counter");
+  clash([&] { reg.counter("t.metrics.intern.gauge"); }, "gauge");
+  clash([&] { reg.histogram("t.metrics.intern.gauge", 1.0, 100.0, 8); },
+        "gauge");
+  clash([&] { reg.counter("t.metrics.intern.hist"); }, "histogram");
+  clash([&] { reg.gauge("t.metrics.intern.hist"); }, "histogram");
   // ...and a histogram cannot change shape.
   EXPECT_THROW(reg.histogram("t.metrics.intern.hist", 1.0, 100.0, 16),
                std::invalid_argument);

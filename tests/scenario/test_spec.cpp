@@ -152,9 +152,10 @@ TEST(ScenarioSpec, FromJsonToleratesMissingFields) {
 
 TEST(ScenarioSpec, FromJsonRejectsNonIntegralAndOutOfRangeInts) {
   // Each integer field takes only a number that is an int: a fraction, a
-  // value that wraps into int range (2^32 + a valid value) and one whose
-  // conversion would be undefined all come back as invalid_argument
-  // naming the field, instead of being truncated to a valid spec.
+  // value that wraps into int range (2^32 + a valid value), one whose
+  // conversion would be undefined and a quoted valid value all come back
+  // as invalid_argument naming the field, instead of being truncated to a
+  // valid spec or replaced by the default.
   const struct {
     const char* name;  ///< field path in the message
     const char* json;  ///< the field with "%s" for the value
@@ -172,7 +173,7 @@ TEST(ScenarioSpec, FromJsonRejectsNonIntegralAndOutOfRangeInts) {
       {"spec.talbot_points", "\"talbot_points\": %s", "48", "48.5",
        "4294967344"},
   };
-  const auto spec_with = [](const char* field, const char* value) {
+  const auto spec_with = [](const char* field, const std::string& value) {
     std::string body = field;
     body.replace(body.find("%s"), 2, value);
     return "{\"scenario\": \"fig5\", " + body + "}";
@@ -180,7 +181,10 @@ TEST(ScenarioSpec, FromJsonRejectsNonIntegralAndOutOfRangeInts) {
   for (const auto& f : fields) {
     const std::string ok = spec_with(f.json, f.valid);
     EXPECT_TRUE(ScenarioSpec::from_json_text(ok).is_ok()) << ok;
-    for (const char* value : {f.fraction, f.wraps, "1e300", "-1e300"}) {
+    const std::string quoted = "\"" + std::string(f.valid) + "\"";
+    for (const std::string& value :
+         {std::string(f.fraction), std::string(f.wraps), std::string("1e300"),
+          std::string("-1e300"), quoted}) {
       const std::string text = spec_with(f.json, value);
       const auto r = ScenarioSpec::from_json_text(text);
       if (r.is_ok()) {
@@ -192,6 +196,54 @@ TEST(ScenarioSpec, FromJsonRejectsNonIntegralAndOutOfRangeInts) {
           << text << ": " << r.status().to_string();
     }
   }
+}
+
+TEST(ScenarioSpec, FromJsonRejectsMistypedFieldsNamingThem) {
+  // A number, boolean, string or array field of the wrong JSON kind comes
+  // back as invalid_argument naming the field, never as its default: a
+  // quoted threshold must not run at 0.5, nor "quick": "yes" run the full
+  // grid.  A null keeps the default and unknown keys stay ignored.
+  const struct {
+    const char* name;  ///< field path in the message
+    const char* body;  ///< the spec's members
+  } cases[] = {
+      {"spec.scenario", "\"scenario\": 5"},
+      {"spec.technology", "\"scenario\": \"fig5\", \"technology\": 100"},
+      {"spec.threshold", "\"scenario\": \"fig5\", \"threshold\": \"0.7\""},
+      {"spec.residual_tol", "\"scenario\": \"fig5\", \"residual_tol\": [1]"},
+      {"spec.quick", "\"scenario\": \"fig5\", \"quick\": \"yes\""},
+      {"spec.quick", "\"scenario\": \"fig5\", \"quick\": 1"},
+      {"spec.sweep", "\"scenario\": \"fig5\", \"sweep\": [3]"},
+      {"spec.sweep.l_min",
+       "\"scenario\": \"fig5\", \"sweep\": {\"l_min\": \"0\"}"},
+      {"spec.sweep.l_max",
+       "\"scenario\": \"fig5\", \"sweep\": {\"l_max\": true}"},
+      {"spec.sweep.explicit_l",
+       "\"scenario\": \"fig5\", \"sweep\": {\"explicit_l\": 1e-6}"},
+      {"spec.sweep.explicit_l",
+       "\"scenario\": \"fig5\", \"sweep\": {\"explicit_l\": [1e-6, \"2e-6\"]}"},
+  };
+  for (const auto& c : cases) {
+    const std::string text = std::string("{") + c.body + "}";
+    const auto r = ScenarioSpec::from_json_text(text);
+    if (r.is_ok()) {
+      ADD_FAILURE() << text << " was accepted";
+      continue;
+    }
+    EXPECT_EQ(r.status().code(), rlc::StatusCode::kInvalidArgument) << text;
+    EXPECT_NE(r.status().message().find(c.name), std::string::npos)
+        << text << ": " << r.status().to_string();
+  }
+
+  ScenarioSpec want;
+  want.scenario = "fig5";
+  want.sweep.explicit_l = {1e-6, 2e-6};
+  const auto r = ScenarioSpec::from_json_text(
+      "{\"scenario\": \"fig5\", \"technology\": null, \"threshold\": null, "
+      "\"quick\": null, \"sweep\": {\"points\": null, "
+      "\"explicit_l\": [1e-6, 2e-6]}, \"bogus\": \"yes\"}");
+  ASSERT_TRUE(r.is_ok()) << r.status().to_string();
+  EXPECT_EQ(*r, want);
 }
 
 TEST(ScenarioSpec, OptionsMapSpecFields) {

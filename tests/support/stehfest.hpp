@@ -19,8 +19,8 @@ double stehfest_invert(const std::function<double(double)>& F_real, double t,
 
 /// Invert F on a vector of time points.  The weights are computed once and
 /// shared; each time still needs its own N real-axis samples of F (the
-/// Stehfest abscissae scale with 1/t), so this is an API-surface mirror of
-/// the windowed Talbot inverter, used as its independent cross-check.
+/// Stehfest abscissae scale with 1/t).  The tests use it as the
+/// independent cross-check of a shared Talbot contour's window.
 std::vector<double> stehfest_invert(const std::function<double(double)>& F_real,
                                     const std::vector<double>& times,
                                     int N = 14);

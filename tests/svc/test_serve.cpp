@@ -215,6 +215,23 @@ TEST_F(ServeTest, XtalkScenarioRunsOnTheWire) {
   EXPECT_GE(coupling->number_or("peak_noise", -1.0), 0.0);
 }
 
+// A stdin block stamps each line as it parses it, so a query that waits
+// behind a scenario in its block reports that wait as queue time.
+TEST(ServeBlock, QueueTimeCountsTheWaitInsideABlock) {
+  Session session(SessionOptions{1, 64});
+  Server server(session);
+  const std::vector<std::string> out = server.handle_lines({
+      "{\"op\":\"scenario\",\"spec\":{\"scenario\":\"fig5\",\"quick\":true}}",
+      "{\"op\":\"query\",\"technology\":\"250nm\",\"l\":1e-6,"
+      "\"trace_id\":\"waits-behind-a-scenario\"}",
+  });
+  ASSERT_EQ(out.size(), 2u);
+  ASSERT_EQ(io::parse_json(out[0]).string_or("status", ""), "ok") << out[0];
+  const io::JsonValue query = io::parse_json(out[1]);
+  ASSERT_EQ(query.string_or("status", ""), "ok") << out[1];
+  EXPECT_GT(query.find("result")->number_or("queue_us", -1.0), 0.0) << out[1];
+}
+
 TEST_F(ServeTest, DeadlineZeroQueryIsDeadlineExceededOnTheWire) {
   const io::JsonValue v = response_of(
       server_, "{\"op\":\"query\",\"l\":1e-6,\"deadline_seconds\":0}");
@@ -241,6 +258,35 @@ TEST_F(ServeTest, UnknownScenarioIsNotFoundOnTheWire) {
       "{\"op\":\"scenario\",\"spec\":{\"scenario\":\"no_such_thing\"}}");
   EXPECT_EQ(v.string_or("status", ""), "not_found");
   EXPECT_EQ(v.int_or("code", -1), 2);
+}
+
+TEST_F(ServeTest, MistypedOpFieldsAreRejectedOnTheWire) {
+  // The op or an admin-op field of the wrong JSON kind is an
+  // invalid_argument naming the field, not its default: a numeric format
+  // is no Prometheus scrape, and a quoted chrome flag does not leave the
+  // Chrome trace out.  A null keeps the default.
+  const struct {
+    const char* line;
+    const char* message;
+  } cases[] = {
+      {"{\"op\":5}", "op must be a string"},
+      {"{\"op\":\"metrics\",\"format\":7}", "format must be a string"},
+      {"{\"op\":\"trace\",\"action\":\"dump\",\"chrome\":\"yes\"}",
+       "chrome must be a boolean"},
+      {"{\"op\":\"trace\",\"action\":true}", "action must be a string"},
+      {"{\"op\":\"scenario\",\"spec\":{\"scenario\":\"fig5\"},"
+       "\"deadline_seconds\":\"5\"}",
+       "deadline_seconds must be a number"},
+  };
+  for (const auto& c : cases) {
+    const io::JsonValue v = response_of(server_, c.line);
+    EXPECT_EQ(v.string_or("status", ""), "invalid_argument") << c.line;
+    EXPECT_EQ(v.string_or("message", ""), c.message) << c.line;
+  }
+  const io::JsonValue scrape =
+      response_of(server_, "{\"op\":\"metrics\",\"format\":null}");
+  ASSERT_EQ(scrape.string_or("status", ""), "ok");
+  EXPECT_EQ(scrape.find("result")->string_or("format", ""), "prometheus");
 }
 
 // ---------------------------------------------------------------------------
